@@ -1,0 +1,291 @@
+"""Compiled growth kernel: the C core ``_growth_core.c`` driven through ctypes.
+
+Behaviour contract (PRNG, draw order, arena layout, allocation order,
+counters) is documented in ``_growth_py``; the two kernels must stay
+observably identical.  The step loop, the lex phase, the serializers and
+whole histogram runs execute in C, so one Python call does bulk work.
+
+The library is named after the first 16 hex digits of the C source's
+sha256, ``_growth_core-<digest>.so``.  It is looked up beside this file,
+where ``setup.py build_ext`` puts it, then in ``$XDG_CACHE_HOME/darygrow``
+(default ``~/.cache/darygrow``); when neither has it, the source is
+compiled into the cache, written to a temporary file and moved into place
+with ``os.replace``.  Importing this module raises ImportError when the
+library cannot be had (no C compiler, an unwritable cache, a compile
+error), and the package then runs on the Python kernel.
+
+Node ids are int32: growth past INT32_MAX node ids is refused with
+SizeGuardError before anything is allocated, and a failed allocation
+raises MemoryError.
+"""
+
+import ctypes
+import os
+from collections import Counter
+from ctypes import c_char_p, c_double, c_int, c_int32, c_int64, c_uint64, c_void_p
+from operator import attrgetter
+
+from .errors import SizeGuardError
+
+try:  # the builtin module loads in a tenth of hashlib's import time
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
+
+KERNEL_NAME = "c"
+
+SOURCE = os.path.join(os.path.dirname(__file__), "_growth_core.c")
+
+INT32_MAX = 2**31 - 1
+_MASK = (1 << 64) - 1
+# bytes of chain codes per C call in histogram
+_HISTOGRAM_BLOCK = 1 << 16
+
+_SIGNATURES = {
+    "dg_new": (c_void_p, [c_int64, c_uint64]),
+    "dg_free": (None, [c_void_p]),
+    "dg_reset": (None, [c_void_p]),
+    "dg_uniform_below": (c_uint64, [c_void_p, c_uint64]),
+    "dg_steps": (c_int, [c_void_p, c_int64]),
+    "dg_step_with": (c_int, [c_void_p, ctypes.POINTER(c_int64), c_int64]),
+    "dg_edge_word": (c_int64, [c_void_p, c_int64, ctypes.POINTER(c_int32)]),
+    "dg_height": (c_int64, [c_void_p]),
+    "dg_code": (c_int64, [c_void_p, c_char_p, c_int64]),
+    "dg_code_text": (c_int64, [c_void_p, c_char_p, c_char_p, c_int64]),
+    "dg_paren_text": (c_int64, [c_void_p, c_char_p]),
+    "dg_histogram": (c_int, [c_void_p, c_int64, c_int64, c_char_p]),
+}
+
+
+def library_name() -> str:
+    with open(SOURCE, "rb") as fh:
+        digest = sha256(fh.read()).hexdigest()[:16]
+    return f"_growth_core-{digest}.so"
+
+
+def compile_library(target: str) -> None:
+    """Compile the C core to ``target``; OSError when that fails.
+
+    The library is written to a temporary file beside ``target`` and moved
+    into place, so readers never see a partial build.
+    """
+    import shlex
+    import subprocess
+    import sysconfig
+    import tempfile
+
+    folder = os.path.dirname(target)
+    os.makedirs(folder, exist_ok=True)
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=folder)
+    os.close(fd)
+    try:
+        subprocess.run(
+            [*cc, "-shared", "-fPIC", "-O3", SOURCE, "-o", tmp],
+            check=True,
+            capture_output=True,
+            timeout=300,
+        )
+        os.replace(tmp, target)
+    except subprocess.SubprocessError as exc:
+        raise OSError(f"compiling {SOURCE} failed: {exc}") from exc
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _load():
+    name = library_name()
+    path = os.path.join(os.path.dirname(__file__), name)
+    if not os.path.exists(path):
+        cache = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
+        path = os.path.join(cache, "darygrow", name)
+        if not os.path.exists(path):
+            compile_library(path)
+    # PyDLL: calls keep the interpreter lock, so two threads sharing a
+    # kernel cannot race on its arena
+    lib = ctypes.PyDLL(path)
+    for name, (restype, argtypes) in _SIGNATURES.items():
+        fn = getattr(lib, name)
+        fn.restype, fn.argtypes = restype, argtypes
+    return lib
+
+
+try:
+    _lib = _load()
+except (OSError, AttributeError) as exc:
+    raise ImportError(f"C growth core unavailable: {exc}") from exc
+
+
+class _Head(ctypes.Structure):
+    """The public head of the C kernel struct; same fields, same order."""
+
+    _fields_ = [
+        ("d", c_int64),
+        ("n", c_int64),
+        ("node_allocations", c_int64),
+        ("link_redirections", c_int64),
+        ("rng_draws", c_int64),
+        ("lex_letters_compared", c_int64),
+        ("max_step_redirections", c_int64),
+        ("lex_seconds", c_double),
+        ("state", c_uint64),
+    ]
+
+
+def _checked(status):
+    """A C core result, or MemoryError for its -1 (an allocation failed)."""
+    if status < 0:
+        raise MemoryError("the C growth core could not allocate memory")
+    return status
+
+
+class GrowthKernel:
+    name = KERNEL_NAME
+
+    def __init__(self, d, seed):
+        if d < 2:
+            raise ValueError(f"arity must be >= 2, got {d}")
+        if d + 1 > INT32_MAX:
+            raise SizeGuardError(f"arity {d} leaves no room for int32 node ids")
+        self.d = d
+        self._k = _lib.dg_new(d, seed & _MASK)
+        if not self._k:
+            raise MemoryError("the C growth core could not allocate a kernel")
+        self._head = _Head.from_address(self._k)
+
+    def __del__(self, _free=_lib.dg_free):
+        if getattr(self, "_k", None):
+            _free(self._k)
+            self._k = None
+
+    # ------------------------------------------------------------------
+    # PRNG (splitmix64)
+
+    def uniform_below(self, k):
+        if k < 1:
+            raise ValueError("uniform_below needs k >= 1")
+        if k > _MASK:
+            raise OverflowError("uniform_below needs k < 2**64")
+        return _lib.dg_uniform_below(self._k, k)
+
+    def reseed(self, seed):
+        self._head.state = seed & _MASK
+        self._head.rng_draws = 0
+
+    # ------------------------------------------------------------------
+    # state
+
+    def reset(self):
+        """Back to the single-node tree; counters cleared, PRNG untouched."""
+        _lib.dg_reset(self._k)
+
+    @property
+    def root(self):
+        return self.d * self.n
+
+    @property
+    def node_count(self):
+        return self.d * self.n + 1
+
+    def _room(self, n):
+        """Refuse a tree of n internal nodes when its ids pass INT32_MAX."""
+        nodes = self.d * n + 1
+        if nodes > INT32_MAX:
+            raise SizeGuardError(
+                f"{n} internal nodes at d={self.d} need {nodes} node ids,"
+                f" above the int32 limit {INT32_MAX}"
+            )
+
+    # ------------------------------------------------------------------
+    # growth
+
+    def step(self):
+        self.steps(1)
+
+    def steps(self, k):
+        if k > 0:
+            self._room(self.n + k)
+            _checked(_lib.dg_steps(self._k, k))
+
+    def step_with(self, ranks, letter):
+        """Apply one step with externally chosen ranks and letter (test hook)."""
+        d = self.d
+        universe = d * self.n + d - 1
+        ranks = list(ranks)
+        if len(ranks) != d - 1 or len(set(ranks)) != d - 1:
+            raise ValueError(f"need {d - 1} distinct ranks")
+        if any(not 0 <= r < universe for r in ranks):
+            raise ValueError(f"rank outside [0, {universe})")
+        if not 1 <= letter <= d:
+            raise ValueError(f"letter {letter} outside 1..{d}")
+        self._room(self.n + 1)
+        _checked(_lib.dg_step_with(self._k, (c_int64 * (d - 1))(*ranks), letter))
+
+    # ------------------------------------------------------------------
+    # inspection
+
+    def edge_word(self, rank):
+        """Root word of the edge's child node for a given rank."""
+        if not 0 <= rank < self.d * self.n:
+            raise IndexError(f"edge rank {rank} outside [0, {self.d * self.n})")
+        word = (c_int32 * _lib.dg_edge_word(self._k, rank, None))()
+        _lib.dg_edge_word(self._k, rank, word)
+        return tuple(word)
+
+    def _code(self, sym):
+        buf = ctypes.create_string_buffer(self.node_count)
+        _checked(_lib.dg_code(self._k, buf, sym))
+        return buf.raw
+
+    def preorder_code(self):
+        if self.d < 256:
+            return list(self._code(self.d))
+        return [self.d if internal else 0 for internal in self._code(1)]
+
+    def code_bytes(self):
+        if self.d > 255 and self.n:
+            raise ValueError("bytes must be in range(0, 256)")
+        return self._code(self.d)
+
+    def code_text(self):
+        """Preorder code as ASCII: ``0`` or ``d`` per node, space separated."""
+        sym = str(self.d).encode("ascii")
+        n, nodes = self.n, self.node_count
+        buf = ctypes.create_string_buffer(n * len(sym) + (nodes - n) + nodes - 1)
+        _checked(_lib.dg_code_text(self._k, buf, sym, len(sym)))
+        return buf.raw
+
+    def paren_text(self):
+        """``(`` + children + ``)`` per internal node, ``o`` per leaf, as ASCII."""
+        buf = ctypes.create_string_buffer(self.node_count + self.n)
+        _checked(_lib.dg_paren_text(self._k, buf))
+        return buf.raw
+
+    def height(self):
+        return _checked(_lib.dg_height(self._k))
+
+    def histogram(self, n, chains):
+        """Shape counts over repeated chains to size n (one PRNG stream)."""
+        if chains <= 0:
+            return {}
+        n = max(n, 0)
+        if self.d > 255 and n:
+            raise ValueError("bytes must be in range(0, 256)")
+        self._room(n)
+        counts = Counter()
+        length = self.d * n + 1
+        block = max(1, _HISTOGRAM_BLOCK // length)
+        buf = ctypes.create_string_buffer(min(block, chains) * length)
+        while chains > 0:
+            m = min(block, chains)
+            _checked(_lib.dg_histogram(self._k, n, m, buf))
+            raw = buf.raw
+            counts.update(raw[i : i + length] for i in range(0, m * length, length))
+            chains -= m
+        return dict(counts)
+
+
+# n and the counters read straight from the C struct
+for _name, _ in _Head._fields_[1:-1]:
+    setattr(GrowthKernel, _name, property(attrgetter(f"_head.{_name}")))

@@ -1,0 +1,448 @@
+/*
+ * Compiled growth core: the arena, the splitmix64 PRNG, the step loop, the
+ * lex ordering of marked edges and the serializers, in plain C with no
+ * Python headers.  `_growth_c.py` loads it with ctypes and wraps it in the
+ * GrowthKernel API.  The behaviour contract (draw order, arena layout,
+ * allocation order, counters) is documented in `_growth_py.py`, the
+ * readable spec; the two kernels must stay observably identical.
+ *
+ * Node ids are int32.  The wrapper refuses any growth past INT32_MAX node
+ * ids before calling in, so every id and slot below fits; indexes into
+ * the child array are computed in int64.  Functions that allocate return
+ * 0 on success and -1 when memory runs out, leaving the kernel usable.
+ */
+
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+#include <time.h>
+
+typedef struct {
+    /* public head, mirrored field for field by _growth_c.Head */
+    int64_t d;
+    int64_t n;
+    int64_t node_allocations;
+    int64_t link_redirections;
+    int64_t rng_draws;
+    int64_t lex_letters_compared;
+    int64_t max_step_redirections;
+    double lex_seconds;
+    uint64_t state;
+    /* arena: nodes live ids, room for cap */
+    int64_t nodes, cap;
+    int32_t *parent, *slot, *child;
+    /* per-step scratch, d entries each */
+    int64_t *rk, *buds, *edges, *rem, *pos, *woff, *wlen;
+    char *taken;
+    /* root words of the marked edges, for the lex phase */
+    int32_t *words;
+    int64_t words_cap;
+} dg_kernel;
+
+static double now(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return ts.tv_sec + ts.tv_nsec * 1e-9;
+}
+
+/* ------------------------------------------------------------------ */
+/* memory */
+
+void dg_free(dg_kernel *k)
+{
+    if (!k)
+        return;
+    free(k->parent);
+    free(k->slot);
+    free(k->child);
+    free(k->rk); /* all of the per-step scratch */
+    free(k->words);
+    free(k);
+}
+
+/* Room for `nodes` nodes: exact for a bulk request, doubling otherwise. */
+static int reserve(dg_kernel *k, int64_t nodes)
+{
+    int64_t cap = k->cap * 2;
+    void *p;
+    if (nodes <= k->cap)
+        return 0;
+    if (cap < nodes)
+        cap = nodes;
+    if (cap > (int64_t)INT32_MAX + 1 && nodes <= (int64_t)INT32_MAX + 1)
+        cap = (int64_t)INT32_MAX + 1;
+    /* a failed realloc leaves the old block, and cap, in place */
+    if (!(p = realloc(k->parent, cap * sizeof(int32_t))))
+        return -1;
+    k->parent = p;
+    if (!(p = realloc(k->slot, cap * sizeof(int32_t))))
+        return -1;
+    k->slot = p;
+    if (!(p = realloc(k->child, cap * k->d * sizeof(int32_t))))
+        return -1;
+    k->child = p;
+    k->cap = cap;
+    return 0;
+}
+
+static int reserve_words(dg_kernel *k, int64_t letters)
+{
+    int64_t cap = k->words_cap ? k->words_cap : 256;
+    int32_t *p;
+    if (letters <= k->words_cap)
+        return 0;
+    while (cap < letters)
+        cap *= 2;
+    if (!(p = realloc(k->words, cap * sizeof(int32_t))))
+        return -1;
+    k->words = p;
+    k->words_cap = cap;
+    return 0;
+}
+
+/* Back to the single-node tree; counters cleared, PRNG untouched. */
+void dg_reset(dg_kernel *k)
+{
+    k->n = 0;
+    k->nodes = 1;
+    k->parent[0] = -1;
+    k->slot[0] = 0;
+    k->child[0] = -1;
+    k->node_allocations = 0;
+    k->link_redirections = 0;
+    k->lex_letters_compared = 0;
+    k->lex_seconds = 0.0;
+    k->max_step_redirections = 0;
+}
+
+dg_kernel *dg_new(int64_t d, uint64_t seed)
+{
+    dg_kernel *k = calloc(1, sizeof(dg_kernel));
+    if (!k)
+        return NULL;
+    k->d = d;
+    k->state = seed;
+    /* the seven int64 scratch arrays and `taken` share one block */
+    if (!(k->rk = malloc(7 * d * sizeof(int64_t) + d)) || reserve(k, 1) < 0) {
+        dg_free(k);
+        return NULL;
+    }
+    k->buds = k->rk + d;
+    k->edges = k->buds + d;
+    k->rem = k->edges + d;
+    k->pos = k->rem + d;
+    k->woff = k->pos + d;
+    k->wlen = k->woff + d;
+    k->taken = (char *)(k->wlen + d);
+    dg_reset(k);
+    return k;
+}
+
+/* ------------------------------------------------------------------ */
+/* PRNG (splitmix64) */
+
+static inline uint64_t next64(dg_kernel *k)
+{
+    uint64_t z = (k->state += 0x9E3779B97F4A7C15ULL);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    k->rng_draws++;
+    return z ^ (z >> 31);
+}
+
+/*
+ * Reject draws at or above floor(2^64 / m) * m; m == 1 draws nothing.
+ * x is below that bound exactly when its multiple x - x % m leaves room
+ * for m more under 2^64, which costs no second division.
+ */
+static inline uint64_t uniform_below(dg_kernel *k, uint64_t m)
+{
+    uint64_t x, r;
+    if (m == 1)
+        return 0;
+    do {
+        x = next64(k);
+        r = x % m;
+    } while (x - r > 0 - m);
+    return r;
+}
+
+uint64_t dg_uniform_below(dg_kernel *k, uint64_t m)
+{
+    return uniform_below(k, m);
+}
+
+/* ------------------------------------------------------------------ */
+/* lex ordering of marked edges */
+
+static int64_t depth(const dg_kernel *k, int64_t u)
+{
+    int64_t h = 0;
+    for (; k->parent[u] >= 0; u = k->parent[u])
+        h++;
+    return h;
+}
+
+static int cmp_words(dg_kernel *k, int64_t ao, int64_t al, int64_t bo, int64_t bl)
+{
+    const int32_t *w = k->words;
+    int64_t limit = al < bl ? al : bl, i;
+    for (i = 0; i < limit; i++) {
+        if (w[ao + i] != w[bo + i]) {
+            k->lex_letters_compared += i + 1;
+            return w[ao + i] < w[bo + i] ? -1 : 1;
+        }
+    }
+    k->lex_letters_compared += i;
+    return al == bl ? 0 : (al < bl ? -1 : 1);
+}
+
+/* Sort edges[0..ne) by root word, largest first (insertion sort). */
+static int sort_edges_desc(dg_kernel *k, int64_t *edges, int64_t ne)
+{
+    int64_t total = 0, w = 0, i, j, u;
+    for (i = 0; i < ne; i++)
+        total += k->wlen[i] = depth(k, edges[i]);
+    if (reserve_words(k, total) < 0)
+        return -1;
+    for (i = 0; i < ne; i++) {
+        u = edges[i]; /* the relink after sorting writes this child row */
+        __builtin_prefetch(k->child + (int64_t)k->parent[u] * k->d + k->slot[u] - 1, 1);
+        k->woff[i] = w;
+        w += k->wlen[i];
+        for (j = 0; k->parent[u] >= 0; u = k->parent[u])
+            k->words[w - ++j] = k->slot[u];
+    }
+    for (i = 1; i < ne; i++) {
+        int64_t eu = edges[i], eo = k->woff[i], el = k->wlen[i];
+        for (j = i - 1; j >= 0 && cmp_words(k, k->woff[j], k->wlen[j], eo, el) < 0; j--) {
+            edges[j + 1] = edges[j];
+            k->woff[j + 1] = k->woff[j];
+            k->wlen[j + 1] = k->wlen[j];
+        }
+        edges[j + 1] = eu;
+        k->woff[j + 1] = eo;
+        k->wlen[j + 1] = el;
+    }
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* one growth step; the arena must have room for d more nodes */
+
+static inline int32_t alloc_leaf(dg_kernel *k)
+{
+    int64_t v = k->nodes++;
+    k->parent[v] = -1;
+    k->slot[v] = 0;
+    k->child[v * k->d] = -1;
+    k->node_allocations++;
+    return (int32_t)v;
+}
+
+static int apply(dg_kernel *k, const int64_t *ranks, int64_t letter)
+{
+    int64_t d = k->d, edge_count = d * k->n, before = k->link_redirections;
+    int64_t nb = 0, ne = 0, nrem = 0, i, j, r, u, v, pu, c, base, new_root;
+
+    for (i = 0; i < d - 1; i++) {
+        r = ranks[i];
+        if (r >= edge_count)
+            k->buds[nb++] = r - edge_count;
+        else
+            k->edges[ne++] = r;
+    }
+    if (ne >= 2) { /* before any write, so a failure leaves the tree as it was */
+        double t0 = now();
+        if (sort_edges_desc(k, k->edges, ne) < 0)
+            return -1;
+        k->lex_seconds += now() - t0;
+    }
+    for (i = 1; i < nb; i++) { /* buds ascending */
+        r = k->buds[i];
+        for (j = i - 1; j >= 0 && k->buds[j] > r; j--)
+            k->buds[j + 1] = k->buds[j];
+        k->buds[j + 1] = r;
+    }
+
+    memset(k->taken, 0, d);
+    for (i = 0; i < nb; i++) {
+        k->pos[k->buds[i]] = alloc_leaf(k);
+        k->taken[k->buds[i]] = 1;
+    }
+    for (i = 0; i < d; i++)
+        if (!k->taken[i])
+            k->rem[nrem++] = i;
+
+    for (i = 0; i < ne; i++) {
+        u = k->edges[i];
+        v = alloc_leaf(k);
+        pu = k->parent[u];
+        k->child[pu * d + k->slot[u] - 1] = (int32_t)v;
+        k->parent[v] = (int32_t)pu;
+        k->slot[v] = k->slot[u];
+        k->link_redirections += 2;
+        k->pos[k->rem[--nrem]] = u;
+    }
+    k->pos[k->rem[0]] = edge_count; /* the old root */
+
+    new_root = alloc_leaf(k);
+    base = new_root * d;
+    for (i = 0; i < d; i++) {
+        c = k->pos[(i + letter) % d];
+        k->child[base + i] = (int32_t)c;
+        k->parent[c] = (int32_t)new_root;
+        k->slot[c] = (int32_t)(i + 1);
+        k->link_redirections += 2;
+    }
+    k->parent[new_root] = -1;
+    k->slot[new_root] = 0;
+    k->n++;
+
+    if (k->link_redirections - before > k->max_step_redirections)
+        k->max_step_redirections = k->link_redirections - before;
+    return 0;
+}
+
+static int step(dg_kernel *k)
+{
+    int64_t d = k->d, universe = d * k->n + d - 1, got = 0, i, r;
+    while (got < d - 1) {
+        r = (int64_t)uniform_below(k, (uint64_t)universe);
+        for (i = 0; i < got && k->rk[i] != r; i++)
+            ;
+        if (i == got)
+            k->rk[got++] = r;
+    }
+    return apply(k, k->rk, (int64_t)uniform_below(k, (uint64_t)d) + 1);
+}
+
+int dg_steps(dg_kernel *k, int64_t count)
+{
+    int64_t i;
+    if (count <= 0)
+        return 0;
+    if (reserve(k, k->nodes + k->d * count) < 0)
+        return -1;
+    for (i = 0; i < count; i++)
+        if (step(k) < 0)
+            return -1;
+    return 0;
+}
+
+/* Apply one step with ranks and letter already validated by the caller. */
+int dg_step_with(dg_kernel *k, const int64_t *ranks, int64_t letter)
+{
+    if (reserve(k, k->nodes + k->d) < 0)
+        return -1;
+    return apply(k, ranks, letter);
+}
+
+/* ------------------------------------------------------------------ */
+/* inspection */
+
+/* Depth of node u; with out, also its root word into out[0 .. depth). */
+int64_t dg_edge_word(const dg_kernel *k, int64_t u, int32_t *out)
+{
+    int64_t h = depth(k, u), j = h;
+    for (; out && k->parent[u] >= 0; u = k->parent[u])
+        out[--j] = k->slot[u];
+    return h;
+}
+
+enum { WALK_HEIGHT, WALK_CODE, WALK_TEXT, WALK_PAREN };
+
+/*
+ * Preorder walk.  Writes one symbol per node to out (WALK_CODE: byte sym
+ * or 0; WALK_TEXT: "sym" or "0", space separated, sym being the decimal d
+ * of length symlen; WALK_PAREN: "(" or "o", and ")" when a subtree ends)
+ * and returns the bytes written; WALK_HEIGHT writes nothing and returns
+ * the height.  -1 when the stack cannot be allocated.  The stack holds
+ * node ids still to visit and, where the mode needs subtree ends, a -1
+ * pushed below each internal node's children.
+ */
+static int64_t walk(const dg_kernel *k, int mode, char *out, const char *sym, int64_t symlen)
+{
+    int64_t d = k->d, top = 0, h = 0, best = 0, at = 0, u, base, j;
+    int ends = mode == WALK_PAREN || mode == WALK_HEIGHT;
+    int32_t *stack = malloc((k->nodes + k->n + 1) * sizeof(int32_t));
+    if (!stack)
+        return -1;
+    stack[top++] = (int32_t)(d * k->n);
+    while (top) {
+        u = stack[--top];
+        if (u < 0) {
+            h--;
+            if (mode == WALK_PAREN)
+                out[at++] = ')';
+            continue;
+        }
+        if (mode == WALK_TEXT && at)
+            out[at++] = ' ';
+        base = u * d;
+        if (k->child[base] < 0) {
+            if (mode == WALK_CODE)
+                out[at++] = 0;
+            else if (mode == WALK_TEXT)
+                out[at++] = '0';
+            else if (mode == WALK_PAREN)
+                out[at++] = 'o';
+            else if (h > best)
+                best = h;
+            continue;
+        }
+        if (mode == WALK_CODE)
+            out[at++] = sym[0];
+        else if (mode == WALK_TEXT)
+            memcpy(out + at, sym, symlen), at += symlen;
+        else if (mode == WALK_PAREN)
+            out[at++] = '(';
+        if (ends) {
+            stack[top++] = -1;
+            h++;
+        }
+        /* prefetched rows overlap misses the leaf test would serialize */
+        for (j = d - 1; j >= 0; j--) {
+            stack[top++] = k->child[base + j];
+            __builtin_prefetch(k->child + (int64_t)k->child[base + j] * d);
+        }
+    }
+    free(stack);
+    return mode == WALK_HEIGHT ? best : at;
+}
+
+int64_t dg_height(const dg_kernel *k)
+{
+    return walk(k, WALK_HEIGHT, NULL, NULL, 0);
+}
+
+/* Preorder code, one byte per node: sym for internal nodes, 0 for leaves. */
+int64_t dg_code(const dg_kernel *k, char *out, int64_t sym)
+{
+    char c = (char)sym;
+    return walk(k, WALK_CODE, out, &c, 1);
+}
+
+int64_t dg_code_text(const dg_kernel *k, char *out, const char *sym, int64_t symlen)
+{
+    return walk(k, WALK_TEXT, out, sym, symlen);
+}
+
+int64_t dg_paren_text(const dg_kernel *k, char *out)
+{
+    return walk(k, WALK_PAREN, out, NULL, 0);
+}
+
+/* `chains` chains to size n on one PRNG stream, each code (byte d or 0
+ * per node, d < 256) into the next d*n+1 bytes of out. */
+int dg_histogram(dg_kernel *k, int64_t n, int64_t chains, char *out)
+{
+    int64_t i, len = k->d * n + 1;
+    for (i = 0; i < chains; i++) {
+        dg_reset(k);
+        if (dg_steps(k, n) < 0 || dg_code(k, out + i * len, k->d) < 0)
+            return -1;
+    }
+    return 0;
+}

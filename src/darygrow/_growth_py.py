@@ -1,7 +1,8 @@
-"""Pure-Python growth kernel.
+"""Pure-Python growth kernel, the readable spec of the compiled one.
 
-Identical observable behaviour to the compiled kernel in ``_growth_cy``:
-same PRNG, same draw order, same arena layout, same counters.  The layout
+Identical observable behaviour to the compiled kernel in ``_growth_c``:
+same PRNG, same draw order, same arena layout, same counters, same
+serializations.  The layout
 contract (which also pins cross-implementation determinism, see README):
 
 * the arena is always compact: after k steps the live ids are exactly
@@ -245,6 +246,30 @@ class GrowthKernel:
 
     def code_bytes(self):
         return bytes(self.preorder_code())
+
+    def code_text(self):
+        """Preorder code as ASCII: ``0`` or ``d`` per node, space separated."""
+        return " ".join(map(str, self.preorder_code())).encode("ascii")
+
+    def paren_text(self):
+        """``(`` + children + ``)`` per internal node, ``o`` per leaf, as ASCII."""
+        d = self.d
+        out = []
+        stack = []  # children still to come, per open internal node
+        for sym in self.preorder_code():
+            if sym:
+                out.append("(")
+                stack.append(d)
+            else:
+                out.append("o")
+                while stack:
+                    stack[-1] -= 1
+                    if stack[-1] == 0:
+                        stack.pop()
+                        out.append(")")
+                    else:
+                        break
+        return "".join(out).encode("ascii")
 
     def height(self):
         d, child = self.d, self._child

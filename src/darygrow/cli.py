@@ -17,7 +17,7 @@ from .errors import DarygrowError, SizeGuardError, UnderpoweredTestError
 from .marks import edge_marked_from_obj
 from .bijections import enlarge_trace
 from . import oracle
-from .sampler import make_kernel
+from .sampler import COUNTERS, make_kernel
 from .tree import format_word
 
 SEED_ENV = "DARY_SEED"
@@ -27,6 +27,13 @@ def _nonneg(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
+
+
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not positive")
     return value
 
 
@@ -54,25 +61,6 @@ def _effective_seed(args) -> int:
 
 # ----------------------------------------------------------------------
 # output formats
-
-
-def _paren_from_code(d, code):
-    out = []
-    stack = []
-    for sym in code:
-        if sym:
-            out.append("(")
-            stack.append(d)
-        else:
-            out.append("o")
-            while stack:
-                stack[-1] -= 1
-                if stack[-1] == 0:
-                    stack.pop()
-                    out.append(")")
-                else:
-                    break
-    return "".join(out)
 
 
 def _words_of_code(d, code):
@@ -109,22 +97,21 @@ def _dot_from_code(d, code):
     return "\n".join(["digraph tree {"] + nodes + edges + ["}"])
 
 
-def _emit(kernel, fmt, out=None):
-    out = out if out is not None else sys.stdout
-    code = kernel.preorder_code()
+def _emit(kernel, fmt):
+    """Write the kernel's tree to stdout; code and paren come from the kernel
+    as ASCII bytes and go to the binary stream as they are."""
     if fmt == "code":
-        out.write(" ".join(str(s) for s in code) + "\n")
+        data = kernel.code_text()
     elif fmt == "paren":
-        out.write(_paren_from_code(kernel.d, code) + "\n")
+        data = kernel.paren_text()
     elif fmt == "dot":
-        out.write(_dot_from_code(kernel.d, code) + "\n")
+        data = _dot_from_code(kernel.d, kernel.preorder_code()).encode("ascii")
     else:
-        out.write(
-            json.dumps(
-                {"d": kernel.d, "n": kernel.n, "code": " ".join(str(s) for s in code)}
-            )
-            + "\n"
-        )
+        head = b'{"d": %d, "n": %d, "code": "' % (kernel.d, kernel.n)
+        data = head + kernel.code_text() + b'"}'  # as json.dumps writes it
+    sys.stdout.flush()  # text written before goes first
+    sys.stdout.buffer.write(data)
+    sys.stdout.buffer.write(b"\n")
 
 
 # ----------------------------------------------------------------------
@@ -145,15 +132,9 @@ def cmd_grow(args) -> int:
         kernel.steps(args.n)
     _emit(kernel, args.format)
     if args.counters:
-        summary = {
-            "kernel": kernel.name,
-            "node_allocations": kernel.node_allocations,
-            "link_redirections": kernel.link_redirections,
-            "rng_draws": kernel.rng_draws,
-            "lex_letters_compared": kernel.lex_letters_compared,
-            "lex_seconds": kernel.lex_seconds,
-            "max_step_redirections": kernel.max_step_redirections,
-        }
+        summary = {"kernel": kernel.name}
+        summary.update((c, getattr(kernel, c)) for c in COUNTERS)
+        summary["lex_seconds"] = kernel.lex_seconds
         print(json.dumps(summary), file=sys.stderr)
     return 0
 
@@ -271,9 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
     grow.add_argument(
         "--format", choices=("code", "paren", "dot", "json"), default="code"
     )
-    grow.add_argument("--emit-every", type=int, default=0, metavar="K")
+    grow.add_argument("--emit-every", type=_nonneg, default=0, metavar="K")
     grow.add_argument("--counters", action="store_true")
-    grow.add_argument("--kernel", choices=("python", "cython"), default=None)
+    grow.add_argument("--kernel", choices=("python", "c"), default=None)
     grow.set_defaults(func=cmd_grow)
 
     verify = sub.add_parser("verify", help="run an exhaustive verifier")
@@ -286,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     bij.set_defaults(func=cmd_verify_bijection)
 
     rot = vsub.add_parser("rotation")
-    rot.add_argument("--m", type=int, required=True)
-    rot.add_argument("--max-inc", type=int, default=3)
+    rot.add_argument("--m", type=_positive, required=True)
+    rot.add_argument("--max-inc", type=_nonneg, default=3)
     rot.set_defaults(func=cmd_verify_rotation)
 
     var = vsub.add_parser("variants")
@@ -307,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     uni.add_argument("--samples", type=_nonneg, required=True)
     uni.add_argument("--seed", type=int, default=None)
     uni.add_argument("--alpha", type=float, default=0.001)
-    uni.add_argument("--kernel", choices=("python", "cython"), default=None)
+    uni.add_argument("--kernel", choices=("python", "c"), default=None)
     uni.set_defaults(func=cmd_uniform)
 
     trace = sub.add_parser("trace", help="frame-by-frame growth of one input")

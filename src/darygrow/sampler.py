@@ -6,28 +6,20 @@ bijection, and forgets the marks.  Every tree in the resulting chain is
 exactly uniform over the d-ary trees of its size.
 
 The heavy lifting happens in a kernel: the compiled one from
-``darygrow._growth_cy`` when available, otherwise the pure-Python twin in
+``darygrow._growth_c`` (a small C core loaded with ctypes, built by
+``setup.py build_ext`` or compiled on first import into a cache keyed by
+its source's sha256) when available, otherwise the pure-Python twin in
 ``darygrow._growth_py``.  Both kernels implement the same observable
-contract, documented in ``_growth_py``.
-
-When no built ``_growth_cy`` imports, the tracked C source
-``_growth_cy.c`` is compiled on first import, if a C compiler and the
-Python headers are present, into ``$XDG_CACHE_HOME/darygrow`` (default
-``~/.cache/darygrow``), keyed by the source's sha256 and the interpreter's
-extension suffix; later imports only hash the source and load the cached
-build.  Any failure leaves the Python kernel selected.  Cython is needed
-only to regenerate the C source from ``_growth_cy.pyx``.
-
-The compiled kernel takes d <= COMPILED_MAX_ARITY (127); larger arities run
-on the Python kernel.  Set the environment variable DARYGROW_PURE_PYTHON to
-any non-empty value to force the fallback.
+contract, documented in ``_growth_py``, for every arity; the compiled one
+refuses growth past 2^31 - 1 node ids with SizeGuardError.  Set the
+environment variable DARYGROW_PURE_PYTHON to any non-empty value to force
+the fallback.
 """
 
 from __future__ import annotations
 
 import os
-import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, List, Tuple
 
 from .errors import ArityError
@@ -105,97 +97,15 @@ def sample_mark_set(rng: SplitMix64, tree: DaryTree) -> List[MarkTarget]:
 # ----------------------------------------------------------------------
 # kernel selection
 
-# The compiled kernel keeps child slots in a signed char.
-COMPILED_MAX_ARITY = 127
-
-_COMPILED = "darygrow._growth_cy"
-_COMPILED_SOURCE = os.path.join(os.path.dirname(__file__), "_growth_cy.c")
-
-
-def _cached_build() -> str:
-    """Cache path of the compiled kernel built from the tracked C source.
-
-    The file name carries the source's sha256 and the interpreter's
-    extension suffix, so a changed source or another interpreter gets its
-    own build.
-    """
-    import hashlib
-    import sysconfig
-
-    with open(_COMPILED_SOURCE, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()[:16]
-    suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
-    cache = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
-    return os.path.join(cache, "darygrow", f"_growth_cy-{digest}{suffix}")
-
-
-def _compile(target: str) -> None:
-    """Compile the tracked C source to ``target``; OSError when that fails.
-
-    The library is written to a temporary file beside ``target`` and moved
-    into place, so readers never see a partial build.
-    """
-    import shlex
-    import subprocess
-    import sysconfig
-    import tempfile
-
-    cache = os.path.dirname(target)
-    os.makedirs(cache, exist_ok=True)
-    link = shlex.split(sysconfig.get_config_var("LDSHARED") or "cc -shared")
-    pic = shlex.split(sysconfig.get_config_var("CCSHARED") or "-fPIC")
-    include = sysconfig.get_paths()["include"]
-    fd, tmp = tempfile.mkstemp(suffix=os.path.basename(target), dir=cache)
-    os.close(fd)
-    try:
-        subprocess.run(
-            [*link, *pic, "-O3", f"-I{include}", _COMPILED_SOURCE, "-o", tmp],
-            check=True,
-            capture_output=True,
-            timeout=300,
-        )
-        os.replace(tmp, target)
-    except subprocess.SubprocessError as exc:
-        raise OSError(f"compiling {_COMPILED_SOURCE} failed: {exc}") from exc
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-
-
-def _load_compiled():
-    """The compiled kernel module, or None when it cannot be had.
-
-    An installed build wins; otherwise the tracked C source is compiled into
-    the cache on first use and registered as ``darygrow._growth_cy``, so
-    later imports of that name find it.
-    """
-    try:
-        from . import _growth_cy  # type: ignore[attr-defined]
-
-        return _growth_cy
-    except ImportError:
-        pass
-    import importlib.util
-
-    try:
-        target = _cached_build()
-        if not os.path.exists(target):
-            _compile(target)
-        spec = importlib.util.spec_from_file_location(_COMPILED, target)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    except (ImportError, OSError):
-        return None
-    sys.modules[_COMPILED] = module
-    setattr(sys.modules[__package__], "_growth_cy", module)
-    return module
-
 
 def _select_kernel_module():
     if not os.environ.get("DARYGROW_PURE_PYTHON"):
-        compiled = _load_compiled()
-        if compiled is not None:
-            return compiled
+        try:
+            from . import _growth_c
+
+            return _growth_c
+        except ImportError:
+            pass
     from . import _growth_py
 
     return _growth_py
@@ -210,25 +120,16 @@ def kernel_name() -> str:
 
 
 def make_kernel(d: int, seed: int, kernel: str | None = None):
-    """A fresh growth kernel; ``kernel`` forces "python" or "cython".
+    """A fresh growth kernel; ``kernel`` forces "python" or "c".
 
-    The default is the kernel selected at import, except that arities above
-    COMPILED_MAX_ARITY run on the Python kernel.  Forcing the compiled kernel
-    at such an arity raises ArityError.
+    The default is the kernel selected at import.
     """
     if kernel is None:
-        if d > COMPILED_MAX_ARITY:
-            from . import _growth_py as mod
-        else:
-            mod = _kernel_module
+        mod = _kernel_module
     elif kernel == "python":
-        from . import _growth_py as mod  # type: ignore[no-redef]
-    elif kernel == "cython":
-        if d > COMPILED_MAX_ARITY:
-            raise ArityError(
-                f"the compiled kernel takes d <= {COMPILED_MAX_ARITY}, got {d}"
-            )
-        from . import _growth_cy as mod  # type: ignore[no-redef]
+        from . import _growth_py as mod
+    elif kernel == "c":
+        from . import _growth_c as mod  # type: ignore[no-redef]
     else:
         raise ValueError(f"unknown kernel {kernel!r}")
     return mod.GrowthKernel(d, seed)
@@ -236,12 +137,19 @@ def make_kernel(d: int, seed: int, kernel: str | None = None):
 
 @dataclass(frozen=True)
 class OpCounters:
-    """Cost counters accumulated over a run; all monotone non-decreasing."""
+    """Cost counters accumulated over a run; all monotone non-decreasing.
+
+    The field names are the counter attributes every kernel exposes.
+    """
 
     node_allocations: int = 0
     link_redirections: int = 0
     rng_draws: int = 0
     lex_letters_compared: int = 0
+    max_step_redirections: int = 0
+
+
+COUNTERS = tuple(f.name for f in fields(OpCounters))
 
 
 class GrowthState:
@@ -272,13 +180,7 @@ class GrowthState:
 
     @property
     def counters(self) -> OpCounters:
-        k = self.kernel
-        return OpCounters(
-            node_allocations=k.node_allocations,
-            link_redirections=k.link_redirections,
-            rng_draws=k.rng_draws,
-            lex_letters_compared=k.lex_letters_compared,
-        )
+        return OpCounters(**{c: getattr(self.kernel, c) for c in COUNTERS})
 
 
 def grow_step(state: GrowthState) -> None:

@@ -36,11 +36,11 @@ def criterion():
 def _kernel_line() -> str:
     from darygrow.sampler import kernel_name
 
-    compiled = sys.modules.get("darygrow._growth_cy")
+    compiled = sys.modules.get("darygrow._growth_c")
     where = (
         "compiled kernel not available"
         if compiled is None
-        else f"compiled kernel loaded from {compiled.__file__}"
+        else f"C core loaded from {compiled._lib._name}"
     )
     return f"kernel      {kernel_name()}  ({where})"
 

@@ -153,12 +153,12 @@ def test_criterion_09_binary_variants(criterion):
 def test_criterion_10_cost_model(criterion):
     with criterion(10, "3*10^6 allocations, O(d) steps, O(1)-class doubling"):
         # the budget is met only by the compiled kernel
-        pytest.importorskip("darygrow._growth_cy", reason="compiled kernel not built")
+        pytest.importorskip("darygrow._growth_c", reason="compiled kernel not built")
         t0 = time.perf_counter()
         d, n = 3, 1_000_000
 
         def run(steps):
-            k = make_kernel(d, seed=2718, kernel="cython")
+            k = make_kernel(d, seed=2718, kernel="c")
             w0 = time.perf_counter()
             k.steps(steps)
             wall = time.perf_counter() - w0

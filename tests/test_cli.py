@@ -49,7 +49,7 @@ def test_stdout_carries_data_only(capsys):
     DaryTree.from_code_text(2, out)  # parses as a bare code
     counters = json.loads(err.splitlines()[-1])
     assert counters["node_allocations"] == 10
-    assert counters["kernel"] in ("python", "cython")
+    assert counters["kernel"] in ("python", "c")
 
 
 def test_emit_every(capsys):
@@ -60,6 +60,33 @@ def test_emit_every(capsys):
     lines = out.splitlines()
     assert len(lines) == 3
     assert [len(line.split()) for line in lines] == [5, 9, 13]
+
+
+def test_negative_emit_every_is_usage_error(capsys):
+    # --emit-every -1 used to print forever
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["grow", "--d", "2", "--n", "3", "--seed", "1", "--emit-every", "-1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("fmt", ["code", "paren", "json", "dot"])
+def test_formats_agree_across_kernels(fmt, capsys):
+    pytest.importorskip("darygrow._growth_c", reason="compiled kernel not built")
+    outs = []
+    for kernel in ("python", "c"):
+        argv = ["grow", "--d", "3", "--n", "40", "--seed", "2", "--format", fmt]
+        code, out, _ = run_cli(argv + ["--kernel", kernel], capsys)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+def test_json_format_is_json(capsys):
+    _, out, _ = run_cli(["grow", "--d", "2", "--n", "3", "--seed", "4", "--format", "json"], capsys)
+    obj = json.loads(out)
+    assert obj["d"] == 2 and obj["n"] == 3
+    assert len(obj["code"].split()) == 7
 
 
 def test_seed_env_fallback(capsys, monkeypatch):
@@ -210,6 +237,15 @@ def test_verify_rotation(capsys):
     code, out, _ = run_cli(["verify", "rotation", "--m", "6", "--max-inc", "3"], capsys)
     assert code == 0
     assert all(json.loads(line)["pass"] for line in out.splitlines())
+
+
+@pytest.mark.parametrize("args", [["--m", "0"], ["--m", "-2"], ["--m", "4", "--max-inc", "-3"]])
+def test_empty_rotation_check_is_usage_error(args, capsys):
+    # these certified nothing and used to report a pass
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "rotation", *args])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_verify_variants(capsys):

@@ -2,39 +2,34 @@
 
 Both kernels promise the same observable behaviour down to the draw
 sequence: same arena layout (node r is the child end of edge rank r, root
-id d*n), same allocation order inside a step, same counters, same trees.
-The package builds the compiled kernel from its tracked C source on first
-import when a C compiler and the Python headers are present, so this module
-is skipped only where the compiled kernel cannot be built.
+id d*n), same allocation order inside a step, same counters, same trees,
+same serializations, for every arity.  The package compiles the C core on
+first import when a C compiler is present, so this module is skipped only
+where the compiled kernel cannot be built.
 """
+
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from darygrow import _growth_py
 from darygrow.cli import main as cli_main
-from darygrow.errors import ArityError
+from darygrow.errors import SizeGuardError
 from darygrow.bijections import enlarge
 from darygrow.marks import Bud, EdgeMark, EdgeMarkedTree
-from darygrow.sampler import SplitMix64, make_kernel
+from darygrow.sampler import COUNTERS, SplitMix64, make_kernel
 from darygrow.tree import DaryTree
 
-cython_kernel = pytest.importorskip(
-    "darygrow._growth_cy", reason="compiled kernel not built"
-)
+c_kernel = pytest.importorskip("darygrow._growth_c", reason="compiled kernel not built")
 
 
 def both(d, seed):
-    return make_kernel(d, seed, kernel="python"), make_kernel(d, seed, kernel="cython")
+    return make_kernel(d, seed, kernel="python"), make_kernel(d, seed, kernel="c")
 
 
-COUNTER_FIELDS = (
-    "node_allocations",
-    "link_redirections",
-    "rng_draws",
-    "lex_letters_compared",
-    "max_step_redirections",
-)
+COUNTER_FIELDS = COUNTERS
 
 
 def counters(k):
@@ -43,14 +38,24 @@ def counters(k):
 
 class TestAgreement:
     @pytest.mark.parametrize(
-        "d,n,seed", [(2, 300, 0), (3, 200, 1), (5, 120, 99), (127, 300, 0)]
+        "d,n,seed",
+        [
+            (2, 300, 0),
+            (3, 200, 1),
+            (5, 120, 99),
+            (127, 300, 0),
+            (128, 100, 2),
+            (200, 60, 3),
+            (1000, 12, 4),
+        ],
     )
     def test_codes_and_counters_match(self, d, n, seed):
         py, cy = both(d, seed)
         py.steps(n)
         cy.steps(n)
         assert py.preorder_code() == cy.preorder_code()
-        assert py.code_bytes() == cy.code_bytes()
+        if d < 256:
+            assert py.code_bytes() == cy.code_bytes()
         assert py.height() == cy.height()
         assert counters(py) == counters(cy)
 
@@ -93,9 +98,29 @@ class TestAgreement:
         assert py.preorder_code() == cy.preorder_code()
 
 
+class TestDraws:
+    @pytest.mark.parametrize("k", [1, 2, 3, 1000, 2**32 + 1, 3 * 2**62, 2**63 + 1, 2**64 - 1])
+    def test_uniform_below_matches_reference(self, k):
+        # near 2^64 about half of all draws are rejected, which pins the
+        # rejection rule, not only the modulus
+        ref = SplitMix64(77)
+        c = make_kernel(2, 77, kernel="c")
+        assert [c.uniform_below(k) for _ in range(300)] == [
+            ref.uniform_below(k) for _ in range(300)
+        ]
+        assert c.rng_draws == ref.draws
+
+    def test_uniform_below_range_checked(self):
+        c = make_kernel(2, 0, kernel="c")
+        with pytest.raises(ValueError):
+            c.uniform_below(0)
+        with pytest.raises(OverflowError):
+            c.uniform_below(2**64)
+
+
 class TestArenaContract:
     @pytest.mark.parametrize("make", [lambda: make_kernel(3, 4, kernel="python"),
-                                      lambda: make_kernel(3, 4, kernel="cython")])
+                                      lambda: make_kernel(3, 4, kernel="c")])
     def test_compact_ids_and_root(self, make):
         k = make()
         for step in range(1, 30):
@@ -106,7 +131,7 @@ class TestArenaContract:
             assert k.edge_word(0) is not None  # ranks stay dense
 
     def test_allocation_count_per_step(self):
-        for name in ("python", "cython"):
+        for name in ("python", "c"):
             k = make_kernel(4, 11, kernel=name)
             prev = 0
             for _ in range(25):
@@ -115,7 +140,7 @@ class TestArenaContract:
                 prev = k.node_allocations
 
     def test_redirections_bounded(self):
-        for name in ("python", "cython"):
+        for name in ("python", "c"):
             k = make_kernel(5, 3, kernel=name)
             k.steps(200)
             assert k.max_step_redirections <= 4 * 5 - 2
@@ -125,7 +150,7 @@ class TestArenaContract:
         # earlier ones are kept), then one letter draw; replaying the raw
         # stream must predict the tree
         d, seed, n = 3, 101, 40
-        k = make_kernel(d, seed, kernel="cython")
+        k = make_kernel(d, seed, kernel="c")
         rng = SplitMix64(seed)
         mirror = make_kernel(d, seed + 1, kernel="python")  # seed unused below
         for step in range(n):
@@ -152,7 +177,7 @@ class TestMatchesReferenceSemantics:
     @given(st.integers(2, 5), st.integers(0, 2**31), st.integers(1, 25))
     @settings(max_examples=40, deadline=None)
     def test_step_with_equals_enlarge(self, d, seed, n):
-        k = make_kernel(d, seed, kernel="cython")
+        k = make_kernel(d, seed, kernel="c")
         k.steps(n)
         rng = SplitMix64(seed ^ 0xBEEF)
         universe = d * k.n + d - 1
@@ -189,7 +214,7 @@ class TestMatchesReferenceSemantics:
 class TestLexAccounting:
     def test_lex_counter_zero_at_d2(self):
         # one marked edge at most: nothing to sort, nothing to compare
-        k = make_kernel(2, 9, kernel="cython")
+        k = make_kernel(2, 9, kernel="c")
         k.steps(500)
         assert k.lex_letters_compared == 0
 
@@ -201,28 +226,130 @@ class TestLexAccounting:
         assert py.lex_letters_compared > 0
 
     def test_lex_seconds_accumulate(self):
-        k = make_kernel(4, 2, kernel="cython")
+        k = make_kernel(4, 2, kernel="c")
         k.steps(2000)
         assert 0 < k.lex_seconds < 5.0
 
 
 class TestWideArity:
-    """The compiled kernel stores child slots in a signed char: d <= 127.
+    """Child slots are int32 in the C core: every arity agrees.
 
-    d = 127 itself is among TestAgreement's inputs.
+    d = 127 and 1000 are among TestAgreement's inputs.
     """
 
     @pytest.mark.parametrize("d", [128, 200])
-    def test_forced_compiled_kernel_refuses(self, d):
-        with pytest.raises(ArityError):
-            make_kernel(d, 0, kernel="cython")
+    def test_kernels_agree(self, d):
+        py, c = both(d, 0)
+        py.steps(20)
+        c.steps(20)
+        assert py.preorder_code() == c.preorder_code()
+        assert py.height() == c.height()
+        assert counters(py) == counters(c)
+        assert py.histogram(2, 30) == c.histogram(2, 30)
 
     @pytest.mark.parametrize("d", [128, 200])
-    def test_default_is_python(self, d):
-        assert make_kernel(d, 0).name == "python"
+    def test_default_is_compiled(self, d):
+        assert make_kernel(d, 0).name == c_kernel.KERNEL_NAME
 
     @pytest.mark.parametrize("d", [128, 200])
-    def test_cli_forced_compiled_is_usage_error(self, d, capsys):
-        argv = ["grow", "--d", str(d), "--n", "3", "--seed", "0", "--kernel", "cython"]
-        assert cli_main(argv) == 2
-        assert "compiled kernel" in capsys.readouterr().err
+    def test_cli_forced_compiled_matches_python(self, d, capsys):
+        outs = []
+        for kernel in ("python", "c"):
+            argv = ["grow", "--d", str(d), "--n", "3", "--seed", "0", "--kernel", kernel]
+            assert cli_main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert len(outs[0].split()) == 3 * d + 1
+
+    @pytest.mark.parametrize("d", [256, 1000])
+    def test_code_bytes_refused_alike(self, d):
+        py, c = both(d, 3)
+        # a single leaf still has a byte code
+        assert py.code_bytes() == c.code_bytes() == b"\x00"
+        py.steps(2)
+        c.steps(2)
+        for k in (py, c):
+            with pytest.raises(ValueError, match="range"):
+                k.code_bytes()
+            with pytest.raises(ValueError, match="range"):
+                k.histogram(1, 3)
+
+
+class TestSerializers:
+    @pytest.mark.parametrize("d,n", [(2, 0), (2, 1), (2, 400), (3, 150), (10, 40), (300, 3)])
+    def test_text_forms_match(self, d, n):
+        py, c = both(d, n)
+        py.steps(n)
+        c.steps(n)
+        assert py.code_text() == c.code_text()
+        assert py.paren_text() == c.paren_text()
+        assert c.code_text().split() == [str(s).encode() for s in c.preorder_code()]
+
+    def test_histogram_spans_blocks(self):
+        # more chain bytes than one C call fills: the blocks must add up
+        py, c = both(2, 8)
+        n = 1000
+        chains = 2 * (c_kernel._HISTOGRAM_BLOCK // (2 * n + 1)) + 3
+        assert py.histogram(n, chains) == c.histogram(n, chains)
+        assert py.rng_draws == c.rng_draws
+
+    def test_empty_histograms(self):
+        py, c = both(3, 1)
+        assert py.histogram(2, 0) == c.histogram(2, 0) == {}
+        assert py.histogram(-1, 4) == c.histogram(-1, 4) == {b"\x00": 4}
+
+
+class TestSizeGuard:
+    def test_steps_past_int32_ids_refused(self):
+        k = make_kernel(2, 0, kernel="c")
+        k.steps(5)
+        with pytest.raises(SizeGuardError):
+            k.steps(10**12)
+        with pytest.raises(SizeGuardError):
+            k.steps(2**30)  # 2 * (5 + 2^30) + 1 ids
+        # refused before anything changed
+        assert k.n == 5 and k.node_allocations == 10
+        k.steps(1)
+        assert k.n == 6
+
+    def test_guard_boundary(self):
+        # d * n + 1 node ids may reach INT32_MAX, not pass it; checked
+        # without growing, since the arena would take gigabytes
+        k = make_kernel(2, 0, kernel="c")
+        k._room(2**30 - 1)
+        with pytest.raises(SizeGuardError):
+            k._room(2**30)
+
+    def test_histogram_past_int32_ids_refused(self):
+        k = make_kernel(2, 0, kernel="c")
+        with pytest.raises(SizeGuardError):
+            k.histogram(2**30, 1)
+
+    def test_cli_size_guard_exit(self, capsys):
+        argv = ["grow", "--d", "2", "--n", "1000000000000", "--seed", "0", "--kernel", "c"]
+        assert cli_main(argv) == 1
+        assert "size guard" in capsys.readouterr().err
+
+    def test_allocation_failure_is_memory_error(self):
+        # under a 1 GiB address-space limit, a 6*10^8-node arena cannot be
+        # allocated; the kernel must raise MemoryError and stay usable
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from darygrow.sampler import make_kernel\n"
+            "k = make_kernel(2, 0, kernel='c')\n"
+            "try:\n"
+            "    k.steps(300_000_000)\n"
+            "except MemoryError:\n"
+            "    k.steps(10)\n"
+            "    print('memory error', k.n)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["memory", "error", "10"]
+
+    def test_library_does_not_shadow_wrapper(self):
+        assert c_kernel.__file__.endswith("_growth_c.py")
+        assert c_kernel.library_name().startswith("_growth_core-")

@@ -207,10 +207,12 @@ class TestChiSquare:
     def test_biased_histogram_fails(self):
         # inject a histogram that piles everything on one class
         classes = oracle.enumerate_trees(3, 3)
-        top = tuple(classes[0].to_preorder_code())
+        top = bytes(classes[0].to_preorder_code())  # keys are byte codes
         report = oracle.chi_square_uniformity(
             3, 3, samples=2000, seed=5, _histogram=lambda *_: {top: 2000}
         )
+        # finite: the bias was measured, not an unknown shape reported
+        assert math.isfinite(report.statistic)
         assert report.p_value < 1e-9
 
     def test_unknown_shape_is_fatal(self):

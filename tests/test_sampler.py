@@ -126,13 +126,13 @@ class TestKernelSelection:
         # the compiled kernel is selected whenever it can be imported and
         # no override is set; otherwise the Python kernel is
         try:
-            import darygrow._growth_cy  # noqa: F401
+            import darygrow._growth_c  # noqa: F401
         except ImportError:
             compiled = False
         else:
             compiled = True
         if compiled and not os.environ.get("DARYGROW_PURE_PYTHON"):
-            assert kernel_name() == "cython"
+            assert kernel_name() == "c"
         else:
             assert kernel_name() == "python"
 
