@@ -15,8 +15,8 @@ library cannot be had (no C compiler, an unwritable cache, a compile
 error), and the package then runs on the Python kernel.
 
 Node ids are int32: growth past INT32_MAX node ids is refused with
-SizeGuardError before anything is allocated, and a failed allocation
-raises MemoryError.
+SizeGuardError (``errors.check_node_ids``, shared with the Python kernel)
+before anything is allocated, and a failed allocation raises MemoryError.
 """
 
 import ctypes
@@ -25,7 +25,7 @@ from collections import Counter
 from ctypes import c_char_p, c_double, c_int, c_int32, c_int64, c_uint64, c_void_p
 from operator import attrgetter
 
-from .errors import SizeGuardError
+from .errors import INT32_MAX, SizeGuardError, check_node_ids
 
 try:  # the builtin module loads in a tenth of hashlib's import time
     from _sha256 import sha256
@@ -36,7 +36,6 @@ KERNEL_NAME = "c"
 
 SOURCE = os.path.join(os.path.dirname(__file__), "_growth_core.c")
 
-INT32_MAX = 2**31 - 1
 _MASK = (1 << 64) - 1
 # bytes of chain codes per C call in histogram
 _HISTOGRAM_BLOCK = 1 << 16
@@ -48,7 +47,7 @@ _SIGNATURES = {
     "dg_uniform_below": (c_uint64, [c_void_p, c_uint64]),
     "dg_steps": (c_int, [c_void_p, c_int64]),
     "dg_step_with": (c_int, [c_void_p, ctypes.POINTER(c_int64), c_int64]),
-    "dg_edge_word": (c_int64, [c_void_p, c_int64, ctypes.POINTER(c_int32)]),
+    "dg_edge_word": (c_int64, [c_void_p, c_int64, ctypes.POINTER(c_int32), c_int64]),
     "dg_height": (c_int64, [c_void_p]),
     "dg_code": (c_int64, [c_void_p, c_char_p, c_int64]),
     "dg_code_text": (c_int64, [c_void_p, c_char_p, c_char_p, c_int64]),
@@ -188,15 +187,6 @@ class GrowthKernel:
     def node_count(self):
         return self.d * self.n + 1
 
-    def _room(self, n):
-        """Refuse a tree of n internal nodes when its ids pass INT32_MAX."""
-        nodes = self.d * n + 1
-        if nodes > INT32_MAX:
-            raise SizeGuardError(
-                f"{n} internal nodes at d={self.d} need {nodes} node ids,"
-                f" above the int32 limit {INT32_MAX}"
-            )
-
     # ------------------------------------------------------------------
     # growth
 
@@ -205,7 +195,7 @@ class GrowthKernel:
 
     def steps(self, k):
         if k > 0:
-            self._room(self.n + k)
+            check_node_ids(self.d, self.n + k)
             _checked(_lib.dg_steps(self._k, k))
 
     def step_with(self, ranks, letter):
@@ -219,7 +209,7 @@ class GrowthKernel:
             raise ValueError(f"rank outside [0, {universe})")
         if not 1 <= letter <= d:
             raise ValueError(f"letter {letter} outside 1..{d}")
-        self._room(self.n + 1)
+        check_node_ids(d, self.n + 1)
         _checked(_lib.dg_step_with(self._k, (c_int64 * (d - 1))(*ranks), letter))
 
     # ------------------------------------------------------------------
@@ -229,9 +219,13 @@ class GrowthKernel:
         """Root word of the edge's child node for a given rank."""
         if not 0 <= rank < self.d * self.n:
             raise IndexError(f"edge rank {rank} outside [0, {self.d * self.n})")
-        word = (c_int32 * _lib.dg_edge_word(self._k, rank, None))()
-        _lib.dg_edge_word(self._k, rank, word)
-        return tuple(word)
+        cap = 64
+        while True:
+            word = (c_int32 * cap)()
+            depth = _lib.dg_edge_word(self._k, rank, word, cap)
+            if depth >= 0:
+                return tuple(word[cap - depth :])
+            cap *= 2
 
     def _code(self, sym):
         buf = ctypes.create_string_buffer(self.node_count)
@@ -266,13 +260,12 @@ class GrowthKernel:
         return _checked(_lib.dg_height(self._k))
 
     def histogram(self, n, chains):
-        """Shape counts over repeated chains to size n (one PRNG stream)."""
+        """Shape counts over repeated chains to size n (one PRNG stream), keyed
+        by ``tree.shape_key``."""
+        check_node_ids(self.d, n)
         if chains <= 0:
             return {}
         n = max(n, 0)
-        if self.d > 255 and n:
-            raise ValueError("bytes must be in range(0, 256)")
-        self._room(n)
         counts = Counter()
         length = self.d * n + 1
         block = max(1, _HISTOGRAM_BLOCK // length)

@@ -6,6 +6,10 @@
  * allocation order, counters) is documented in `_growth_py.py`, the
  * readable spec; the two kernels must stay observably identical.
  *
+ * The lex phase is the only per-step cost that is not O(d): it walks each
+ * marked edge's path to the root once, two edges side by side, and reads
+ * slots only where two paths part.
+ *
  * Node ids are int32.  The wrapper refuses any growth past INT32_MAX node
  * ids before calling in, so every id and slot below fits; indexes into
  * the child array are computed in int64.  Functions that allocate return
@@ -34,7 +38,7 @@ typedef struct {
     /* per-step scratch, d entries each */
     int64_t *rk, *buds, *edges, *rem, *pos, *woff, *wlen;
     char *taken;
-    /* root words of the marked edges, for the lex phase */
+    /* root paths (node ids) of the marked edges, for the lex phase */
     int32_t *words;
     int64_t words_cap;
 } dg_kernel;
@@ -86,15 +90,12 @@ static int reserve(dg_kernel *k, int64_t nodes)
     return 0;
 }
 
-static int reserve_words(dg_kernel *k, int64_t letters)
+/* Double the lex phase's path buffer (256 ids at first). */
+static int grow_words(dg_kernel *k)
 {
-    int64_t cap = k->words_cap ? k->words_cap : 256;
-    int32_t *p;
-    if (letters <= k->words_cap)
-        return 0;
-    while (cap < letters)
-        cap *= 2;
-    if (!(p = realloc(k->words, cap * sizeof(int32_t))))
+    int64_t cap = k->words_cap ? 2 * k->words_cap : 256;
+    int32_t *p = realloc(k->words, cap * sizeof(int32_t));
+    if (!p)
         return -1;
     k->words = p;
     k->words_cap = cap;
@@ -124,7 +125,8 @@ dg_kernel *dg_new(int64_t d, uint64_t seed)
     k->d = d;
     k->state = seed;
     /* the seven int64 scratch arrays and `taken` share one block */
-    if (!(k->rk = malloc(7 * d * sizeof(int64_t) + d)) || reserve(k, 1) < 0) {
+    if (!(k->rk = malloc(7 * d * sizeof(int64_t) + d)) || reserve(k, 1) < 0 ||
+        grow_words(k) < 0) {
         dg_free(k);
         return NULL;
     }
@@ -176,47 +178,70 @@ uint64_t dg_uniform_below(dg_kernel *k, uint64_t m)
 /* ------------------------------------------------------------------ */
 /* lex ordering of marked edges */
 
-static int64_t depth(const dg_kernel *k, int64_t u)
+/* Node u's path up to, not including, the root, written downward from p so
+ * that it reads root first from the result; NULL if it would pass lo. */
+static inline int32_t *climb(const int32_t *parent, int64_t u, int32_t *p, const int32_t *lo)
 {
-    int64_t h = 0;
-    for (; k->parent[u] >= 0; u = k->parent[u])
-        h++;
-    return h;
+    for (; parent[u] >= 0 && p > lo; u = parent[u])
+        *--p = (int32_t)u;
+    return parent[u] >= 0 ? NULL : p;
 }
 
-static int cmp_words(dg_kernel *k, int64_t ao, int64_t al, int64_t bo, int64_t bl)
+/* Compare the root words of two paths, counting letters.  Equal ids at equal
+ * depth are one node, so the words agree up to the first ids that differ:
+ * two siblings, ordered by their slots. */
+static int cmp_paths(dg_kernel *k, int64_t ao, int64_t al, int64_t bo, int64_t bl)
 {
-    const int32_t *w = k->words;
+    const int32_t *a = k->words + ao, *b = k->words + bo;
     int64_t limit = al < bl ? al : bl, i;
     for (i = 0; i < limit; i++) {
-        if (w[ao + i] != w[bo + i]) {
+        if (a[i] != b[i]) {
             k->lex_letters_compared += i + 1;
-            return w[ao + i] < w[bo + i] ? -1 : 1;
+            return k->slot[a[i]] < k->slot[b[i]] ? -1 : 1;
         }
     }
     k->lex_letters_compared += i;
     return al == bl ? 0 : (al < bl ? -1 : 1);
 }
 
-/* Sort edges[0..ne) by root word, largest first (insertion sort). */
+/* Sort edges[0..ne) by root word, largest first (insertion sort).  Edges walk
+ * two at a time, so that their parent chains overlap their cache misses; an
+ * odd last edge pairs with the root, whose path is empty (scratch entry ne < d
+ * goes unused).  Edge i fills lane words[i*lane, (i+1)*lane); a full lane
+ * doubles the buffer and the walk starts again. */
 static int sort_edges_desc(dg_kernel *k, int64_t *edges, int64_t ne)
 {
-    int64_t total = 0, w = 0, i, j, u;
-    for (i = 0; i < ne; i++)
-        total += k->wlen[i] = depth(k, edges[i]);
-    if (reserve_words(k, total) < 0)
-        return -1;
-    for (i = 0; i < ne; i++) {
-        u = edges[i]; /* the relink after sorting writes this child row */
-        __builtin_prefetch(k->child + (int64_t)k->parent[u] * k->d + k->slot[u] - 1, 1);
-        k->woff[i] = w;
-        w += k->wlen[i];
-        for (j = 0; k->parent[u] >= 0; u = k->parent[u])
-            k->words[w - ++j] = k->slot[u];
+    const int32_t *parent = k->parent;
+    int64_t lane, i, j, a, b;
+    int32_t *lo, *pa, *pb;
+    for (i = 0; i < ne; i++) /* the relink after sorting writes this child row */
+        __builtin_prefetch(k->child + parent[edges[i]] * k->d + k->slot[edges[i]] - 1, 1);
+restart:
+    lane = k->words_cap / (ne + 1);
+    for (i = 0; i < ne; i += 2) {
+        lo = k->words + i * lane;
+        a = edges[i];
+        b = i + 1 < ne ? edges[i + 1] : k->d * k->n;
+        /* the lanes fill in step, so one room test covers both */
+        for (pa = lo + lane, pb = pa + lane; parent[a] >= 0 && parent[b] >= 0 && pa > lo;
+             a = parent[a], b = parent[b]) {
+            *--pa = (int32_t)a;
+            *--pb = (int32_t)b;
+        }
+        pb = climb(parent, b, pb, lo + lane);
+        if (!(pa = climb(parent, a, pa, lo)) || !pb) {
+            if (grow_words(k) < 0)
+                return -1;
+            goto restart;
+        }
+        k->woff[i] = pa - k->words;
+        k->wlen[i] = lo + lane - pa;
+        k->woff[i + 1] = pb - k->words;
+        k->wlen[i + 1] = lo + 2 * lane - pb;
     }
     for (i = 1; i < ne; i++) {
         int64_t eu = edges[i], eo = k->woff[i], el = k->wlen[i];
-        for (j = i - 1; j >= 0 && cmp_words(k, k->woff[j], k->wlen[j], eo, el) < 0; j--) {
+        for (j = i - 1; j >= 0 && cmp_paths(k, k->woff[j], k->wlen[j], eo, el) < 0; j--) {
             edges[j + 1] = edges[j];
             k->woff[j + 1] = k->woff[j];
             k->wlen[j + 1] = k->wlen[j];
@@ -342,13 +367,14 @@ int dg_step_with(dg_kernel *k, const int64_t *ranks, int64_t letter)
 /* ------------------------------------------------------------------ */
 /* inspection */
 
-/* Depth of node u; with out, also its root word into out[0 .. depth). */
-int64_t dg_edge_word(const dg_kernel *k, int64_t u, int32_t *out)
+/* Root word of node u into the top of out[0 .. cap): returns its length h,
+ * the word filling out[cap - h .. cap), or -1 when it does not fit. */
+int64_t dg_edge_word(const dg_kernel *k, int64_t u, int32_t *out, int64_t cap)
 {
-    int64_t h = depth(k, u), j = h;
-    for (; out && k->parent[u] >= 0; u = k->parent[u])
-        out[--j] = k->slot[u];
-    return h;
+    int32_t *p = climb(k->parent, u, out + cap, out), *q;
+    for (q = p; p && q < out + cap; q++)
+        *q = k->slot[*q];
+    return p ? out + cap - p : -1;
 }
 
 enum { WALK_HEIGHT, WALK_CODE, WALK_TEXT, WALK_PAREN };
@@ -434,14 +460,14 @@ int64_t dg_paren_text(const dg_kernel *k, char *out)
     return walk(k, WALK_PAREN, out, NULL, 0);
 }
 
-/* `chains` chains to size n on one PRNG stream, each code (byte d or 0
- * per node, d < 256) into the next d*n+1 bytes of out. */
+/* `chains` chains to size n on one PRNG stream, each shape key (byte 1 or
+ * 0 per node) into the next d*n+1 bytes of out. */
 int dg_histogram(dg_kernel *k, int64_t n, int64_t chains, char *out)
 {
     int64_t i, len = k->d * n + 1;
     for (i = 0; i < chains; i++) {
         dg_reset(k);
-        if (dg_steps(k, n) < 0 || dg_code(k, out + i * len, k->d) < 0)
+        if (dg_steps(k, n) < 0 || dg_code(k, out + i * len, 1) < 0)
             return -1;
     }
     return 0;

@@ -25,6 +25,9 @@ cost that is not O(d).
 
 import time
 
+from .errors import check_node_ids
+from .tree import shape_key
+
 KERNEL_NAME = "python"
 
 _MASK = (1 << 64) - 1
@@ -170,6 +173,7 @@ class GrowthKernel:
             raise ValueError(f"rank outside [0, {universe})")
         if not 1 <= letter <= d:
             raise ValueError(f"letter {letter} outside 1..{d}")
+        check_node_ids(d, self.n + 1)
         self._apply(ranks, letter)
 
     def _apply(self, ranks, letter):
@@ -223,6 +227,8 @@ class GrowthKernel:
             self.max_step_redirections = delta
 
     def steps(self, k):
+        if k > 0:
+            check_node_ids(self.d, self.n + k)
         for _ in range(k):
             self.step()
 
@@ -287,11 +293,13 @@ class GrowthKernel:
         return best
 
     def histogram(self, n, chains):
-        """Shape counts over repeated chains to size n (one PRNG stream)."""
+        """Shape counts over repeated chains to size n (one PRNG stream), keyed
+        by ``tree.shape_key``."""
+        check_node_ids(self.d, n)
         counts = {}
         for _ in range(chains):
             self.reset()
             self.steps(n)
-            key = self.code_bytes()
+            key = shape_key(self.preorder_code())
             counts[key] = counts.get(key, 0) + 1
         return counts

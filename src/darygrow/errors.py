@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by the whole package."""
+"""Exception hierarchy shared by the whole package, and the size limit of a
+grown tree that both growth kernels enforce."""
+
+INT32_MAX = 2**31 - 1
 
 
 class DarygrowError(Exception):
@@ -43,3 +46,17 @@ class SizeGuardError(DarygrowError, ValueError):
 
 class UnderpoweredTestError(DarygrowError, ValueError):
     """A statistical test was requested with too few samples per class."""
+
+
+def check_node_ids(d: int, n: int) -> None:
+    """Refuse a tree of n internal nodes whose d*n + 1 node ids pass INT32_MAX.
+
+    The compiled kernel stores node ids as int32; both kernels call this
+    before growing, so they refuse the same sizes.
+    """
+    nodes = d * n + 1
+    if nodes > INT32_MAX:
+        raise SizeGuardError(
+            f"{n} internal nodes at d={d} need {nodes} node ids,"
+            f" above the int32 limit {INT32_MAX}"
+        )

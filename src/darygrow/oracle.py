@@ -26,7 +26,7 @@ from .marks import (
     leaf_sequence,
 )
 from .sampler import make_kernel
-from .tree import DaryTree
+from .tree import DaryTree, shape_key
 from .walks import enumerate_walks
 
 # each exhaustive run multiplies trees, mark sets and letters; refuse
@@ -462,7 +462,7 @@ def chi_square_uniformity(
     """Goodness of fit of the growth chain against the uniform law.
 
     Grows ``samples`` independent chains to size n with one PRNG stream,
-    bins the final shapes by preorder code, and compares against equal
+    bins the final shapes by ``tree.shape_key``, and compares against equal
     class masses.  Needs at least 10 samples per class.  ``_histogram``
     lets tests substitute a tampered sampler.
     """
@@ -477,13 +477,14 @@ def chi_square_uniformity(
         observed = k.histogram(n, samples)
     else:
         observed = _histogram(d, n, samples, seed)
-    class_keys = {bytes(code) for code in _codes(d, n)}
+    class_keys = {shape_key(code) for code in _codes(d, n)}
     unknown = sum(c for key, c in observed.items() if key not in class_keys)
     if unknown:
         # shapes outside the enumerated class set mean the sampler is broken
         return ChiSquareReport(classes, math.inf, classes - 1, 0.0, samples, seed)
     expected = samples / classes
-    statistic = sum(
+    # fsum: the same bits whatever order the set of keys iterates in
+    statistic = math.fsum(
         (observed.get(key, 0) - expected) ** 2 / expected for key in class_keys
     )
     dof = classes - 1

@@ -51,6 +51,12 @@ def lex_compare(w1: Sequence[int], w2: Sequence[int]) -> int:
     return -1 if a < b else 1
 
 
+def shape_key(code: Sequence[int]) -> bytes:
+    """Histogram key of a shape given by its preorder code: one byte per node,
+    1 for an internal node and 0 for a leaf, the same for every arity."""
+    return bytes(map(bool, code))
+
+
 def format_word(word: Sequence[int]) -> str:
     """Render a node word as text: ``""`` for the root, ``"21"`` for (2, 1).
 

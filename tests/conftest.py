@@ -2,12 +2,14 @@
 
 Acceptance tests report through the `criterion` fixture so the run ends
 with one PASS/FAIL/SKIP line per criterion, whatever order pytest ran them
-in, and a line naming the growth kernel the run selected.
+in, each with its elapsed time against the criterion's time budget, and a
+line naming the growth kernel the run selected.
 """
 
 import sys
 import time
 from contextlib import contextmanager
+from typing import Optional
 
 import pytest
 
@@ -17,18 +19,27 @@ _LINES: dict = {}
 @pytest.fixture
 def criterion():
     @contextmanager
-    def run(number: int, title: str):
+    def run(number: int, title: str, budget: Optional[float] = None):
+        """Yields ``budget``, the seconds the criterion asserts it stays under."""
         started = time.perf_counter()
+
+        def line(status, note=None):
+            if note is None:
+                elapsed = time.perf_counter() - started
+                note = f"{elapsed:.2f} s"
+                if budget is not None:
+                    note += f" of {budget:g} s, {elapsed / budget:.0%}"
+            _LINES[number] = f"criterion {number:>2}  {status}  {title}  ({note})"
+
         try:
-            yield
+            yield budget
         except pytest.skip.Exception as exc:
-            _LINES[number] = f"criterion {number:>2}  SKIP  {title}  ({exc})"
+            line("SKIP", exc)
             raise
         except BaseException:
-            _LINES[number] = f"criterion {number:>2}  FAIL  {title}"
+            line("FAIL")
             raise
-        elapsed = time.perf_counter() - started
-        _LINES[number] = f"criterion {number:>2}  PASS  {title}  ({elapsed:.2f}s)"
+        line("PASS")
 
     return run
 

@@ -17,7 +17,7 @@ import pytest
 from darygrow import oracle
 from darygrow.bijections import cut, enlarge, reduce
 from darygrow.marks import EdgeMarkedTree, is_excursion_forest
-from darygrow.sampler import SplitMix64, make_kernel, sample_mark_set
+from darygrow.sampler import GrowthState, SplitMix64, make_kernel, sample_mark_set
 from darygrow.tree import DaryTree
 
 COUNTING_SUITE = (
@@ -46,26 +46,28 @@ def elapsed_since(t0):
 
 
 def test_criterion_01_counting(criterion):
-    with criterion(1, "count_trees matches exhaustive enumeration"):
+    with criterion(1, "count_trees matches exhaustive enumeration", budget=10.0) as budget:
         t0 = time.perf_counter()
         for d, n in COUNTING_SUITE:
             assert len(oracle.enumerate_trees(d, n)) == oracle.count_trees(d, n)
         assert oracle.count_trees(3, 2) == 3
         assert [oracle.count_trees(2, n) for n in range(7)] == [1, 1, 2, 5, 14, 42, 132]
-        assert elapsed_since(t0) < 10.0
+        assert elapsed_since(t0) < budget
 
 
 def test_criterion_02_growth_identity(criterion):
-    with criterion(2, "marked-count identity exact for d in [2,8], n in [0,50]"):
+    with criterion(
+        2, "marked-count identity exact for d in [2,8], n in [0,50]", budget=1.0
+    ) as budget:
         t0 = time.perf_counter()
         for d in range(2, 9):
             for n in range(0, 51):
                 assert oracle.growth_identity_holds(d, n), (d, n)
-        assert elapsed_since(t0) < 1.0
+        assert elapsed_since(t0) < budget
 
 
 def test_criterion_03_bijectivity(criterion):
-    with criterion(3, "enlarge bijective on the exhaustive suites"):
+    with criterion(3, "enlarge bijective on the exhaustive suites", budget=60.0) as budget:
         t0 = time.perf_counter()
         for d, n in BIJECTION_SUITE:
             report = oracle.verify_enlarge_bijection(d, n)
@@ -75,11 +77,11 @@ def test_criterion_03_bijectivity(criterion):
         confirm = oracle.verify_enlarge_bijection(3, 3)
         assert confirm["inputs"] == 1980
         assert confirm["expected_multiplicity"] == 36
-        assert elapsed_since(t0) < 60.0
+        assert elapsed_since(t0) < budget
 
 
 def test_criterion_04_round_trip_at_scale(criterion):
-    with criterion(4, "100 random round trips per arity at n = 10^4"):
+    with criterion(4, "100 random round trips per arity at n = 10^4", budget=30.0) as budget:
         t0 = time.perf_counter()
         for d in (2, 3, 5):
             for block in range(10):
@@ -93,16 +95,18 @@ def test_criterion_04_round_trip_at_scale(criterion):
                     back, back_a = reduce(enlarge(x, a))
                     assert back_a == a
                     assert back.key() == x.key()
-        assert elapsed_since(t0) < 30.0
+        assert elapsed_since(t0) < budget
 
 
 def test_criterion_05_rotation_principle(criterion):
-    with criterion(5, "rotation classes: m members, one excursion, argmin rule"):
+    with criterion(
+        5, "rotation classes: m members, one excursion, argmin rule", budget=30.0
+    ) as budget:
         t0 = time.perf_counter()
         for m in range(1, 8):
             report = oracle.verify_rotation_lemma(m, 3)
             assert report["pass"] is True, report
-        assert elapsed_since(t0) < 30.0
+        assert elapsed_since(t0) < budget
 
 
 def test_criterion_06_cut_image_is_excursion(criterion):
@@ -114,7 +118,9 @@ def test_criterion_06_cut_image_is_excursion(criterion):
 
 
 def test_criterion_07_one_step_pushforward(criterion):
-    with criterion(7, "one-step pushforward exactly uniform at d=3, k <= 3"):
+    with criterion(
+        7, "one-step pushforward exactly uniform at d=3, k <= 3", budget=60.0
+    ) as budget:
         t0 = time.perf_counter()
         for k in range(4):
             hits = {}
@@ -124,11 +130,13 @@ def test_criterion_07_one_step_pushforward(criterion):
             mass = math.comb(2 * (k + 1) + 1, 2)
             assert len(hits) == oracle.count_trees(3, k + 1)
             assert set(hits.values()) == {mass}, (k, sorted(set(hits.values())))
-        assert elapsed_since(t0) < 60.0
+        assert elapsed_since(t0) < budget
 
 
 def test_criterion_08_statistical_uniformity(criterion):
-    with criterion(8, "chi-square p >= 0.001 over the documented seed grids"):
+    with criterion(
+        8, "chi-square p >= 0.001 over the documented seed grids", budget=120.0
+    ) as budget:
         t0 = time.perf_counter()
         for d, n, samples, seeds in CHI_SQUARE_CONFIGS:
             failures = []
@@ -137,32 +145,39 @@ def test_criterion_08_statistical_uniformity(criterion):
                 if report.p_value < 0.001:
                     failures.append((seed, report.p_value))
             assert len(failures) <= 1, (d, n, failures)
-        assert elapsed_since(t0) < 120.0
+        assert elapsed_since(t0) < budget
 
 
 def test_criterion_09_binary_variants(criterion):
-    with criterion(9, "both binary growth maps bijective, pairwise witness"):
+    with criterion(
+        9, "both binary growth maps bijective, pairwise witness", budget=30.0
+    ) as budget:
         t0 = time.perf_counter()
         for n in range(6):
             report = oracle.verify_binary_variants(n)
             assert report["pass"] is True, report
         assert oracle.verify_binary_variants(2)["witness"] is not None
-        assert elapsed_since(t0) < 30.0
+        assert elapsed_since(t0) < budget
 
 
 def test_criterion_10_cost_model(criterion):
-    with criterion(10, "3*10^6 allocations, O(d) steps, O(1)-class doubling"):
+    with criterion(
+        10, "3*10^6 allocations, O(d) steps, O(1)-class doubling", budget=120.0
+    ) as budget:
         # the budget is met only by the compiled kernel
         pytest.importorskip("darygrow._growth_c", reason="compiled kernel not built")
         t0 = time.perf_counter()
         d, n = 3, 1_000_000
+        # both sizes are read off one chain, at n and at 2n steps: a separate
+        # run to 2n would repeat the first n steps exactly, so measuring them
+        # once leaves one independent noisy sample fewer in the ratio
+        state = GrowthState(d, seed=2718, kernel="c")
+        w0 = time.perf_counter()
 
         def run(steps):
-            k = make_kernel(d, seed=2718, kernel="c")
-            w0 = time.perf_counter()
-            k.steps(steps)
+            state.kernel.steps(steps - state.step)
             wall = time.perf_counter() - w0
-            return k, wall - k.lex_seconds
+            return state.counters, wall - state.kernel.lex_seconds
 
         k1, o1_single = run(n)
         assert k1.node_allocations == 3 * n
@@ -178,7 +193,7 @@ def test_criterion_10_cost_model(criterion):
         assert 1.8 <= ratio <= 2.6, (ratio, o1_single, o1_double)
         # lex counters are reported, not asserted linear
         assert k2.lex_letters_compared > k1.lex_letters_compared
-        assert elapsed_since(t0) < 120.0
+        assert elapsed_since(t0) < budget
 
 
 def test_criterion_11_cli_determinism(criterion):

@@ -119,6 +119,16 @@ def test_kernel_flag_chooses_python(capsys):
     assert out_py == out_any
 
 
+def test_python_kernel_size_guard_exit(capsys):
+    # refused at once, as on the compiled kernel, instead of growing until
+    # memory runs out
+    argv = ["grow", "--d", "2", "--n", "1000000000000", "--seed", "0", "--kernel", "python"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert "size guard" in err
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["grow", "--d", "1", "--n", "5"])
@@ -292,6 +302,17 @@ def test_uniform_single_class(capsys):
     assert json.loads(out)["statistic"] == 0.0
 
 
+@pytest.mark.parametrize("kernel", ["python", "c"])
+def test_uniform_wide_arity(kernel, capsys):
+    # histogram keys hold one byte per node whatever d is
+    if kernel == "c":
+        pytest.importorskip("darygrow._growth_c", reason="compiled kernel not built")
+    argv = ["uniform", "--d", "256", "--n", "1", "--samples", "10", "--seed", "1"]
+    code, out, err = run_cli(argv + ["--kernel", kernel], capsys)
+    assert code == 0, err
+    assert json.loads(out)["pass"] is True
+
+
 def test_uniform_underpowered_exits_2(capsys):
     code, _, err = run_cli(
         ["uniform", "--d", "3", "--n", "4", "--samples", "99", "--seed", "1"], capsys
@@ -431,3 +452,11 @@ def test_byte_identity_across_processes_and_kernels():
     second = run_fresh(args)
     pure = run_fresh(args, {"DARYGROW_PURE_PYTHON": "1"})
     assert first == second == pure
+
+
+def test_uniform_report_independent_of_hash_seed():
+    # the chi-square statistic sums over a set of shape keys, whose order
+    # follows the string hash; the report must not
+    args = ["uniform", "--d", "3", "--n", "3", "--samples", "2000", "--seed", "5"]
+    outs = [run_fresh(args, {"PYTHONHASHSEED": str(h)}) for h in (0, 2)]
+    assert outs[0] == outs[1]

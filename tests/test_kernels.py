@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from darygrow import _growth_py
 from darygrow.cli import main as cli_main
-from darygrow.errors import SizeGuardError
+from darygrow.errors import SizeGuardError, check_node_ids
 from darygrow.bijections import enlarge
 from darygrow.marks import Bud, EdgeMark, EdgeMarkedTree
 from darygrow.sampler import COUNTERS, SplitMix64, make_kernel
@@ -58,6 +58,27 @@ class TestAgreement:
             assert py.code_bytes() == cy.code_bytes()
         assert py.height() == cy.height()
         assert counters(py) == counters(cy)
+
+    @pytest.mark.parametrize(
+        "d,n,seed",
+        [
+            # paths of several hundred ids: the lex phase's buffer starts at
+            # 256 ids shared by the lanes, so it must grow and walk again
+            (3, 20_000, 5),
+            # 3 and 4 marked edges per step: an odd count, whose last edge
+            # walks alone, and an even one
+            (4, 2000, 6),
+            (5, 2000, 7),
+        ],
+    )
+    def test_long_paths_and_many_edges(self, d, n, seed):
+        py, c = both(d, seed)
+        py.steps(n)
+        c.steps(n)
+        assert py.preorder_code() == c.preorder_code()
+        assert counters(py) == counters(c)
+        if d == 3:
+            assert c.height() > 256
 
     def test_stepwise_lockstep(self):
         py, cy = both(3, 7)
@@ -225,6 +246,28 @@ class TestLexAccounting:
         assert py.lex_letters_compared == cy.lex_letters_compared
         assert py.lex_letters_compared > 0
 
+    @pytest.mark.parametrize(
+        "d,depths", [(3, (0, 5)), (3, (7, 2)), (4, (1, 6, 3)), (5, (4, 0, 9, 2))]
+    )
+    def test_nested_marked_edges(self, d, depths):
+        # marked edges on one root path, each inside the subtree of the
+        # ones above it: the words compare as prefixes, so the counter adds
+        # the shorter length for each such pair
+        py, c = both(d, 23)
+        py.steps(300)
+        c.steps(300)
+        words = [c.edge_word(r) for r in range(d * c.n)]
+        deep = max(words, key=len)
+        on_path = {len(w): r for r, w in enumerate(words) if deep[: len(w)] == w}
+        lengths = [len(deep) - h for h in depths]
+        before = c.lex_letters_compared
+        for k in (py, c):
+            k.step_with([on_path[h] for h in lengths], 2)
+        assert py.preorder_code() == c.preorder_code()
+        assert counters(py) == counters(c)
+        if d == 3:  # one comparison
+            assert c.lex_letters_compared - before == min(lengths)
+
     def test_lex_seconds_accumulate(self):
         k = make_kernel(4, 2, kernel="c")
         k.steps(2000)
@@ -271,8 +314,8 @@ class TestWideArity:
         for k in (py, c):
             with pytest.raises(ValueError, match="range"):
                 k.code_bytes()
-            with pytest.raises(ValueError, match="range"):
-                k.histogram(1, 3)
+        # histogram keys carry no arity
+        assert py.histogram(1, 3) == c.histogram(1, 3) == {b"\x01" + b"\x00" * d: 3}
 
 
 class TestSerializers:
@@ -315,10 +358,9 @@ class TestSizeGuard:
     def test_guard_boundary(self):
         # d * n + 1 node ids may reach INT32_MAX, not pass it; checked
         # without growing, since the arena would take gigabytes
-        k = make_kernel(2, 0, kernel="c")
-        k._room(2**30 - 1)
+        check_node_ids(2, 2**30 - 1)
         with pytest.raises(SizeGuardError):
-            k._room(2**30)
+            check_node_ids(2, 2**30)
 
     def test_histogram_past_int32_ids_refused(self):
         k = make_kernel(2, 0, kernel="c")

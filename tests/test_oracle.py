@@ -11,7 +11,7 @@ import pytest
 from darygrow import oracle
 from darygrow.errors import SizeGuardError, UnderpoweredTestError
 from darygrow.marks import EdgeMarkedTree
-from darygrow.tree import DaryTree
+from darygrow.tree import DaryTree, shape_key
 
 scipy_special = pytest.importorskip("scipy.special")
 
@@ -207,7 +207,7 @@ class TestChiSquare:
     def test_biased_histogram_fails(self):
         # inject a histogram that piles everything on one class
         classes = oracle.enumerate_trees(3, 3)
-        top = bytes(classes[0].to_preorder_code())  # keys are byte codes
+        top = shape_key(classes[0].to_preorder_code())
         report = oracle.chi_square_uniformity(
             3, 3, samples=2000, seed=5, _histogram=lambda *_: {top: 2000}
         )

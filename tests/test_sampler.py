@@ -5,6 +5,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from darygrow.errors import SizeGuardError
 from darygrow.marks import Bud, EdgeMark
 from darygrow.sampler import (
     GrowthState,
@@ -153,6 +154,17 @@ class TestKernelSelection:
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError):
             make_kernel(3, 1, kernel="fortran")
+
+    def test_python_kernel_size_guard(self):
+        # the same node-id limit as the compiled kernel, checked before
+        # anything grows
+        k = make_kernel(2, 0, kernel="python")
+        k.steps(5)
+        with pytest.raises(SizeGuardError):
+            k.steps(2**30)
+        with pytest.raises(SizeGuardError):
+            k.histogram(2**30, 1)
+        assert k.n == 5 and k.node_allocations == 10
 
 
 class TestGrowing:
