@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Microbenchmark of the growth kernels; writes BENCH_growth.json.
+"""Microbenchmark of the growth kernels and the reference bijections; writes
+BENCH_growth.json.
 
 One row per (label, kernel, d, n): median over three runs of the step
 loop (ns/step and steps/s), the lex phase inside it (`lex_seconds`), and
@@ -12,6 +13,14 @@ kept, so one file can hold rows of two commits measured on one machine:
 run the script with each commit's `src` first on PYTHONPATH and its own
 --label.  The cross-kernel check lives in bench/run.py (`crosscheck`).
 
+The reference layer gets rows of its own (`reference` in the JSON):
+the seconds of criterion 3's exhaustive bijection suite (median of three
+runs; the first also enumerates the trees), and the ms per enlarge ->
+reduce round trip on a grown tree of n = 10^4 for d = 2, 3 and 5 (median
+over ten random mark sets; `make_ms` is building the edge-marked tree from
+the grown tree, outside the trip: the first build per tree walks it, the
+others reuse that walk).
+
 Usage: python benchmarks/bench_growth.py [--label L] [--seed N] [--quick]
 """
 
@@ -23,7 +32,11 @@ import statistics
 import time
 from pathlib import Path
 
-from darygrow.sampler import kernel_name, make_kernel
+from darygrow import oracle
+from darygrow.bijections import enlarge, reduce
+from darygrow.marks import EdgeMarkedTree
+from darygrow.sampler import SplitMix64, kernel_name, make_kernel, sample_mark_set
+from darygrow.tree import DaryTree
 
 CELLS = [
     # d, n for the compiled kernel, n for the python kernel
@@ -33,6 +46,16 @@ CELLS = [
 ]
 OUT = Path(__file__).resolve().parent.parent / "BENCH_growth.json"
 REPEAT = 3
+# criterion 3's suite and criterion 4's round trips
+BIJECTION_SUITE = (
+    [(2, n) for n in range(6)]
+    + [(3, n) for n in range(4)]
+    + [(4, n) for n in range(3)]
+    + [(5, 0), (5, 1)]
+)
+TRIP_DS = (2, 3, 5)
+TRIP_N = 10_000
+TRIPS = 10
 
 
 def code_text(k):
@@ -68,6 +91,53 @@ def cell(label, kernel, d, n, seed):
     }
 
 
+def suite_row(label):
+    runs = []
+    for _ in range(REPEAT):
+        t0 = time.perf_counter()
+        inputs = 0
+        for d, n in BIJECTION_SUITE:
+            report = oracle.verify_enlarge_bijection(d, n)
+            assert report["pass"], report
+            inputs += report["inputs"]
+        runs.append(time.perf_counter() - t0)
+    return {
+        "label": label,
+        "what": "bijection_suite",
+        "inputs": inputs,
+        "repeat": REPEAT,
+        "seconds": round(statistics.median(runs), 4),
+    }
+
+
+def trip_row(label, d, n, seed):
+    k = make_kernel(d, seed)
+    k.steps(n)
+    tree = DaryTree.from_preorder_code(d, k.preorder_code())
+    rng = SplitMix64(seed + d)
+    make, trip = [], []
+    for _ in range(TRIPS):
+        marks = tuple(sample_mark_set(rng, tree))
+        a = 1 + rng.uniform_below(d)
+        t0 = time.perf_counter()
+        x = EdgeMarkedTree(tree, marks)
+        t1 = time.perf_counter()
+        back, back_a = reduce(enlarge(x, a))
+        t2 = time.perf_counter()
+        assert back_a == a and back.key() == x.key()
+        make.append(t1 - t0)
+        trip.append(t2 - t1)
+    return {
+        "label": label,
+        "what": "round_trip",
+        "d": d,
+        "n": n,
+        "trips": TRIPS,
+        "make_ms": round(statistics.median(make) * 1e3, 2),
+        "trip_ms": round(statistics.median(trip) * 1e3, 2),
+    }
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", default="current")
@@ -91,12 +161,29 @@ def main() -> int:
             f"{r['steps_per_s']:>10} {r['lex_seconds']:>7} {r['code_seconds']:>7}"
         )
 
-    record = {"machine": None, "rows": []}
+    reference = [suite_row(args.label)]
+    reference.extend(trip_row(args.label, d, TRIP_N // shrink, args.seed) for d in TRIP_DS)
+    print()
+    for r in reference:
+        if r["what"] == "bijection_suite":
+            print(f"{r['label']:<8} suite of {r['inputs']} inputs {r['seconds']:>8} s")
+        else:
+            print(
+                f"{r['label']:<8} round trip d={r['d']} n={r['n']}: {r['trip_ms']} ms"
+                f" (make {r['make_ms']} ms)"
+            )
+
+    record = {"machine": None, "rows": [], "reference": []}
     if OUT.exists():
-        record = json.loads(OUT.read_text())
+        record.update(json.loads(OUT.read_text()))
     key = lambda r: (r["label"], r["kernel"], r["d"], r["n"])  # noqa: E731
     fresh = {key(r) for r in rows}
     record["rows"] = [r for r in record["rows"] if key(r) not in fresh] + rows
+    ref_key = lambda r: (r["label"], r["what"], r.get("d"), r.get("n"))  # noqa: E731
+    fresh = {ref_key(r) for r in reference}
+    record["reference"] = [
+        r for r in record["reference"] if ref_key(r) not in fresh
+    ] + reference
     record["machine"] = (
         f"{os.cpu_count()} cores, {platform.machine()}, Python {platform.python_version()}"
     )

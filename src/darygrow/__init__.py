@@ -28,6 +28,7 @@ from .errors import (
     CorruptForestError,
     DarygrowError,
     MalformedCodeError,
+    MalformedObjectError,
     MarkCountError,
     NotALeafError,
     NotExcursionError,
@@ -88,6 +89,7 @@ __all__ = [
     "LeafMarkedTree",
     "LukWalk",
     "MalformedCodeError",
+    "MalformedObjectError",
     "MarkCountError",
     "MarkedForest",
     "NotALeafError",

@@ -11,14 +11,19 @@ built from three stages:
 * ``rotate`` cyclically shifts the forest positions by the letter.
 * ``add_root`` hangs the d forest positions under a fresh root.
 
-Every map here treats its inputs as immutable values: trees are copied
-before surgery.  For the amortized O(1) growth loop see the kernel modules;
-this module is the reference semantics those kernels are tested against.
+Every map works on preorder codes (see ``marks``) and builds new values.
+The subtree at position p is the slice of the code that ends where the
+Łukasiewicz walk first drops below its value at p, and lex order on words
+is preorder order; detaching, grafting and hanging subtrees are splices.
+For the amortized O(1) growth loop see the kernel modules; this module is
+the reference semantics those kernels are tested against.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from itertools import accumulate, chain, repeat
+from operator import add
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
     ArityError,
@@ -28,18 +33,16 @@ from .errors import (
     RootSurgeryError,
 )
 from .marks import (
-    Bud,
-    EdgeMark,
     EdgeMarkedTree,
     LeafMarkedTree,
     MarkedForest,
-    MarkTarget,
     forest_to_obj,
     is_excursion_forest,
     leaf_marked_to_obj,
     leaf_sequence,
+    mark_problems,
 )
-from .tree import DaryTree, Word, format_word
+from .tree import format_word
 
 # the two binary letters used by the d=2 variants; kept distinct from the
 # numeric letters 1..d on purpose
@@ -47,29 +50,20 @@ RIGHT = "r"
 LEFT = "l"
 
 
+def _walk(code: Sequence[int]) -> List[int]:
+    """Łukasiewicz walk of a code: entry i is the sum of (symbol - 1) over
+    the positions before i, so it has one entry more than the code."""
+    return list(accumulate(map(add, code, repeat(-1)), initial=0))
+
+
+def _end(walk: List[int], p: int) -> int:
+    """One past the last position of the subtree at position ``p``."""
+    return walk.index(walk[p] - 1, p + 1)
+
+
 def _check_letter(d: int, a: int) -> None:
     if not 1 <= a <= d:
         raise ArityError(f"letter {a} outside 1..{d}")
-
-
-def _split_marks(x: EdgeMarkedTree) -> Tuple[List[int], List[int]]:
-    """Bud indices and edge child ids of an edge-marked tree, validated."""
-    d = x.d
-    if len(x.marks) != d - 1:
-        raise MarkCountError(f"{len(x.marks)} marks, need {d - 1}")
-    buds, edges = [], []
-    for m in x.marks:
-        if isinstance(m, Bud):
-            if not 0 <= m.index <= d - 2:
-                raise MarkCountError(f"bud index {m.index} outside [0, {d - 2}]")
-            buds.append(m.index)
-        else:
-            if m.child == x.tree.root:
-                raise MarkCountError("root names no edge")
-            edges.append(m.child)
-    if len(set(buds)) != len(buds) or len(set(edges)) != len(edges):
-        raise MarkCountError("duplicate mark")
-    return buds, edges
 
 
 def cut(x: EdgeMarkedTree, a: int, details: Optional[list] = None):
@@ -83,53 +77,45 @@ def cut(x: EdgeMarkedTree, a: int, details: Optional[list] = None):
     one is detached (together with the marked leaves it acquired so far),
     placed at the largest free position, and replaced in the working tree
     by a marked leaf.  The working tree itself takes the smallest free
-    position last.
+    position last.  So each piece is the code slice of a marked subtree (or
+    of the whole tree) with the marked subtrees inside it cut down to one
+    marked leaf each, and the pieces in preorder take the free positions.
     """
+    problems = mark_problems(x)
+    if problems:
+        raise MarkCountError(problems[0])
     d = x.d
-    buds, edges = _split_marks(x)
-    working = x.tree.copy()
+    code = x.code
+    walk = _walk(code)
+    starts = (0,) + x.edges
+    ends = [len(code)] + [_end(walk, p) for p in x.edges]
+    free = sorted(set(range(d)) - set(x.buds))
 
-    slots: List[Optional[LeafMarkedTree]] = [None] * d
-    for j in buds:
-        single = DaryTree(d)
-        slots[j] = LeafMarkedTree(single, [single.root])
-    remaining = sorted(set(range(d)) - set(buds))
+    slots: List[LeafMarkedTree] = [None] * d  # type: ignore[list-item]
+    for j in x.buds:
+        slots[j] = LeafMarkedTree.from_code(d, (0,), (0,))
+    for i, (s, e) in enumerate(zip(starts, ends)):
+        parts, leaves, size, at = [], [], 0, s
+        for h, h_end in zip(starts[i + 1 :], ends[i + 1 :]):
+            if h >= e:
+                break
+            if h < at:
+                continue  # inside a subtree already cut out of this piece
+            size += h - at
+            leaves.append(size)
+            parts += (code[at:h], (0,))
+            size += 1
+            at = h_end
+        parts.append(code[at:e])
+        piece = tuple(chain.from_iterable(parts))
+        slots[free[i]] = LeafMarkedTree.from_code(d, piece, tuple(leaves))
 
-    # words are stable while we only detach at lex-larger positions, so one
-    # descending sort realizes "largest remaining marked edge" exactly
-    order = sorted(edges, key=working.node_word, reverse=True)
-    marked: set = set()
-    for pos, u in enumerate(order):
-        uw = working.node_word(u)
-        # no other remaining marked edge may sit strictly below u: its word
-        # would extend uw and therefore beat uw in the descending order
-        later = order[pos + 1 :]
-        assert not any(
-            working.node_word(v)[: len(uw)] == uw for v in later
-        ), "marked edge strictly below the current lex-max"
-        inside = [v for v in marked if working.node_word(v)[: len(uw)] == uw]
-        rel = [working.node_word(v)[len(uw) :] for v in inside]
-        sub = working.detach_subtree(u)
-        target = remaining.pop()  # largest free position
-        slots[target] = LeafMarkedTree(sub, [sub.node_at(w) for w in rel])
-        marked.difference_update(inside)
-        marked.add(u)
-        if details is not None:
-            details.append(
-                {
-                    "position": target,
-                    "edge": format_word(uw),
-                    "remaining": list(remaining),
-                }
-            )
-
-    slots[remaining[0]] = LeafMarkedTree(working, marked)
-    forest = MarkedForest([t for t in slots if t is not None])
-    return forest, a
-
-
-def _is_root_marked_singleton(t: LeafMarkedTree) -> bool:
-    return t.tree.internal_count == 0 and len(t.marked_leaves) == 1
+    if details is not None:
+        words = x.words(x.edges)
+        for i in range(len(x.edges), 0, -1):
+            edge = format_word(words[i - 1])
+            details.append({"position": free[i], "edge": edge, "remaining": free[:i]})
+    return MarkedForest(slots), a
 
 
 def cut_inv(f: MarkedForest, a: int):
@@ -141,43 +127,34 @@ def cut_inv(f: MarkedForest, a: int):
     leaf's edge becomes a mark and the grafted tree's marks replace it.
     """
     d = f.d
-    if f.total_marks() != d - 1:
-        raise MarkCountError(f"forest carries {f.total_marks()} marks, need {d - 1}")
-    if not is_excursion_forest(f):
+    if not is_excursion_forest(f):  # raises MarkCountError for a wrong total
         raise NotExcursionError(
             f"leaf sequence {leaf_sequence(f).format()} is not an excursion"
         )
 
-    buds: List[int] = []
-    rest: List[Tuple[int, LeafMarkedTree]] = []
-    for j, t in enumerate(f.trees):
-        if _is_root_marked_singleton(t):
-            buds.append(j)
-        else:
-            rest.append((j, t))
+    singleton = [len(t.code) == 1 and len(t.leaves) == 1 for t in f.trees]
+    buds = tuple(j for j, s in enumerate(singleton) if s)
+    rest = [t for t, s in zip(f.trees, singleton) if not s]
 
-    first = rest[0][1]
-    working = first.tree.copy()
-    live_marks = set(first.marked_leaves)  # ids valid in the copy
-    edge_ids: List[int] = []
-    for _, t in rest[1:]:
-        if not live_marks:
+    code = list(rest[0].code)
+    live = list(rest[0].leaves)  # sorted, so live[0] is the lex-first
+    edges: List[int] = []
+    for t in rest[1:]:
+        if not live:
             raise CorruptForestError("no marked leaf left to plug into")
-        u = min(live_marks, key=working.node_word)
-        uw = working.node_word(u)
-        rel = t.mark_words()
-        working.graft(u, t.tree)
-        live_marks.remove(u)
-        live_marks.update(working.node_at(uw + w) for w in rel)
-        edge_ids.append(u)
-    if live_marks:
+        u = live[0]
+        if code[u]:
+            raise CorruptForestError(f"marked node at position {u} is internal")
+        code[u : u + 1] = t.code
+        grown = len(t.code) - 1
+        live = [u + p for p in t.leaves] + [q + grown for q in live[1:]]
+        # later grafts land after u, so u keeps its position
+        edges.append(u)
+    if live:
         # counting forces zero leftovers: the grafts consume exactly the
         # marks the non-singleton trees carry beyond the bud marks
-        raise CorruptForestError(f"{len(live_marks)} marked leaves left over")
-
-    marks = [Bud(j) for j in buds]
-    marks.extend(EdgeMark(u) for u in edge_ids)
-    return EdgeMarkedTree(working, marks), a
+        raise CorruptForestError(f"{len(live)} marked leaves left over")
+    return EdgeMarkedTree.from_code(d, tuple(code), buds, tuple(edges)), a
 
 
 def rotate(f: MarkedForest, a: int) -> MarkedForest:
@@ -195,38 +172,36 @@ def rotate_inv(f: MarkedForest) -> Tuple[MarkedForest, int]:
     shift r recovered from the leaf sequence maps to letter d - r, with
     r = 0 mapping to d.
     """
-    s = leaf_sequence(f)
-    r = s.excursion_shift()
+    r = leaf_sequence(f).excursion_shift()
     d = f.d
-    shifted = MarkedForest([f.trees[(i + r) % d] for i in range(d)])
-    return shifted, (d - r if r > 0 else d)
+    return rotate(f, r or d), (d - r if r > 0 else d)
 
 
 def add_root(f: MarkedForest) -> LeafMarkedTree:
     """Hang the forest under a fresh root; position i becomes child i+1."""
     d = f.d
-    out = DaryTree(d)
-    kids = out.expand_leaf(out.root)
-    mark_words: List[Word] = []
-    for i, t in enumerate(f.trees):
-        out.graft(kids[i], t.tree)
-        mark_words.extend((i + 1,) + w for w in t.mark_words())
-    return LeafMarkedTree(out, [out.node_at(w) for w in mark_words])
+    code = [d]
+    leaves: List[int] = []
+    for t in f.trees:
+        base = len(code)
+        leaves.extend(base + p for p in t.leaves)
+        code.extend(t.code)
+    return LeafMarkedTree.from_code(d, tuple(code), tuple(leaves))
 
 
 def add_root_inv(t: LeafMarkedTree) -> MarkedForest:
     """Split a tree at its root into the ordered forest of child subtrees."""
-    if t.tree.internal_count < 1:
+    code = t.code
+    if len(code) == 1:
         raise RootSurgeryError("single-node tree has no root to remove")
-    tree = t.tree
-    by_child: dict = {}
-    for w in t.mark_words():
-        by_child.setdefault(w[0], []).append(w[1:])
+    walk = _walk(code)
     parts = []
-    for slot, c in enumerate(tree.children(tree.root), start=1):
-        sub = tree.copy_subtree(c)
-        rel = by_child.get(slot, [])
-        parts.append(LeafMarkedTree(sub, [sub.node_at(w) for w in rel]))
+    s = 1
+    for _ in range(t.d):
+        e = _end(walk, s)
+        leaves = tuple(p - s for p in t.leaves if s <= p < e)
+        parts.append(LeafMarkedTree.from_code(t.d, code[s:e], leaves))
+        s = e
     return MarkedForest(parts)
 
 
@@ -279,27 +254,14 @@ def enlarge_trace(x: EdgeMarkedTree, a: int):
 # the two binary growth bijections (d = 2 only)
 
 
-def _check_binary(x: EdgeMarkedTree, a: str) -> MarkTarget:
+def _check_binary(x: EdgeMarkedTree, a: str) -> None:
     if x.d != 2:
         raise ArityError(f"binary variant needs d=2, got d={x.d}")
     if a not in (RIGHT, LEFT):
         raise ArityError(f"binary letter must be {RIGHT!r} or {LEFT!r}, got {a!r}")
-    if len(x.marks) != 1:
-        raise MarkCountError(f"{len(x.marks)} marks, need 1")
-    return x.marks[0]
-
-
-def _new_root_over(old: DaryTree, a: str) -> LeafMarkedTree:
-    """Shared bud case: fresh root, old tree on one side, marked leaf on the other."""
-    out = DaryTree(2)
-    kids = out.expand_leaf(out.root)
-    if a == RIGHT:
-        out.graft(kids[0], old)
-        marked = kids[1]
-    else:
-        out.graft(kids[1], old)
-        marked = kids[0]
-    return LeafMarkedTree(out, [marked])
+    marks = len(x.buds) + len(x.edges)
+    if marks != 1:
+        raise MarkCountError(f"{marks} marks, need 1")
 
 
 def remy_enlarge(x: EdgeMarkedTree, a: str) -> LeafMarkedTree:
@@ -309,20 +271,18 @@ def remy_enlarge(x: EdgeMarkedTree, a: str) -> LeafMarkedTree:
     on one side of it and a fresh marked leaf on the other, side picked by
     the letter.  With the bud marked the same happens above the root.
     """
-    mark = _check_binary(x, a)
-    if isinstance(mark, Bud):
-        return _new_root_over(x.tree, a)
-    work = x.tree.copy()
-    u = mark.child
-    sub = work.detach_subtree(u)
-    kids = work.expand_leaf(u)
-    if a == RIGHT:
-        work.graft(kids[0], sub)
-        marked = kids[1]
+    _check_binary(x, a)
+    code = x.code
+    if x.buds:
+        u, e = 0, len(code)  # the bud stands for the edge above the root
     else:
-        work.graft(kids[1], sub)
-        marked = kids[0]
-    return LeafMarkedTree(work, [marked])
+        u = x.edges[0]
+        e = _end(_walk(code), u)
+    if a == RIGHT:
+        middle, marked = (2,) + code[u:e] + (0,), e + 1
+    else:
+        middle, marked = (2, 0) + code[u:e], u + 1
+    return LeafMarkedTree.from_code(2, code[:u] + middle + code[e:], (marked,))
 
 
 def third_enlarge(x: EdgeMarkedTree, a: str) -> LeafMarkedTree:
@@ -333,27 +293,20 @@ def third_enlarge(x: EdgeMarkedTree, a: str) -> LeafMarkedTree:
     into the edge above p (a new root if p was the root) and the detached
     subtree hangs from v's new child on the side the letter picks.
     """
-    mark = _check_binary(x, a)
-    if isinstance(mark, Bud):
-        return _new_root_over(x.tree, a)
-    work = x.tree.copy()
-    u = mark.child
-    p = work.parent(u)
-    uw = work.node_word(u)
-    sub = work.detach_subtree(u)  # u stays as the marked leaf
-    if p == work.root:
-        # new root above p; old tree on the side opposite the carried subtree
-        out = DaryTree(2)
-        kids = out.expand_leaf(out.root)
-        old_slot = 1 if a == RIGHT else 2
-        out.graft(kids[old_slot - 1], work)
-        out.graft(kids[2 - old_slot], sub)
-        return LeafMarkedTree(out, [out.node_at((old_slot,) + uw)])
-    pw = work.node_word(p)
-    rel = uw[len(pw) :]
-    psub = work.detach_subtree(p)
-    kids = work.expand_leaf(p)  # p's slot now holds the spliced node v
-    old_slot = 1 if a == RIGHT else 2
-    work.graft(kids[old_slot - 1], psub)
-    work.graft(kids[2 - old_slot], sub)
-    return LeafMarkedTree(work, [work.node_at(pw + (old_slot,) + rel)])
+    _check_binary(x, a)
+    if x.buds:
+        return remy_enlarge(x, a)
+    code = x.code
+    walk = _walk(code)
+    u = x.edges[0]
+    e = _end(walk, u)
+    # the parent is the last node before u whose walk value is not above u's
+    p = next(i for i in range(u - 1, -1, -1) if walk[i] <= walk[u])
+    p_end = _end(walk, p)
+    sub = code[u:e]
+    rest = code[p:u] + (0,) + code[e:p_end]  # p's subtree, u left as a leaf
+    if a == RIGHT:
+        middle, marked = (2,) + rest + sub, u + 1
+    else:
+        middle, marked = (2,) + sub + rest, u + 1 + len(sub)
+    return LeafMarkedTree.from_code(2, code[:p] + middle + code[p_end:], (marked,))

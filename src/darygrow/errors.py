@@ -28,6 +28,10 @@ class MalformedCodeError(DarygrowError, ValueError):
     """A preorder code has wrong degrees, ends early, or has trailing symbols."""
 
 
+class MalformedObjectError(DarygrowError, ValueError):
+    """The JSON form of a marked object has a value of the wrong type."""
+
+
 class MarkCountError(DarygrowError, ValueError):
     """A marked object carries the wrong number of marks for the operation."""
 

@@ -6,15 +6,21 @@ buds b_i are virtual extra edge slots that make the universe size d*n + d - 1.
 A leaf-marked tree distinguishes some of its leaves.  A marked forest is an
 ordered d-tuple of leaf-marked trees; its leaf sequence is the walk whose
 i-th increment is (marks in tree i) - 1.
+
+Marked trees are immutable values: ``d``, the preorder code as a tuple,
+and each mark as a preorder position (buds stay bud indices).  Lex order on
+words is preorder order, so positions sort and compare as words would.
+``.tree`` and the node ids in ``.marks`` / ``.marked_leaves`` are built on
+first use; a marked tree made from a ``DaryTree`` keeps that tree and ids.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, List, Sequence, Tuple, Union
 
-from .errors import ArityError, MarkCountError
+from .errors import ArityError, MalformedObjectError, MarkCountError, StaleNodeError
 from .tree import DaryTree, Word, format_word, parse_word
 from .walks import LukWalk
 
@@ -35,36 +41,92 @@ class EdgeMark:
 
 MarkTarget = Union[Bud, EdgeMark]
 
-# canonical comparable form of a mark: buds sort before edges, buds by
-# index, edges by the lexicographic order of their child word
-CanonicalMark = Tuple[int, Union[int, Word]]
+Code = Tuple[int, ...]  # a preorder code, or sorted preorder positions
 
 
-def _canonical_mark(tree: DaryTree, mark: MarkTarget) -> CanonicalMark:
-    if isinstance(mark, Bud):
-        return (0, mark.index)
-    return (1, tree.node_word(mark.child))
+def _position(ids: List[int], u: int) -> int:
+    """Preorder position of node ``u``, given the ids in preorder."""
+    try:
+        return ids.index(u)
+    except ValueError:
+        raise StaleNodeError(u) from None
 
 
-class EdgeMarkedTree:
-    """A tree together with d-1 marks over its edges and buds.
+class _Value:
+    """Equality by ``key()``, which is also the hashable identity."""
 
-    The mark tuple is kept canonically sorted (buds by index, then edges by
-    child word) so two structurally equal objects compare equal regardless
-    of construction order.
-    """
+    __slots__ = ()
 
-    __slots__ = ("tree", "marks")
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.key() == other.key()
 
-    def __init__(self, tree: DaryTree, marks: Iterable[MarkTarget]) -> None:
-        self.tree = tree
-        self.marks: Tuple[MarkTarget, ...] = tuple(
-            sorted(marks, key=lambda m: _canonical_mark(tree, m))
-        )
+
+class _CodeTree(_Value):
+    """The code form shared by both marked trees, and their lazy tree."""
+
+    __slots__ = ("d", "code", "_tree", "_ids")
+
+    def _capture(self, tree: DaryTree) -> List[int]:
+        """Take the code of ``tree`` and keep the tree; returns its ids."""
+        code, self._ids = tree.preorder()
+        self.d, self.code, self._tree = tree.d, tuple(code), tree
+        return self._ids
 
     @property
-    def d(self) -> int:
-        return self.tree.d
+    def n(self) -> int:
+        """Number of internal nodes."""
+        return (len(self.code) - 1) // self.d
+
+    def _arena(self) -> Tuple[DaryTree, List[int]]:
+        if self._tree is None:
+            tree = DaryTree.from_preorder_code(self.d, self.code)
+            self._tree, self._ids = tree, tree.preorder()[1]
+        return self._tree, self._ids
+
+    @property
+    def tree(self) -> DaryTree:
+        """The tree as a ``DaryTree``, built on first use; do not modify it."""
+        return self._arena()[0]
+
+    def _node_ids(self, positions: Sequence[int]) -> Tuple[int, ...]:
+        ids = self._arena()[1]
+        return tuple(ids[p] for p in positions)
+
+    def words(self, positions: Sequence[int]) -> Tuple[Word, ...]:
+        """The words of the nodes at these preorder positions, read off the
+        code (not off ``.tree``, which its owner may have changed since)."""
+        tree = DaryTree.from_preorder_code(self.d, self.code)
+        ids = tree.preorder()[1]
+        return tuple(tree.node_word(ids[p]) for p in positions)
+
+
+class EdgeMarkedTree(_CodeTree):
+    """A tree together with d-1 marks over its edges and buds.
+
+    ``buds`` holds the marked bud indices and ``edges`` the preorder
+    positions of the marked edges' child nodes, both sorted, so two
+    structurally equal objects compare equal regardless of construction
+    order.  Containers are permissive; :func:`validate` reports bad marks.
+    """
+
+    __slots__ = ("buds", "edges")
+
+    def __init__(self, tree: DaryTree, marks: Iterable[MarkTarget]) -> None:
+        ids = self._capture(tree)
+        marks = tuple(marks)
+        self.buds = tuple(sorted(m.index for m in marks if isinstance(m, Bud)))
+        edges = (_position(ids, m.child) for m in marks if not isinstance(m, Bud))
+        self.edges = tuple(sorted(edges))
+
+    @classmethod
+    def from_code(cls, d: int, code: Code, buds: Code, edges: Code) -> "EdgeMarkedTree":
+        """The value with these fields, taken as given (tuples sorted)."""
+        x = cls.__new__(cls)
+        x.d, x.code, x.buds, x.edges = d, code, buds, edges
+        x._tree = x._ids = None
+        return x
 
     @classmethod
     def from_words(
@@ -77,39 +139,39 @@ class EdgeMarkedTree:
         marks.extend(EdgeMark(tree.node_at(w)) for w in edge_words)
         return cls(tree, marks)
 
+    @property
+    def marks(self) -> Tuple[MarkTarget, ...]:
+        """The marks in canonical order: buds by index, then edges by word."""
+        return (*map(Bud, self.buds), *map(EdgeMark, self._node_ids(self.edges)))
+
     def key(self):
-        """Hashable canonical identity: (d, code, canonical marks)."""
-        return (
-            self.d,
-            tuple(self.tree.to_preorder_code()),
-            tuple(_canonical_mark(self.tree, m) for m in self.marks),
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EdgeMarkedTree):
-            return NotImplemented
-        return self.key() == other.key()
-
-    __hash__ = None  # mutable tree inside; key() is the hashable identity
+        """Hashable canonical identity: (d, code, buds, edge positions)."""
+        return (self.d, self.code, self.buds, self.edges)
 
     def __repr__(self) -> str:
-        return f"EdgeMarkedTree(d={self.d}, n={self.tree.internal_count}, marks={len(self.marks)})"
+        marks = len(self.buds) + len(self.edges)
+        return f"EdgeMarkedTree(d={self.d}, n={self.n}, marks={marks})"
 
 
-class LeafMarkedTree:
-    """A tree with a set of distinguished leaves (any number of them)."""
+class LeafMarkedTree(_CodeTree):
+    """A tree with a set of distinguished leaves (any number of them),
+    held as their sorted preorder positions in ``leaves``."""
 
-    __slots__ = ("tree", "marked_leaves")
+    __slots__ = ("leaves",)
 
     def __init__(self, tree: DaryTree, marked_leaves: Iterable[int]) -> None:
-        self.tree = tree
-        self.marked_leaves: Tuple[int, ...] = tuple(
-            sorted(set(marked_leaves), key=tree.node_word)
+        ids = self._capture(tree)
+        self.leaves: Tuple[int, ...] = tuple(
+            sorted({_position(ids, u) for u in marked_leaves})
         )
 
-    @property
-    def d(self) -> int:
-        return self.tree.d
+    @classmethod
+    def from_code(cls, d: int, code: Code, leaves: Code) -> "LeafMarkedTree":
+        """The value with these fields, taken as given (leaves sorted)."""
+        t = cls.__new__(cls)
+        t.d, t.code, t.leaves = d, code, leaves
+        t._tree = t._ids = None
+        return t
 
     @classmethod
     def from_words(
@@ -117,76 +179,80 @@ class LeafMarkedTree:
     ) -> "LeafMarkedTree":
         return cls(tree, (tree.node_at(w) for w in leaf_words))
 
+    @property
+    def marked_leaves(self) -> Tuple[int, ...]:
+        """Node ids of the marked leaves in ``.tree``, in word order."""
+        return self._node_ids(self.leaves)
+
     def mark_words(self) -> Tuple[Word, ...]:
-        return tuple(self.tree.node_word(u) for u in self.marked_leaves)
+        return self.words(self.leaves)
 
     def key(self):
-        return (self.d, tuple(self.tree.to_preorder_code()), self.mark_words())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LeafMarkedTree):
-            return NotImplemented
-        return self.key() == other.key()
-
-    __hash__ = None
+        return (self.d, self.code, self.leaves)
 
     def __repr__(self) -> str:
-        return (
-            f"LeafMarkedTree(d={self.d}, n={self.tree.internal_count}, "
-            f"marks={len(self.marked_leaves)})"
-        )
+        return f"LeafMarkedTree(d={self.d}, n={self.n}, marks={len(self.leaves)})"
 
 
-class MarkedForest:
+class MarkedForest(_Value):
     """Ordered sequence of exactly d leaf-marked trees, positions 0 .. d-1."""
 
     __slots__ = ("trees",)
 
     def __init__(self, trees: Sequence[LeafMarkedTree]) -> None:
         self.trees: Tuple[LeafMarkedTree, ...] = tuple(trees)
-        if self.trees and any(t.d != len(self.trees) for t in self.trees):
-            raise ArityError(
-                f"forest of {len(self.trees)} trees with arities "
-                f"{[t.d for t in self.trees]}"
-            )
+        arities = [t.d for t in self.trees]
+        if arities.count(len(arities)) != len(arities):
+            raise ArityError(f"forest of {len(arities)} trees with arities {arities}")
 
     @property
     def d(self) -> int:
         return len(self.trees)
 
     def total_marks(self) -> int:
-        return sum(len(t.marked_leaves) for t in self.trees)
+        return sum([len(t.leaves) for t in self.trees])
 
     def key(self):
         return tuple(t.key() for t in self.trees)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MarkedForest):
-            return NotImplemented
-        return self.key() == other.key()
-
-    __hash__ = None
-
     def __repr__(self) -> str:
-        sizes = [t.tree.internal_count for t in self.trees]
-        return f"MarkedForest(d={self.d}, sizes={sizes})"
+        return f"MarkedForest(d={self.d}, sizes={[t.n for t in self.trees]})"
+
+
+def _increments(f: MarkedForest) -> List[int]:
+    """Marks - 1 per forest position, after checking the mark total."""
+    increments = [len(t.leaves) - 1 for t in f.trees]
+    if sum(increments) != -1:
+        raise MarkCountError(f"forest carries {f.total_marks()} marks, need {f.d - 1}")
+    return increments
 
 
 def leaf_sequence(f: MarkedForest) -> LukWalk:
     """The walk with one increment per forest position: marks - 1."""
-    d = f.d
-    if f.total_marks() != d - 1:
-        raise MarkCountError(
-            f"forest carries {f.total_marks()} marks, need {d - 1}"
-        )
-    return LukWalk.from_increments(
-        [len(t.marked_leaves) - 1 for t in f.trees]
-    )
+    return LukWalk.from_increments(_increments(f))
 
 
 def is_excursion_forest(f: MarkedForest) -> bool:
     """True iff the leaf sequence stays nonnegative until its final step."""
-    return leaf_sequence(f).is_excursion()
+    return min(accumulate(_increments(f)[:-1]), default=0) >= 0
+
+
+def mark_problems(x: EdgeMarkedTree) -> List[str]:
+    """What is wrong with the marks of ``x``, its tree left unchecked."""
+    d = x.d
+    problems = []
+    marks = len(x.buds) + len(x.edges)
+    if marks != d - 1:
+        problems.append(f"{marks} marks, expected {d - 1}")
+    for kind, found in (("bud", x.buds), ("edge", x.edges)):
+        if len(set(found)) != len(found):
+            problems.append(f"duplicate {kind} mark")
+    problems.extend(
+        f"bud index {i} outside [0, {d - 2}]" for i in x.buds if not 0 <= i <= d - 2
+    )
+    if 0 in x.edges:
+        problems.append("root names no edge")
+    return problems
 
 
 def validate(x: Union[EdgeMarkedTree, LeafMarkedTree, MarkedForest]) -> List[str]:
@@ -197,32 +263,12 @@ def validate(x: Union[EdgeMarkedTree, LeafMarkedTree, MarkedForest]) -> List[str
     """
     problems: List[str] = []
     if isinstance(x, EdgeMarkedTree):
-        d = x.d
-        if len(x.marks) != d - 1:
-            problems.append(f"{len(x.marks)} marks, expected {d - 1}")
-        seen = set()
-        for m in x.marks:
-            c = _canonical_mark(x.tree, m)
-            if c in seen:
-                problems.append(f"duplicate mark {m}")
-            seen.add(c)
-            if isinstance(m, Bud):
-                if not 0 <= m.index <= d - 2:
-                    problems.append(f"bud index {m.index} outside [0, {d - 2}]")
-            else:
-                if not x.tree.is_live(m.child):
-                    problems.append(f"edge child {m.child} not live")
-                elif m.child == x.tree.root:
-                    problems.append("root names no edge")
+        problems.extend(mark_problems(x))
         problems.extend(x.tree.validate())
     elif isinstance(x, LeafMarkedTree):
-        for u in x.marked_leaves:
-            if not x.tree.is_live(u):
-                problems.append(f"marked node {u} not live")
-            elif not x.tree.is_leaf(u):
-                problems.append(f"marked node {u} is internal")
-        if len(set(x.marked_leaves)) != len(x.marked_leaves):
-            problems.append("duplicate marked leaf")
+        problems.extend(
+            f"marked node at position {p} is internal" for p in x.leaves if x.code[p]
+        )
         problems.extend(x.tree.validate())
     elif isinstance(x, MarkedForest):
         if any(t.d != x.d for t in x.trees):
@@ -238,39 +284,60 @@ def validate(x: Union[EdgeMarkedTree, LeafMarkedTree, MarkedForest]) -> List[str
 # debug serialization: {d, code, marks: [{bud: i} | {edge: word}], leaves: [words]}
 
 
+def _code_text(code: Code) -> str:
+    return " ".join(map(str, code))
+
+
 def edge_marked_to_obj(x: EdgeMarkedTree) -> dict:
-    marks = []
-    for m in x.marks:
-        if isinstance(m, Bud):
-            marks.append({"bud": m.index})
-        else:
-            marks.append({"edge": format_word(x.tree.node_word(m.child))})
-    return {"d": x.d, "code": x.tree.code_text(), "marks": marks}
+    marks = [{"bud": i} for i in x.buds]
+    marks.extend({"edge": format_word(w)} for w in x.words(x.edges))
+    return {"d": x.d, "code": _code_text(x.code), "marks": marks}
+
+
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
+
+
+def _check(value, kind: type, what: str):
+    """``value`` if it is a ``kind`` (a bool is no integer), else an error."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise MalformedObjectError(
+            f"{what} must be {_JSON_TYPES[kind]}, not {type(value).__name__}"
+        )
+    return value
+
+
+def _tree_from_obj(obj) -> DaryTree:
+    _check(obj, dict, "a marked tree")
+    d = _check(obj.get("d"), int, "d")
+    return DaryTree.from_code_text(d, _check(obj.get("code"), str, "code"))
 
 
 def edge_marked_from_obj(obj: dict) -> EdgeMarkedTree:
-    tree = DaryTree.from_code_text(int(obj["d"]), obj["code"])
+    tree = _tree_from_obj(obj)
     marks: List[MarkTarget] = []
-    for entry in obj.get("marks", []):
+    for entry in _check(obj.get("marks", []), list, "marks"):
+        _check(entry, dict, "a mark")
         if "bud" in entry:
-            marks.append(Bud(int(entry["bud"])))
+            marks.append(Bud(_check(entry["bud"], int, "a bud index")))
         else:
-            marks.append(EdgeMark(tree.node_at(parse_word(entry["edge"]))))
+            word = parse_word(_check(entry.get("edge"), str, "an edge word"))
+            marks.append(EdgeMark(tree.node_at(word)))
     return EdgeMarkedTree(tree, marks)
 
 
 def leaf_marked_to_obj(x: LeafMarkedTree) -> dict:
     return {
         "d": x.d,
-        "code": x.tree.code_text(),
+        "code": _code_text(x.code),
         "leaves": [format_word(w) for w in x.mark_words()],
     }
 
 
 def leaf_marked_from_obj(obj: dict) -> LeafMarkedTree:
-    tree = DaryTree.from_code_text(int(obj["d"]), obj["code"])
+    tree = _tree_from_obj(obj)
+    leaves = _check(obj.get("leaves", []), list, "leaves")
     return LeafMarkedTree.from_words(
-        tree, [parse_word(s) for s in obj.get("leaves", [])]
+        tree, [parse_word(_check(s, str, "a leaf word")) for s in leaves]
     )
 
 
@@ -279,14 +346,6 @@ def forest_to_obj(f: MarkedForest) -> dict:
 
 
 def forest_from_obj(obj: dict) -> MarkedForest:
-    return MarkedForest([leaf_marked_from_obj(t) for t in obj["trees"]])
+    trees = _check(_check(obj, dict, "a forest").get("trees"), list, "trees")
+    return MarkedForest([leaf_marked_from_obj(t) for t in trees])
 
-
-def dumps(x) -> str:
-    if isinstance(x, EdgeMarkedTree):
-        return json.dumps(edge_marked_to_obj(x))
-    if isinstance(x, LeafMarkedTree):
-        return json.dumps(leaf_marked_to_obj(x))
-    if isinstance(x, MarkedForest):
-        return json.dumps(forest_to_obj(x))
-    raise TypeError(f"cannot serialize {type(x).__name__}")

@@ -10,6 +10,7 @@ property, only on misuse (size guard, underpowered statistics).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -17,11 +18,10 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from . import bijections
 from .errors import SizeGuardError, UnderpoweredTestError
 from .marks import (
-    Bud,
-    EdgeMark,
     EdgeMarkedTree,
     LeafMarkedTree,
     MarkedForest,
+    edge_marked_to_obj,
     is_excursion_forest,
     leaf_sequence,
 )
@@ -104,21 +104,23 @@ def enumerate_trees(d: int, n: int, force: bool = False) -> List[DaryTree]:
     return [DaryTree.from_preorder_code(d, code) for code in _codes(d, n)]
 
 
-def _mark_universe(tree: DaryTree):
-    d = tree.d
-    universe = [Bud(i) for i in range(d - 1)]
-    universe.extend(EdgeMark(u) for u in tree.nonroot_ids())
-    return universe
-
-
 def enumerate_marked_trees(
     d: int, n: int, force: bool = False
 ) -> Iterator[EdgeMarkedTree]:
-    """All edge-marked trees of size n, grouped by underlying tree."""
+    """All edge-marked trees of size n, grouped by underlying tree.
+
+    Within a tree, mark sets come in lexicographic order over the universe
+    b_0 .. b_{d-2}, then the edges in preorder.
+    """
     _guard(count_trees(d, n) * mark_set_count(d, n), force)
-    for tree in enumerate_trees(d, n, force=force):
-        for marks in combinations(_mark_universe(tree), d - 1):
-            yield EdgeMarkedTree(tree, marks)
+    of_code = EdgeMarkedTree.from_code
+    for code in _codes(d, n):
+        # bud b is the number b - (d - 1) < 0, an edge its position > 0
+        universe = [*range(1 - d, 0), *range(1, len(code))]
+        for chosen in combinations(universe, d - 1):
+            k = bisect_left(chosen, 0)
+            buds = tuple(b + d - 1 for b in chosen[:k])
+            yield of_code(d, code, buds, chosen[k:])
 
 
 def enumerate_inputs(
@@ -126,11 +128,12 @@ def enumerate_inputs(
 ) -> List[Tuple[EdgeMarkedTree, int]]:
     """Every (edge-marked tree, letter) pair of size n, exactly once."""
     _guard(count_trees(d, n) * mark_set_count(d, n) * d, force)
-    out = []
-    for marked in enumerate_marked_trees(d, n, force=force):
-        for a in range(1, d + 1):
-            out.append((marked, a))
-    return out
+    marked = enumerate_marked_trees(d, n, force=force)
+    return [(x, a) for x in marked for a in range(1, d + 1)]
+
+
+def _leaf_positions(code: Sequence[int]) -> List[int]:
+    return [p for p, sym in enumerate(code) if not sym]
 
 
 def enumerate_leaf_marked(
@@ -139,9 +142,9 @@ def enumerate_leaf_marked(
     """All size-n trees with m marked leaves."""
     leaves = (d - 1) * n + 1
     _guard(count_trees(d, n) * math.comb(leaves, m), force)
-    for tree in enumerate_trees(d, n, force=force):
-        for chosen in combinations(sorted(tree.leaf_ids(), key=tree.node_word), m):
-            yield LeafMarkedTree(tree, chosen)
+    for code in _codes(d, n):
+        for chosen in combinations(_leaf_positions(code), m):
+            yield LeafMarkedTree.from_code(d, code, chosen)
 
 
 def enumerate_forests(d: int, n: int, force: bool = False) -> Iterator[MarkedForest]:
@@ -149,13 +152,9 @@ def enumerate_forests(d: int, n: int, force: bool = False) -> Iterator[MarkedFor
     # loose guard: every forest is counted once via the split below
     _guard(d * math.comb(d * n + d - 1, d - 1) * count_trees(d, n), force)
     for sizes in _compositions(n, d):
-        per_position = []
-        for k in sizes:
-            position_trees = []
-            for tree in enumerate_trees(d, k, force=force):
-                leaf_list = sorted(tree.leaf_ids(), key=tree.node_word)
-                position_trees.append((tree, leaf_list))
-            per_position.append(position_trees)
+        per_position = [
+            [(code, _leaf_positions(code)) for code in _codes(d, k)] for k in sizes
+        ]
         for picks in product(*per_position):
             leaf_counts = [len(leaves) for _, leaves in picks]
             for marks in _compositions(d - 1, d):
@@ -168,8 +167,8 @@ def enumerate_forests(d: int, n: int, force: bool = False) -> Iterator[MarkedFor
                 for chosen in product(*mark_choices):
                     yield MarkedForest(
                         [
-                            LeafMarkedTree(tree, ids)
-                            for (tree, _), ids in zip(picks, chosen)
+                            LeafMarkedTree.from_code(d, code, leaves)
+                            for (code, _), leaves in zip(picks, chosen)
                         ]
                     )
 
@@ -218,12 +217,11 @@ def verify_enlarge_bijection(d: int, n: int, force: bool = False) -> dict:
             report["counterexample"] = {
                 "kind": "collision",
                 "input": _input_obj(x, a),
-                "other_input": images[key],
+                "other_input": _input_obj(*images[key]),
             }
             return report
-        images[key] = _input_obj(x, a)
-        code = key[1]
-        per_tree[code] = per_tree.get(code, 0) + 1
+        images[key] = (x, a)
+        per_tree[image.code] = per_tree.get(image.code, 0) + 1
         back, back_a = bijections.reduce(image)
         if back_a != a or back != x:
             report["counterexample"] = {
@@ -251,8 +249,6 @@ def verify_enlarge_bijection(d: int, n: int, force: bool = False) -> dict:
 
 
 def _input_obj(x: EdgeMarkedTree, a) -> dict:
-    from .marks import edge_marked_to_obj
-
     obj = edge_marked_to_obj(x)
     obj["letter"] = a
     return obj
@@ -341,10 +337,10 @@ def verify_binary_variants(n: int, force: bool = False) -> dict:
                         "kind": "collision",
                         "map": name,
                         "input": _input_obj(marked, side),
-                        "other_input": seen[key],
+                        "other_input": _input_obj(*seen[key]),
                     }
                     return report
-                seen[key] = _input_obj(marked, side)
+                seen[key] = (marked, side)
         if set(seen) != expected:
             report["counterexample"] = {
                 "kind": "image_mismatch",

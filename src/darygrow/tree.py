@@ -34,8 +34,6 @@ from .errors import (
 
 Word = Tuple[int, ...]
 
-ROOT_WORD: Word = ()
-
 
 def lex_compare(w1: Sequence[int], w2: Sequence[int]) -> int:
     """Compare two node words lexicographically.
@@ -98,7 +96,7 @@ class DaryTree:
     :meth:`to_preorder_code` as a dictionary key instead.
     """
 
-    __slots__ = ("d", "_parent", "_slot", "_children", "_free", "_root", "_internal")
+    __slots__ = ("d", "_parent", "_slot", "_children", "_free", "_root", "_internal", "_preorder")
 
     def __init__(self, d: int) -> None:
         if d < 2:
@@ -110,6 +108,7 @@ class DaryTree:
         self._free: List[int] = []
         self._root = 0
         self._internal = 0
+        self._preorder: Optional[Tuple[List[int], List[int]]] = None
 
     # ------------------------------------------------------------------
     # basic queries
@@ -146,9 +145,6 @@ class DaryTree:
         self._check_live(u)
         return self._children[u] is None
 
-    def is_internal(self, u: int) -> bool:
-        return not self.is_leaf(u)
-
     def parent(self, u: int) -> Optional[int]:
         """Parent id of ``u``, or None for the root."""
         self._check_live(u)
@@ -160,21 +156,6 @@ class DaryTree:
         self._check_live(u)
         return self._slot[u]
 
-    def children(self, u: int) -> Tuple[int, ...]:
-        """Child ids of ``u`` in slot order; empty tuple for a leaf."""
-        self._check_live(u)
-        return self._children[u] or ()
-
-    def child(self, u: int, slot: int) -> int:
-        """Child of ``u`` in slot ``slot`` (1-based)."""
-        self._check_live(u)
-        kids = self._children[u]
-        if kids is None:
-            raise NotALeafError(f"node {u} is a leaf, has no child {slot}")
-        if not 1 <= slot <= self.d:
-            raise ArityError(f"slot {slot} outside 1..{self.d}")
-        return kids[slot - 1]
-
     # ------------------------------------------------------------------
     # iteration
 
@@ -184,20 +165,9 @@ class DaryTree:
             if s >= 0:
                 yield u
 
-    def nonroot_ids(self) -> Iterator[int]:
-        root = self._root
-        for u in self.node_ids():
-            if u != root:
-                yield u
-
     def leaf_ids(self) -> Iterator[int]:
         for u in self.node_ids():
             if self._children[u] is None:
-                yield u
-
-    def internal_ids(self) -> Iterator[int]:
-        for u in self.node_ids():
-            if self._children[u] is not None:
                 yield u
 
     def nonroot_node_at(self, rank: int) -> int:
@@ -212,7 +182,8 @@ class DaryTree:
         if not self._free and len(self._slot) == self.node_count:
             # compact arena: live ids are exactly 0..node_count-1
             return rank if rank < self._root else rank + 1
-        for i, u in enumerate(self.nonroot_ids()):
+        nonroot = (u for u in self.node_ids() if u != self._root)
+        for i, u in enumerate(nonroot):
             if i == rank:
                 return u
         raise AssertionError("unreachable: rank checked against edge_count")
@@ -301,6 +272,7 @@ class DaryTree:
         for o, kids in zip(owners, zip(*[iter(ids)] * d)):
             children[o] = kids
         self._internal += len(owners)
+        self._preorder = None
 
     def expand_leaf(self, leaf: int) -> Tuple[int, ...]:
         """Turn ``leaf`` into an internal node with ``d`` fresh leaf children.
@@ -335,15 +307,6 @@ class DaryTree:
         sub._hang(owners, list(range(1, fresh)))
         return sub, visited
 
-    def copy_subtree(self, u: int) -> "DaryTree":
-        """Independent copy of the subtree rooted at ``u``, ``u`` as its root.
-
-        The copy gets the same ids :meth:`detach_subtree` would give it;
-        this tree is left unchanged.
-        """
-        self._check_live(u)
-        return self._copy_subtree(u)[0]
-
     def detach_subtree(self, u: int) -> "DaryTree":
         """Remove the subtree rooted at ``u`` and return it as a new tree.
 
@@ -363,6 +326,7 @@ class DaryTree:
         self._free.extend(to_free)
         children[u] = None
         self._internal -= sub._internal
+        self._preorder = None
         return sub
 
     def graft(self, leaf: int, sub: "DaryTree") -> None:
@@ -394,22 +358,37 @@ class DaryTree:
     # ------------------------------------------------------------------
     # serialization
 
-    def to_preorder_code(self) -> List[int]:
-        """Depth-first preorder child counts (each 0 or d)."""
+    def preorder(self) -> Tuple[List[int], List[int]]:
+        """The preorder code and the node ids in the same order: ``ids[i]``
+        is the node whose child count is ``code[i]``.
+
+        The two lists are kept until the tree changes, so that marking one
+        tree many times walks it once; callers must not modify them.
+        """
+        if self._preorder is not None:
+            return self._preorder
         d = self.d
         children = self._children
         code: List[int] = []
-        emit = code.append
+        ids: List[int] = []
+        emit, emit_id = code.append, ids.append
         stack = [self._root]
         pop, push = stack.pop, stack.extend
         while stack:
-            kids = children[pop()]
+            u = pop()
+            emit_id(u)
+            kids = children[u]
             if kids is None:
                 emit(0)
             else:
                 emit(d)
                 push(kids[::-1])
-        return code
+        self._preorder = (code, ids)
+        return self._preorder
+
+    def to_preorder_code(self) -> List[int]:
+        """Depth-first preorder child counts (each 0 or d)."""
+        return list(self.preorder()[0])
 
     @classmethod
     def from_preorder_code(cls, d: int, code: Sequence[int]) -> "DaryTree":
@@ -467,6 +446,7 @@ class DaryTree:
         dup._free = self._free.copy()
         dup._root = self._root
         dup._internal = self._internal
+        dup._preorder = self._preorder
         return dup
 
     def __eq__(self, other: object) -> bool:

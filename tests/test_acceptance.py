@@ -165,7 +165,9 @@ def test_criterion_10_cost_model(criterion):
         10, "3*10^6 allocations, O(d) steps, O(1)-class doubling", budget=120.0
     ) as budget:
         # the budget is met only by the compiled kernel
-        pytest.importorskip("darygrow._growth_c", reason="compiled kernel not built")
+        pytest.importorskip(
+            "darygrow._growth_c", reason="compiled kernel not built", exc_type=ImportError
+        )
         t0 = time.perf_counter()
         d, n = 3, 1_000_000
         # both sizes are read off one chain, at n and at 2n steps: a separate

@@ -5,6 +5,9 @@ pin concrete inputs whose outputs were worked out by hand, then let
 hypothesis batter the round trip on bigger random instances.
 """
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -34,9 +37,13 @@ from darygrow.marks import (
     EdgeMarkedTree,
     LeafMarkedTree,
     MarkedForest,
+    edge_marked_from_obj,
+    edge_marked_to_obj,
     is_excursion_forest,
+    leaf_marked_to_obj,
     leaf_sequence,
 )
+from darygrow.oracle import enumerate_inputs
 from darygrow.sampler import SplitMix64, make_kernel, sample_mark_set
 from darygrow.tree import DaryTree, new_root_tree
 
@@ -334,8 +341,6 @@ class TestBinaryVariants:
 
     def test_remy_multiplicity_at_n2(self):
         # every shape of size 3 shows up as image tree exactly 4 times
-        from darygrow.oracle import enumerate_inputs
-
         hits = {}
         for x, a in enumerate_inputs(2, 2):
             side = RIGHT if a == 1 else LEFT
@@ -344,3 +349,87 @@ class TestBinaryVariants:
             hits[shape] = hits.get(shape, 0) + 1
         assert len(hits) == 5
         assert set(hits.values()) == {4}
+
+
+# ----------------------------------------------------------------------
+# the map itself, pinned
+#
+# Bijectivity alone would allow any relabelling of the images; these
+# digests fix which image each input gets.  They were computed with the
+# tree-surgery implementation that preceded the code-based one.
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "cells,count,digest",
+    [
+        (
+            [(2, n) for n in range(5)],
+            350,
+            "c87e8be459c545d9f781393b6e56b92dd6e7ee95fe4444049315279aaa85a10a",
+        ),
+        (
+            [(3, n) for n in range(3)],
+            285,
+            "e766e6ffc2ef90c812df45e23b2b7b3b21f8b2c0780ab16b5b49f5db43897156",
+        ),
+    ],
+)
+def test_enlarge_images_pinned(cells, count, digest):
+    lines = []
+    for d, n in cells:
+        for x, a in enumerate_inputs(d, n):
+            obj = edge_marked_to_obj(x)
+            obj["letter"] = a
+            obj["image"] = leaf_marked_to_obj(enlarge(x, a))
+            lines.append(json.dumps(obj))
+    lines.sort()  # independent of the enumeration order
+    assert len(lines) == count
+    assert sha256("\n".join(lines)) == digest
+
+
+@pytest.mark.parametrize(
+    "obj,a,digest",
+    [
+        (
+            {"d": 3, "code": "0", "marks": [{"bud": 0}, {"bud": 1}]},
+            3,
+            "657fbc9407fb9b508fdd7ff40d4eb0f4825478ef8525be281eca67340608b179",
+        ),
+        (
+            {"d": 2, "code": "2 0 2 0 0", "marks": [{"edge": "21"}]},
+            2,
+            "d6411d1a34f70f6d1d37713f56fe48fe74691fe06e011332e080b735338f06f9",
+        ),
+        (
+            {"d": 3, "code": "3 0 3 0 0 0 0", "marks": [{"edge": "2"}, {"edge": "21"}]},
+            1,
+            "c2427e84cfd79a891413dec5fdbb700a7a67db0294350ee741e62d56314ed55e",
+        ),
+        (
+            {
+                "d": 4,
+                "code": "4 4 0 0 0 0 0 4 0 0 0 0 0",
+                "marks": [{"bud": 1}, {"edge": "12"}, {"edge": "3"}],
+            },
+            2,
+            "db0eea3d5ca124d22f2967f86edabb63301cfd63b9163a41f0e3aa768a757f06",
+        ),
+        (
+            {
+                "d": 5,
+                "code": "5 5 0 0 0 0 0 0 0 5 0 0 0 0 0 0",
+                "marks": [{"edge": "1"}, {"edge": "13"}, {"edge": "14"}, {"edge": "3"}],
+            },
+            4,
+            "e4246b39d6ce94ebf214870d5c5bff5bd7552242fa332f88d039e264c15c3752",
+        ),
+    ],
+)
+def test_trace_frames_pinned(obj, a, digest):
+    # the bytes `darygrow trace` prints for this input and letter
+    _, frames = enlarge_trace(edge_marked_from_obj(obj), a)
+    assert sha256(json.dumps(frames, indent=2)) == digest

@@ -72,7 +72,9 @@ def test_negative_emit_every_is_usage_error(capsys):
 
 @pytest.mark.parametrize("fmt", ["code", "paren", "json", "dot"])
 def test_formats_agree_across_kernels(fmt, capsys):
-    pytest.importorskip("darygrow._growth_c", reason="compiled kernel not built")
+    pytest.importorskip(
+        "darygrow._growth_c", reason="compiled kernel not built", exc_type=ImportError
+    )
     outs = []
     for kernel in ("python", "c"):
         argv = ["grow", "--d", "3", "--n", "40", "--seed", "2", "--format", fmt]
@@ -306,7 +308,9 @@ def test_uniform_single_class(capsys):
 def test_uniform_wide_arity(kernel, capsys):
     # histogram keys hold one byte per node whatever d is
     if kernel == "c":
-        pytest.importorskip("darygrow._growth_c", reason="compiled kernel not built")
+        pytest.importorskip(
+            "darygrow._growth_c", reason="compiled kernel not built", exc_type=ImportError
+        )
     argv = ["uniform", "--d", "256", "--n", "1", "--samples", "10", "--seed", "1"]
     code, out, err = run_cli(argv + ["--kernel", kernel], capsys)
     assert code == 0, err
@@ -419,6 +423,30 @@ def test_trace_rejects_garbage(tmp_path, capsys):
     path = write_marked(tmp_path, {"d": 2, "code": "2 0 0", "marks": []})
     code, _, err = run_cli(["trace", "--input", path, "--letter", "1"], capsys)
     assert code == 2  # wrong mark count surfaces as an input error
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[1,2]",
+        "null",
+        '{"d": 3, "code": 3}',
+        '{"d": 2, "code": "0", "marks": "ab"}',
+        '{"d": 2, "code": "2 0 0", "marks": [{"edge": 1}]}',
+        '{"d": 2, "code": "2 0 0", "marks": [1, {"bud": 0}]}',
+        '{"d": 2, "code": "0", "marks": [{"bud": null}]}',
+        '{"d": 1e999, "code": "0"}',
+    ],
+    ids=["list", "null", "int-code", "str-marks", "int-edge", "int-mark",
+         "null-bud", "inf-d"],
+)
+def test_trace_rejects_wrong_shapes(tmp_path, capsys, text):
+    # JSON of the wrong shape is an input error, not a traceback
+    f = tmp_path / "shape.json"
+    f.write_text(text)
+    code, out, err = run_cli(["trace", "--input", str(f), "--letter", "1"], capsys)
+    assert code == 2
+    assert out == "" and "cannot read marked tree" in err
 
 
 def test_trace_d_mismatch(tmp_path, capsys):

@@ -22,7 +22,9 @@ from darygrow.marks import Bud, EdgeMark, EdgeMarkedTree
 from darygrow.sampler import COUNTERS, SplitMix64, make_kernel
 from darygrow.tree import DaryTree
 
-c_kernel = pytest.importorskip("darygrow._growth_c", reason="compiled kernel not built")
+c_kernel = pytest.importorskip(
+    "darygrow._growth_c", reason="compiled kernel not built", exc_type=ImportError
+)
 
 
 def both(d, seed):

@@ -72,6 +72,15 @@ def test_leaf_marked_orders_by_word(cherry):
     assert a.mark_words() == ((1,), (2, 2))
 
 
+def test_marked_tree_is_a_value(cherry):
+    # the code is captured at construction; later surgery does not reach it
+    x = EdgeMarkedTree.from_words(cherry, edge_words=[(2, 1)])
+    key = x.key()
+    cherry.detach_subtree(cherry.node_at((2,)))  # frees the marked node
+    assert x.key() == key
+    assert edge_marked_to_obj(x) == {"d": 2, "code": "2 0 2 0 0", "marks": [{"edge": "21"}]}
+
+
 def test_keys_capture_shape_and_marks(cherry):
     a = EdgeMarkedTree.from_words(cherry, edge_words=[(2,)])
     b = EdgeMarkedTree.from_words(cherry, edge_words=[(2, 1)])

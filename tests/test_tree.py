@@ -163,6 +163,20 @@ class TestSurgery:
         t.expand_leaf(u)
         assert max(t.node_ids()) <= peak + 3  # mostly recycled slots
 
+    def test_preorder_follows_surgery(self):
+        # preorder() is kept between calls; every change must drop it
+        t = DaryTree.from_code_text(2, "2 2 0 0 2 0 0")
+        assert t.code_text() == "2 2 0 0 2 0 0"
+        u = t.node_at((1,))
+        sub = t.detach_subtree(u)
+        assert t.code_text() == "2 0 2 0 0"
+        t.graft(u, sub)
+        assert t.code_text() == "2 2 0 0 2 0 0"
+        c = t.copy()
+        c.expand_leaf(c.node_at((1, 1)))
+        assert c.code_text() == "2 2 2 0 0 0 2 0 0"
+        assert t.code_text() == "2 2 0 0 2 0 0"
+
     def test_copy_is_deep_and_id_stable(self):
         t = grown(3, 4, seed=9)
         c = t.copy()
