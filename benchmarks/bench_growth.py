@@ -18,8 +18,8 @@ the seconds of criterion 3's exhaustive bijection suite (median of three
 runs; the first also enumerates the trees), and the ms per enlarge ->
 reduce round trip on a grown tree of n = 10^4 for d = 2, 3 and 5 (median
 over ten random mark sets; `make_ms` is building the edge-marked tree from
-the grown tree, outside the trip: the first build per tree walks it, the
-others reuse that walk).
+the grown tree, outside the trip), and `from_code_ms`, the median of ten
+`DaryTree.from_preorder_code` calls on the grown tree's code.
 
 Usage: python benchmarks/bench_growth.py [--label L] [--seed N] [--quick]
 """
@@ -113,7 +113,12 @@ def suite_row(label):
 def trip_row(label, d, n, seed):
     k = make_kernel(d, seed)
     k.steps(n)
-    tree = DaryTree.from_preorder_code(d, k.preorder_code())
+    code = k.preorder_code()
+    from_code = []
+    for _ in range(TRIPS):
+        t0 = time.perf_counter()
+        tree = DaryTree.from_preorder_code(d, code)
+        from_code.append(time.perf_counter() - t0)
     rng = SplitMix64(seed + d)
     make, trip = [], []
     for _ in range(TRIPS):
@@ -133,6 +138,7 @@ def trip_row(label, d, n, seed):
         "d": d,
         "n": n,
         "trips": TRIPS,
+        "from_code_ms": round(statistics.median(from_code) * 1e3, 2),
         "make_ms": round(statistics.median(make) * 1e3, 2),
         "trip_ms": round(statistics.median(trip) * 1e3, 2),
     }
@@ -170,7 +176,7 @@ def main() -> int:
         else:
             print(
                 f"{r['label']:<8} round trip d={r['d']} n={r['n']}: {r['trip_ms']} ms"
-                f" (make {r['make_ms']} ms)"
+                f" (make {r['make_ms']} ms, from code {r['from_code_ms']} ms)"
             )
 
     record = {"machine": None, "rows": [], "reference": []}

@@ -30,7 +30,6 @@ from .errors import (
     MalformedCodeError,
     MalformedObjectError,
     MarkCountError,
-    NotALeafError,
     NotExcursionError,
     RootSurgeryError,
     SizeGuardError,
@@ -92,7 +91,6 @@ __all__ = [
     "MalformedObjectError",
     "MarkCountError",
     "MarkedForest",
-    "NotALeafError",
     "NotExcursionError",
     "OpCounters",
     "RIGHT",

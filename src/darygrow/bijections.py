@@ -21,9 +21,8 @@ the reference semantics those kernels are tested against.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, repeat
-from operator import add
-from typing import List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import List, Optional, Tuple
 
 from .errors import (
     ArityError,
@@ -42,23 +41,12 @@ from .marks import (
     leaf_sequence,
     mark_problems,
 )
-from .tree import format_word
+from .tree import _end, _walk, format_word
 
 # the two binary letters used by the d=2 variants; kept distinct from the
 # numeric letters 1..d on purpose
 RIGHT = "r"
 LEFT = "l"
-
-
-def _walk(code: Sequence[int]) -> List[int]:
-    """Łukasiewicz walk of a code: entry i is the sum of (symbol - 1) over
-    the positions before i, so it has one entry more than the code."""
-    return list(accumulate(map(add, code, repeat(-1)), initial=0))
-
-
-def _end(walk: List[int], p: int) -> int:
-    """One past the last position of the subtree at position ``p``."""
-    return walk.index(walk[p] - 1, p + 1)
 
 
 def _check_letter(d: int, a: int) -> None:
@@ -86,7 +74,7 @@ def cut(x: EdgeMarkedTree, a: int, details: Optional[list] = None):
         raise MarkCountError(problems[0])
     d = x.d
     code = x.code
-    walk = _walk(code)
+    walk = _walk(d, code)
     starts = (0,) + x.edges
     ends = [len(code)] + [_end(walk, p) for p in x.edges]
     free = sorted(set(range(d)) - set(x.buds))
@@ -194,7 +182,7 @@ def add_root_inv(t: LeafMarkedTree) -> MarkedForest:
     code = t.code
     if len(code) == 1:
         raise RootSurgeryError("single-node tree has no root to remove")
-    walk = _walk(code)
+    walk = _walk(t.d, code)
     parts = []
     s = 1
     for _ in range(t.d):
@@ -277,7 +265,7 @@ def remy_enlarge(x: EdgeMarkedTree, a: str) -> LeafMarkedTree:
         u, e = 0, len(code)  # the bud stands for the edge above the root
     else:
         u = x.edges[0]
-        e = _end(_walk(code), u)
+        e = _end(_walk(2, code), u)
     if a == RIGHT:
         middle, marked = (2,) + code[u:e] + (0,), e + 1
     else:
@@ -297,7 +285,7 @@ def third_enlarge(x: EdgeMarkedTree, a: str) -> LeafMarkedTree:
     if x.buds:
         return remy_enlarge(x, a)
     code = x.code
-    walk = _walk(code)
+    walk = _walk(2, code)
     u = x.edges[0]
     e = _end(walk, u)
     # the parent is the last node before u whose walk value is not above u's

@@ -18,7 +18,7 @@ from .marks import edge_marked_from_obj
 from .bijections import enlarge_trace
 from . import oracle
 from .sampler import COUNTERS, make_kernel
-from .tree import format_word
+from .tree import DaryTree, format_word, words_of_code
 
 SEED_ENV = "DARY_SEED"
 
@@ -34,6 +34,13 @@ def _positive(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"{value} is not positive")
+    return value
+
+
+def _alpha(text: str) -> float:
+    value = float(text)
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not inside (0, 1)")
     return value
 
 
@@ -63,31 +70,13 @@ def _effective_seed(args) -> int:
 # output formats
 
 
-def _words_of_code(d, code):
-    """Pair each preorder symbol with its node word."""
-    stack = []  # [word, children seen]
-    for sym in code:
-        if stack:
-            parent_word, used = stack[-1]
-            word = parent_word + (used + 1,)
-            stack[-1][1] += 1
-        else:
-            word = ()
-        yield word, sym
-        if sym:
-            stack.append([word, 0])
-        else:
-            while stack and stack[-1][1] == d:
-                stack.pop()
-
-
 def _dot_from_code(d, code):
     def name(w):
         return format_word(w) if w else "e"
 
     nodes = []
     edges = []
-    for word, sym in _words_of_code(d, code):
+    for word, sym in words_of_code(d, code):
         if sym:
             nodes.append(f'  "{name(word)}";')
         else:
@@ -225,8 +214,6 @@ def cmd_export(args) -> int:
     if d == 0:
         d = 2  # a single leaf renders the same for every arity
     try:
-        from .tree import DaryTree
-
         DaryTree.from_preorder_code(d, code)  # validation only
     except DarygrowError as exc:
         print(f"invalid code: {exc}", file=sys.stderr)
@@ -287,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     uni.add_argument("--n", type=_nonneg, required=True)
     uni.add_argument("--samples", type=_nonneg, required=True)
     uni.add_argument("--seed", type=int, default=None)
-    uni.add_argument("--alpha", type=float, default=0.001)
+    uni.add_argument("--alpha", type=_alpha, default=0.001)
     uni.add_argument("--kernel", choices=("python", "c"), default=None)
     uni.set_defaults(func=cmd_uniform)
 

@@ -12,16 +12,13 @@ class ArityError(DarygrowError, ValueError):
     """Arity is out of range (d must be at least 2) or two objects disagree on d."""
 
 
-class NotALeafError(DarygrowError, ValueError):
-    """An operation that needs a leaf was handed an internal node."""
-
-
 class RootSurgeryError(DarygrowError, ValueError):
-    """Attempt to detach or strip the root where that is undefined."""
+    """Attempt to strip the root of the single-node tree, which has none to remove."""
 
 
 class StaleNodeError(DarygrowError, KeyError):
-    """A node id does not reference a live arena slot."""
+    """A node id does not name a node of the tree: ids are the preorder
+    positions 0 .. node_count - 1."""
 
 
 class MalformedCodeError(DarygrowError, ValueError):

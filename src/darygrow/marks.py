@@ -10,8 +10,8 @@ i-th increment is (marks in tree i) - 1.
 Marked trees are immutable values: ``d``, the preorder code as a tuple,
 and each mark as a preorder position (buds stay bud indices).  Lex order on
 words is preorder order, so positions sort and compare as words would.
-``.tree`` and the node ids in ``.marks`` / ``.marked_leaves`` are built on
-first use; a marked tree made from a ``DaryTree`` keeps that tree and ids.
+A node id of a ``DaryTree`` is its preorder position, so the ids in
+``.marks`` / ``.marked_leaves`` are the positions themselves.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, List, Sequence, Tuple, Union
 
-from .errors import ArityError, MalformedObjectError, MarkCountError, StaleNodeError
-from .tree import DaryTree, Word, format_word, parse_word
+from .errors import ArityError, MalformedObjectError, MarkCountError
+from .tree import DaryTree, Word, format_word, parse_word, words_of_code
 from .walks import LukWalk
 
 
@@ -44,14 +44,6 @@ MarkTarget = Union[Bud, EdgeMark]
 Code = Tuple[int, ...]  # a preorder code, or sorted preorder positions
 
 
-def _position(ids: List[int], u: int) -> int:
-    """Preorder position of node ``u``, given the ids in preorder."""
-    try:
-        return ids.index(u)
-    except ValueError:
-        raise StaleNodeError(u) from None
-
-
 class _Value:
     """Equality by ``key()``, which is also the hashable identity."""
 
@@ -64,42 +56,29 @@ class _Value:
 
 
 class _CodeTree(_Value):
-    """The code form shared by both marked trees, and their lazy tree."""
+    """The code form shared by both marked trees."""
 
-    __slots__ = ("d", "code", "_tree", "_ids")
-
-    def _capture(self, tree: DaryTree) -> List[int]:
-        """Take the code of ``tree`` and keep the tree; returns its ids."""
-        code, self._ids = tree.preorder()
-        self.d, self.code, self._tree = tree.d, tuple(code), tree
-        return self._ids
+    __slots__ = ("d", "code")
 
     @property
     def n(self) -> int:
         """Number of internal nodes."""
         return (len(self.code) - 1) // self.d
 
-    def _arena(self) -> Tuple[DaryTree, List[int]]:
-        if self._tree is None:
-            tree = DaryTree.from_preorder_code(self.d, self.code)
-            self._tree, self._ids = tree, tree.preorder()[1]
-        return self._tree, self._ids
-
     @property
     def tree(self) -> DaryTree:
-        """The tree as a ``DaryTree``, built on first use; do not modify it."""
-        return self._arena()[0]
-
-    def _node_ids(self, positions: Sequence[int]) -> Tuple[int, ...]:
-        ids = self._arena()[1]
-        return tuple(ids[p] for p in positions)
+        """The tree as a ``DaryTree``, over the same code tuple."""
+        return DaryTree._wrap(self.d, self.code)
 
     def words(self, positions: Sequence[int]) -> Tuple[Word, ...]:
-        """The words of the nodes at these preorder positions, read off the
-        code (not off ``.tree``, which its owner may have changed since)."""
-        tree = DaryTree.from_preorder_code(self.d, self.code)
-        ids = tree.preorder()[1]
-        return tuple(tree.node_word(ids[p]) for p in positions)
+        """The words of the nodes at these preorder positions."""
+        wanted = set(positions)
+        found = {
+            p: word
+            for p, (word, _) in enumerate(words_of_code(self.d, self.code))
+            if p in wanted
+        }
+        return tuple(found[p] for p in positions)
 
 
 class EdgeMarkedTree(_CodeTree):
@@ -114,10 +93,10 @@ class EdgeMarkedTree(_CodeTree):
     __slots__ = ("buds", "edges")
 
     def __init__(self, tree: DaryTree, marks: Iterable[MarkTarget]) -> None:
-        ids = self._capture(tree)
+        self.d, self.code = tree.d, tree.code
         marks = tuple(marks)
         self.buds = tuple(sorted(m.index for m in marks if isinstance(m, Bud)))
-        edges = (_position(ids, m.child) for m in marks if not isinstance(m, Bud))
+        edges = (tree.check_node(m.child) for m in marks if not isinstance(m, Bud))
         self.edges = tuple(sorted(edges))
 
     @classmethod
@@ -125,7 +104,6 @@ class EdgeMarkedTree(_CodeTree):
         """The value with these fields, taken as given (tuples sorted)."""
         x = cls.__new__(cls)
         x.d, x.code, x.buds, x.edges = d, code, buds, edges
-        x._tree = x._ids = None
         return x
 
     @classmethod
@@ -142,7 +120,7 @@ class EdgeMarkedTree(_CodeTree):
     @property
     def marks(self) -> Tuple[MarkTarget, ...]:
         """The marks in canonical order: buds by index, then edges by word."""
-        return (*map(Bud, self.buds), *map(EdgeMark, self._node_ids(self.edges)))
+        return (*map(Bud, self.buds), *map(EdgeMark, self.edges))
 
     def key(self):
         """Hashable canonical identity: (d, code, buds, edge positions)."""
@@ -160,9 +138,9 @@ class LeafMarkedTree(_CodeTree):
     __slots__ = ("leaves",)
 
     def __init__(self, tree: DaryTree, marked_leaves: Iterable[int]) -> None:
-        ids = self._capture(tree)
+        self.d, self.code = tree.d, tree.code
         self.leaves: Tuple[int, ...] = tuple(
-            sorted({_position(ids, u) for u in marked_leaves})
+            sorted({tree.check_node(u) for u in marked_leaves})
         )
 
     @classmethod
@@ -170,7 +148,6 @@ class LeafMarkedTree(_CodeTree):
         """The value with these fields, taken as given (leaves sorted)."""
         t = cls.__new__(cls)
         t.d, t.code, t.leaves = d, code, leaves
-        t._tree = t._ids = None
         return t
 
     @classmethod
@@ -182,7 +159,7 @@ class LeafMarkedTree(_CodeTree):
     @property
     def marked_leaves(self) -> Tuple[int, ...]:
         """Node ids of the marked leaves in ``.tree``, in word order."""
-        return self._node_ids(self.leaves)
+        return self.leaves
 
     def mark_words(self) -> Tuple[Word, ...]:
         return self.words(self.leaves)
@@ -264,12 +241,10 @@ def validate(x: Union[EdgeMarkedTree, LeafMarkedTree, MarkedForest]) -> List[str
     problems: List[str] = []
     if isinstance(x, EdgeMarkedTree):
         problems.extend(mark_problems(x))
-        problems.extend(x.tree.validate())
     elif isinstance(x, LeafMarkedTree):
         problems.extend(
             f"marked node at position {p} is internal" for p in x.leaves if x.code[p]
         )
-        problems.extend(x.tree.validate())
     elif isinstance(x, MarkedForest):
         if any(t.d != x.d for t in x.trees):
             problems.append("mixed arities in forest")

@@ -74,8 +74,8 @@ def uniform_below(rng: SplitMix64, k: int) -> int:
 def sample_mark_set(rng: SplitMix64, tree: DaryTree) -> List[MarkTarget]:
     """Uniform (d-1)-subset of the edges and buds of ``tree``.
 
-    Ranks below the edge count name edges through the tree's own arena
-    order of non-root nodes; the top d-1 ranks name the buds.  Duplicate
+    Rank r below the edge count names the edge above the non-root node
+    at preorder position r + 1; the top d-1 ranks name the buds.  Duplicate
     ranks are rejected and redrawn, so the subset is exactly uniform.
     """
     d = tree.d

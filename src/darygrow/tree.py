@@ -1,36 +1,34 @@
-"""Arena-backed d-ary trees.
+"""Immutable d-ary trees held as their preorder code.
 
 A d-ary tree is a rooted plane tree in which every node has exactly ``d``
-children or none.  Nodes live in an indexed arena: three parallel tables
-hold the parent id, the child slot occupied in that parent, and the tuple
-of child ids.  Freed slots are recycled through a free list so long-running
-growth keeps a compact arena and a constant allocation count per step.
+children or none.  Its preorder code lists the child count of each node,
+0 or ``d``, in depth-first preorder; a tree is that code and nothing else.
 
 Nodes are addressed in two ways:
 
-* by **id**, an integer index into the arena (cheap, not stable across
-  copies that relabel), or
+* by **id**, which is the node's position in the preorder code: the root
+  is 0, and the first child of an internal node ``u`` is ``u + 1``, or
 * by **word**, the sequence of child slots on the path from the root, the
   root being the empty word.  Words over the alphabet ``1..d`` are ordered
   lexicographically with the convention that a strict prefix sorts before
-  any of its extensions.
+  any of its extensions; that order is preorder order, so ids sort as
+  words do.
 
 Edges are identified with their child node throughout the package, so "the
 edge at u" means the edge between ``u`` and its parent; the root names no
 edge.
+
+The subtree at position p is the slice of the code that ends where the
+Łukasiewicz walk (the running sum of symbol - 1) first drops below its
+value at p.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .errors import (
-    ArityError,
-    MalformedCodeError,
-    NotALeafError,
-    RootSurgeryError,
-    StaleNodeError,
-)
+from .errors import ArityError, MalformedCodeError, StaleNodeError
 
 Word = Tuple[int, ...]
 
@@ -75,103 +73,158 @@ def parse_word(text: str) -> Word:
     return tuple(int(ch) for ch in text)
 
 
+def _walk(d: int, code: Sequence[int]) -> List[int]:
+    """Łukasiewicz walk of a code: entry i is the sum of (symbol - 1) over
+    the positions before i, so it has one entry more than the code.
+    A symbol other than 0 and ``d`` raises KeyError."""
+    steps = {0: -1, d: d - 1}
+    return list(accumulate(map(steps.__getitem__, code), initial=0))
+
+
+def _end(walk: List[int], p: int) -> int:
+    """One past the last position of the subtree at position ``p``."""
+    return walk.index(walk[p] - 1, p + 1)
+
+
+def words_of_code(d: int, code: Sequence[int]) -> Iterator[Tuple[Word, int]]:
+    """Pair each preorder symbol of a well-formed code with its node word."""
+    stack = []  # [word, children seen]
+    for sym in code:
+        if stack:
+            parent_word, used = stack[-1]
+            word = parent_word + (used + 1,)
+            stack[-1][1] += 1
+        else:
+            word = ()
+        yield word, sym
+        if sym:
+            stack.append([word, 0])
+        else:
+            while stack and stack[-1][1] == d:
+                stack.pop()
+
+
 class DaryTree:
-    """Mutable arity-``d`` plane tree in an indexed arena.
+    """Immutable arity-``d`` plane tree: ``d`` and the preorder code
+    ``code``, a tuple.
 
-    Parameters
-    ----------
-    d : int
-        Arity; every internal node has exactly ``d`` children.  Must be
-        at least 2.
+    ``DaryTree(d)`` is the single-node tree and ``DaryTree(d, code)`` the
+    tree with that code, checked as :meth:`from_preorder_code` checks it.
+    A node id is a preorder position, ``0 .. node_count - 1``; any other
+    id raises :class:`StaleNodeError`.  For a tree with ``n`` internal
+    nodes, ``node_count == d*n + 1``, ``leaf_count == (d-1)*n + 1`` and
+    ``edge_count == d*n``.
 
-    Notes
-    -----
-    A freshly constructed tree has a single node, the root, which is a
-    leaf.  Structural identities maintained at all times for a tree with
-    ``n`` internal nodes: ``node_count == d*n + 1``,
-    ``leaf_count == (d-1)*n + 1`` and ``edge_count == d*n``.
-
-    Equality compares shape (arity plus preorder code), not arena layout.
-    Instances are mutable and therefore unhashable; use
-    :meth:`to_preorder_code` as a dictionary key instead.
+    Equality compares arity and code.  Instances are unhashable; use
+    ``code`` as a dictionary key.  Parents, slots, depths and the walk that
+    :meth:`node_at` steps along come from one pass over the code, made on
+    first use and kept.
     """
 
-    __slots__ = ("d", "_parent", "_slot", "_children", "_free", "_root", "_internal", "_preorder")
+    __slots__ = ("d", "code", "_links")
 
-    def __init__(self, d: int) -> None:
+    def __init__(self, d: int, code: Sequence[int] = (0,)) -> None:
         if d < 2:
             raise ArityError(f"arity must be >= 2, got {d}")
-        self.d = d
-        self._parent: List[int] = [-1]
-        self._slot: List[int] = [0]
-        self._children: List[Optional[Tuple[int, ...]]] = [None]
-        self._free: List[int] = []
-        self._root = 0
-        self._internal = 0
-        self._preorder: Optional[Tuple[List[int], List[int]]] = None
+        code = tuple(code)
+        _check_code(d, code)
+        self._set(d, code)
+
+    def _set(self, d: int, code: Tuple[int, ...]) -> None:
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "_links", None)
+
+    @classmethod
+    def _wrap(cls, d: int, code: Tuple[int, ...]) -> "DaryTree":
+        """The tree of a code known to be well formed, with no check."""
+        tree = cls.__new__(cls)
+        tree._set(d, code)
+        return tree
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"DaryTree is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"DaryTree is immutable; cannot delete {name!r}")
 
     # ------------------------------------------------------------------
     # basic queries
 
     @property
     def root(self) -> int:
-        return self._root
+        return 0
 
     @property
     def internal_count(self) -> int:
         """Number of internal nodes (``n``)."""
-        return self._internal
+        return (len(self.code) - 1) // self.d
 
     @property
     def node_count(self) -> int:
-        return self.d * self._internal + 1
+        return len(self.code)
 
     @property
     def leaf_count(self) -> int:
-        return (self.d - 1) * self._internal + 1
+        return (self.d - 1) * self.internal_count + 1
 
     @property
     def edge_count(self) -> int:
-        return self.d * self._internal
+        return len(self.code) - 1
 
-    def is_live(self, u: int) -> bool:
-        return 0 <= u < len(self._slot) and self._slot[u] >= 0
-
-    def _check_live(self, u: int) -> None:
-        if not self.is_live(u):
-            raise StaleNodeError(u)
+    def check_node(self, u: int) -> int:
+        """``u`` itself if it names a node of this tree, else StaleNodeError."""
+        if not 0 <= u < len(self.code):
+            raise StaleNodeError(
+                f"{u} does not name a node; ids run 0 .. {len(self.code) - 1}"
+            )
+        return u
 
     def is_leaf(self, u: int) -> bool:
-        self._check_live(u)
-        return self._children[u] is None
+        return self.code[self.check_node(u)] == 0
+
+    def _walked(self) -> Tuple[List[int], List[int], List[int], List[int]]:
+        """Parent, slot and depth of every node, from one pass over the
+        code, and the code's Łukasiewicz walk."""
+        if self._links is None:
+            d, size = self.d, len(self.code)
+            parent, slot, depth = [-1] * size, [0] * size, [0] * size
+            stack = []  # [id, children seen] of nodes with children to come
+            for u, sym in enumerate(self.code):
+                if stack:
+                    top = stack[-1]
+                    p = top[0]
+                    s = top[1] = top[1] + 1
+                    parent[u], slot[u], depth[u] = p, s, depth[p] + 1
+                    if s == d:
+                        stack.pop()
+                if sym:
+                    stack.append([u, 0])
+            walk = _walk(d, self.code)
+            object.__setattr__(self, "_links", (parent, slot, depth, walk))
+        return self._links
 
     def parent(self, u: int) -> Optional[int]:
         """Parent id of ``u``, or None for the root."""
-        self._check_live(u)
-        p = self._parent[u]
+        p = self._walked()[0][self.check_node(u)]
         return None if p < 0 else p
 
     def slot(self, u: int) -> int:
         """Child slot (1..d) that ``u`` occupies in its parent; 0 for the root."""
-        self._check_live(u)
-        return self._slot[u]
+        return self._walked()[1][self.check_node(u)]
 
     # ------------------------------------------------------------------
     # iteration
 
-    def node_ids(self) -> Iterator[int]:
-        """Live node ids in arena order (ascending id)."""
-        for u, s in enumerate(self._slot):
-            if s >= 0:
-                yield u
+    def node_ids(self) -> range:
+        """Every node id, in preorder."""
+        return range(len(self.code))
 
     def leaf_ids(self) -> Iterator[int]:
-        for u in self.node_ids():
-            if self._children[u] is None:
-                yield u
+        return (u for u, sym in enumerate(self.code) if not sym)
 
     def nonroot_node_at(self, rank: int) -> int:
-        """Node id of the ``rank``-th non-root node in arena order.
+        """Node id of the ``rank``-th non-root node in preorder.
 
         This fixes the rank-to-edge correspondence used by the sampler:
         ranks ``0 .. edge_count-1`` enumerate edges through the child node
@@ -179,220 +232,52 @@ class DaryTree:
         """
         if not 0 <= rank < self.edge_count:
             raise IndexError(f"edge rank {rank} outside [0, {self.edge_count})")
-        if not self._free and len(self._slot) == self.node_count:
-            # compact arena: live ids are exactly 0..node_count-1
-            return rank if rank < self._root else rank + 1
-        nonroot = (u for u in self.node_ids() if u != self._root)
-        for i, u in enumerate(nonroot):
-            if i == rank:
-                return u
-        raise AssertionError("unreachable: rank checked against edge_count")
+        return rank + 1
 
     # ------------------------------------------------------------------
     # words
 
     def node_word(self, u: int) -> Word:
         """Slot path from the root down to ``u``; the root gives ()."""
-        self._check_live(u)
+        self.check_node(u)
+        parent, slot = self._walked()[:2]
         letters = []
-        while self._parent[u] >= 0:
-            letters.append(self._slot[u])
-            u = self._parent[u]
+        while u > 0:
+            letters.append(slot[u])
+            u = parent[u]
         letters.reverse()
         return tuple(letters)
 
     def node_at(self, word: Sequence[int]) -> int:
         """Node id found by walking ``word`` from the root."""
-        u = self._root
+        code, d = self.code, self.d
+        walk = self._walked()[3]
+        u = 0
         for letter in word:
-            kids = self._children[u]
-            if kids is None or not 1 <= letter <= self.d:
+            if not code[u] or not 1 <= letter <= d:
                 raise KeyError(f"no node at word {tuple(word)!r}")
-            u = kids[letter - 1]
+            u += 1  # the first child; then skip the siblings before this one
+            for _ in range(letter - 1):
+                u = _end(walk, u)
         return u
 
     def depth(self, u: int) -> int:
-        return len(self.node_word(u))
+        return self._walked()[2][self.check_node(u)]
 
     def height(self) -> int:
         """Length of the longest root-to-leaf path."""
-        best = 0
-        stack = [(self._root, 0)]
-        while stack:
-            u, h = stack.pop()
-            kids = self._children[u]
-            if kids is None:
-                if h > best:
-                    best = h
-            else:
-                stack.extend((c, h + 1) for c in kids)
-        return best
-
-    # ------------------------------------------------------------------
-    # surgery
-    #
-    # An allocation takes the most recently freed id, or else the next id
-    # past the end of the arena, and an expansion allocates its d children
-    # in slot order.  Bulk surgery first walks the nodes it touches, then
-    # writes the arena rows in one go, handing out exactly the ids that
-    # expanding one leaf at a time would.
-
-    def _take_ids(self, count: int) -> List[int]:
-        """The ids of the next ``count`` allocations, in allocation order."""
-        free = self._free
-        k = min(count, len(free))
-        ids = free[len(free) - k :]
-        ids.reverse()
-        del free[len(free) - k :]
-        start = len(self._slot)
-        ids.extend(range(start, start + count - k))
-        return ids
-
-    def _hang(self, owners: List[int], ids: List[int]) -> None:
-        """Make ``ids[i*d:(i+1)*d]`` the children of ``owners[i]``.
-
-        ``ids`` come from :meth:`_take_ids`: recycled ids first, then fresh
-        ones past the end of the arena.
-        """
-        d = self.d
-        parent, slot, children = self._parent, self._slot, self._children
-        rows = [0] * len(ids)  # the parent of each id
-        for s in range(d):
-            rows[s::d] = owners
-        slots = list(range(1, d + 1)) * len(owners)
-        # recycled ids lie inside the arena, fresh ones past its end
-        recycled = len(ids) - max(0, ids[-1] + 1 - len(slot)) if ids else 0
-        for u, p, s in zip(ids[:recycled], rows, slots):
-            parent[u] = p
-            slot[u] = s
-            children[u] = None
-        parent.extend(rows[recycled:])
-        slot.extend(slots[recycled:])
-        children.extend([None] * (len(ids) - recycled))
-        for o, kids in zip(owners, zip(*[iter(ids)] * d)):
-            children[o] = kids
-        self._internal += len(owners)
-        self._preorder = None
-
-    def expand_leaf(self, leaf: int) -> Tuple[int, ...]:
-        """Turn ``leaf`` into an internal node with ``d`` fresh leaf children.
-
-        Returns the new child ids in slot order.
-        """
-        self._check_live(leaf)
-        if self._children[leaf] is not None:
-            raise NotALeafError(f"node {leaf} is internal")
-        self._hang([leaf], self._take_ids(self.d))
-        return self._children[leaf]
-
-    def _copy_subtree(self, u: int) -> Tuple["DaryTree", List[int]]:
-        """Copy of the subtree at ``u`` plus the ids it covers, in visit order."""
-        d = self.d
-        children = self._children
-        sub = DaryTree(d)
-        owners: List[int] = []
-        visited: List[int] = []
-        here, there = [u], [sub.root]  # a stack of (id here, id there) pairs
-        fresh = 1
-        while here:
-            v = here.pop()
-            w = there.pop()
-            visited.append(v)
-            kids = children[v]
-            if kids is not None:
-                owners.append(w)
-                here.extend(kids)
-                there.extend(range(fresh, fresh + d))
-                fresh += d
-        sub._hang(owners, list(range(1, fresh)))
-        return sub, visited
-
-    def detach_subtree(self, u: int) -> "DaryTree":
-        """Remove the subtree rooted at ``u`` and return it as a new tree.
-
-        ``u`` itself stays behind as a leaf of this tree; the returned tree
-        is an independent copy of the subtree with ``u`` relabelled to the
-        root.  Detaching the root is undefined.
-        """
-        self._check_live(u)
-        if u == self._root:
-            raise RootSurgeryError("cannot detach the root")
-        sub, visited = self._copy_subtree(u)
-        slot, children = self._slot, self._children
-        to_free = visited[1:]
-        for v in to_free:
-            slot[v] = -1
-            children[v] = None
-        self._free.extend(to_free)
-        children[u] = None
-        self._internal -= sub._internal
-        self._preorder = None
-        return sub
-
-    def graft(self, leaf: int, sub: "DaryTree") -> None:
-        """Replace ``leaf`` by a copy of ``sub``.
-
-        Grafting a single-node tree is a no-op on the node set.  ``sub`` is
-        not consumed; its nodes are copied in.
-        """
-        self._check_live(leaf)
-        if sub.d != self.d:
-            raise ArityError(f"arity mismatch: {self.d} vs {sub.d}")
-        if self._children[leaf] is not None:
-            raise NotALeafError(f"node {leaf} is internal")
-        d = self.d
-        sub_children = sub._children
-        ids = self._take_ids(d * sub._internal)
-        owners: List[int] = []
-        there, here = [sub.root], [leaf]  # a stack of (id there, id here) pairs
-        while there:
-            kids = sub_children[there.pop()]
-            v = here.pop()
-            if kids is not None:
-                taken = d * len(owners)
-                owners.append(v)
-                there.extend(kids)
-                here.extend(ids[taken : taken + d])
-        self._hang(owners, ids)
+        return max(self._walked()[2])
 
     # ------------------------------------------------------------------
     # serialization
 
-    def preorder(self) -> Tuple[List[int], List[int]]:
-        """The preorder code and the node ids in the same order: ``ids[i]``
-        is the node whose child count is ``code[i]``.
-
-        The two lists are kept until the tree changes, so that marking one
-        tree many times walks it once; callers must not modify them.
-        """
-        if self._preorder is not None:
-            return self._preorder
-        d = self.d
-        children = self._children
-        code: List[int] = []
-        ids: List[int] = []
-        emit, emit_id = code.append, ids.append
-        stack = [self._root]
-        pop, push = stack.pop, stack.extend
-        while stack:
-            u = pop()
-            emit_id(u)
-            kids = children[u]
-            if kids is None:
-                emit(0)
-            else:
-                emit(d)
-                push(kids[::-1])
-        self._preorder = (code, ids)
-        return self._preorder
-
     def to_preorder_code(self) -> List[int]:
-        """Depth-first preorder child counts (each 0 or d)."""
-        return list(self.preorder()[0])
+        """Depth-first preorder child counts (each 0 or d), as a new list."""
+        return list(self.code)
 
     @classmethod
     def from_preorder_code(cls, d: int, code: Sequence[int]) -> "DaryTree":
-        """Rebuild a tree from its preorder code.
+        """The tree with this preorder code.
 
         Raises
         ------
@@ -400,30 +285,11 @@ class DaryTree:
             If a symbol is neither 0 nor d, the code ends while nodes are
             still pending, or symbols remain after the tree is complete.
         """
-        tree = cls(d)
-        owners: List[int] = []
-        pending = [tree.root]
-        fresh = 1
-        for pos, sym in enumerate(code):
-            if not pending:
-                raise MalformedCodeError(f"trailing symbol at position {pos}")
-            u = pending.pop()
-            if sym == d:
-                owners.append(u)
-                pending.extend(range(fresh + d - 1, fresh - 1, -1))
-                fresh += d
-            elif sym != 0:
-                raise MalformedCodeError(
-                    f"symbol {sym} at position {pos} is neither 0 nor {d}"
-                )
-        if pending:
-            raise MalformedCodeError(f"code ended with {len(pending)} nodes pending")
-        tree._hang(owners, list(range(1, fresh)))
-        return tree
+        return cls(d, code)
 
     def code_text(self) -> str:
         """Preorder code as space-separated ASCII decimals."""
-        return " ".join(str(s) for s in self.to_preorder_code())
+        return " ".join(map(str, self.code))
 
     @classmethod
     def from_code_text(cls, d: int, text: str) -> "DaryTree":
@@ -431,60 +297,45 @@ class DaryTree:
             code = [int(tok) for tok in text.split()]
         except ValueError as exc:
             raise MalformedCodeError(str(exc)) from None
-        return cls.from_preorder_code(d, code)
+        return cls(d, code)
 
     # ------------------------------------------------------------------
-    # copying, equality, checking
-
-    def copy(self) -> "DaryTree":
-        """Deep copy preserving arena ids exactly."""
-        dup = DaryTree.__new__(DaryTree)
-        dup.d = self.d
-        dup._parent = self._parent.copy()
-        dup._slot = self._slot.copy()
-        dup._children = self._children.copy()  # child tuples are immutable
-        dup._free = self._free.copy()
-        dup._root = self._root
-        dup._internal = self._internal
-        dup._preorder = self._preorder
-        return dup
+    # equality
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DaryTree):
             return NotImplemented
-        return self.d == other.d and self.to_preorder_code() == other.to_preorder_code()
+        return self.d == other.d and self.code == other.code
 
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        return f"DaryTree(d={self.d}, internal={self._internal})"
+        return f"DaryTree(d={self.d}, internal={self.internal_count})"
 
-    def validate(self) -> List[str]:
-        """Structural self-check; returns a list of violation strings."""
-        problems = []
-        live = list(self.node_ids())
-        roots = [u for u in live if self._parent[u] < 0]
-        if roots != [self._root]:
-            problems.append(f"root set {roots} != [{self._root}]")
-        internal = 0
-        for u in live:
-            kids = self._children[u]
-            if kids is None:
-                continue
-            internal += 1
-            if len(kids) != self.d:
-                problems.append(f"node {u} has {len(kids)} children")
-                continue
-            for s, c in enumerate(kids, start=1):
-                if not self.is_live(c):
-                    problems.append(f"child {c} of {u} not live")
-                elif self._parent[c] != u or self._slot[c] != s:
-                    problems.append(f"backlink of child {c} of {u} inconsistent")
-        if internal != self._internal:
-            problems.append(f"internal_count {self._internal} != counted {internal}")
-        if len(live) != self.d * internal + 1:
-            problems.append(f"node count {len(live)} != {self.d}*{internal}+1")
-        return problems
+
+def _check_code(d: int, code: Tuple[int, ...]) -> None:
+    """Raise MalformedCodeError unless ``code`` is the preorder code of a
+    d-ary tree.  The error names the first position at which reading the
+    code symbol by symbol goes wrong."""
+    try:
+        walk, bad = _walk(d, code), len(code)
+    except KeyError:
+        bad = next(i for i, s in enumerate(code) if s != 0 and s != d)
+        walk = _walk(d, code[:bad])
+    # a step is -1 or d-1 >= 1, so the walk first drops below 0 at -1,
+    # where the tree is complete
+    try:
+        done = walk.index(-1)
+    except ValueError:
+        done = len(code) + 1
+    if done < len(code):
+        raise MalformedCodeError(f"trailing symbol at position {done}")
+    if bad < len(code):
+        raise MalformedCodeError(
+            f"symbol {code[bad]} at position {bad} is neither 0 nor {d}"
+        )
+    if done > len(code):
+        raise MalformedCodeError(f"code ended with {walk[-1] + 1} nodes pending")
 
 
 def new_root_tree(d: int) -> DaryTree:

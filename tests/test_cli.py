@@ -5,6 +5,7 @@ separation are asserted directly; a couple of determinism checks shell out
 to fresh interpreters because that is the actual contract.
 """
 
+import hashlib
 import json
 import os
 import re
@@ -212,6 +213,15 @@ def test_dot_output(capsys):
     assert sum(1 for m in nodes if m.group(2)) == 6 + 1
 
 
+def test_dot_output_pinned(capsys):
+    # byte-identical to the output before the word walk moved to tree.py
+    _, out, _ = run_cli(
+        ["grow", "--d", "3", "--n", "300", "--seed", "9", "--format", "dot"], capsys
+    )
+    digest = hashlib.sha256(out.encode("ascii")).hexdigest()
+    assert digest == "780b2ca817e02937b560294e5b9aab9a7b261315da13c288d94d3e861ba2e66a"
+
+
 def test_export_basics(tmp_path, capsys):
     f = tmp_path / "code.txt"
     f.write_text("0\n")
@@ -315,6 +325,15 @@ def test_uniform_wide_arity(kernel, capsys):
     code, out, err = run_cli(argv + ["--kernel", kernel], capsys)
     assert code == 0, err
     assert json.loads(out)["pass"] is True
+
+
+@pytest.mark.parametrize("alpha", ["nan", "0", "5", "-1", "1"])
+def test_uniform_alpha_outside_unit_interval_is_usage_error(alpha, capsys):
+    argv = ["uniform", "--d", "2", "--n", "2", "--samples", "100", "--seed", "1"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--alpha", alpha])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_uniform_underpowered_exits_2(capsys):
@@ -447,6 +466,38 @@ def test_trace_rejects_wrong_shapes(tmp_path, capsys, text):
     code, out, err = run_cli(["trace", "--input", str(f), "--letter", "1"], capsys)
     assert code == 2
     assert out == "" and "cannot read marked tree" in err
+
+
+@pytest.mark.parametrize(
+    "args,text,message",
+    [
+        (["export"], "1000000000 0", "invalid code: "),
+        (
+            ["trace", "--letter", "1"],
+            '{"d":1000000000,"code":"1000000000 0","marks":[]}',
+            "cannot read marked tree: ",
+        ),
+    ],
+    ids=["export", "trace"],
+)
+def test_huge_arity_input_is_refused_in_bounded_memory(tmp_path, args, text, message):
+    # checking a code must not allocate per unit of d; under a 1 GiB
+    # address-space limit a d = 10^9 input is an input error, not a MemoryError
+    path = tmp_path / "input"
+    path.write_text(text)
+    argv = [*args, "--input", str(path)]
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from darygrow.cli import main\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith(message)
+    assert out.stdout == ""
 
 
 def test_trace_d_mismatch(tmp_path, capsys):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from darygrow.errors import ArityError, MarkCountError
+from darygrow.errors import ArityError, MarkCountError, StaleNodeError
 from darygrow.marks import (
     Bud,
     EdgeMark,
@@ -73,19 +73,28 @@ def test_leaf_marked_orders_by_word(cherry):
 
 
 def test_marked_tree_is_a_value(cherry):
-    # the code is captured at construction; later surgery does not reach it
+    # a marked tree holds its tree's code tuple; .tree wraps that same tuple
     x = EdgeMarkedTree.from_words(cherry, edge_words=[(2, 1)])
-    key = x.key()
-    cherry.detach_subtree(cherry.node_at((2,)))  # frees the marked node
-    assert x.key() == key
+    assert x.code is cherry.code
+    assert x.tree == cherry and x.tree.code is x.code
+    assert x.marks == (EdgeMark(cherry.node_at((2, 1))),)
+    assert x == EdgeMarkedTree.from_words(tree(2, "2 0 2 0 0"), edge_words=[(2, 1)])
     assert edge_marked_to_obj(x) == {"d": 2, "code": "2 0 2 0 0", "marks": [{"edge": "21"}]}
+
+
+def test_mark_ids_are_range_checked(cherry):
+    with pytest.raises(StaleNodeError):
+        EdgeMarkedTree(cherry, (EdgeMark(cherry.node_count),))
+    with pytest.raises(StaleNodeError):
+        LeafMarkedTree(cherry, (-1,))
 
 
 def test_keys_capture_shape_and_marks(cherry):
     a = EdgeMarkedTree.from_words(cherry, edge_words=[(2,)])
     b = EdgeMarkedTree.from_words(cherry, edge_words=[(2, 1)])
     assert a.key() != b.key()
-    assert a.key() == EdgeMarkedTree.from_words(cherry.copy(), edge_words=[(2,)]).key()
+    again = tree(2, "2 0 2 0 0")
+    assert a.key() == EdgeMarkedTree.from_words(again, edge_words=[(2,)]).key()
 
 
 # ----------------------------------------------------------------------

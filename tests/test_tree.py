@@ -1,25 +1,29 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from darygrow.errors import (
-    ArityError,
-    MalformedCodeError,
-    NotALeafError,
-    RootSurgeryError,
-    StaleNodeError,
+from darygrow.errors import ArityError, MalformedCodeError, StaleNodeError
+from darygrow.tree import (
+    DaryTree,
+    _end,
+    _walk,
+    format_word,
+    lex_compare,
+    new_root_tree,
+    parse_word,
 )
-from darygrow.tree import DaryTree, format_word, lex_compare, new_root_tree, parse_word
 
 
 def grown(d, n, seed=0):
-    """A pseudo-random tree built by repeated leaf expansion."""
-    t = new_root_tree(d)
+    """A pseudo-random tree: its code grown by repeatedly replacing a leaf's
+    0 with d followed by d zeros."""
+    code = [0]
     state = seed & 0xFFFFFFFFFFFFFFFF
     for _ in range(n):
         state = (state * 6364136223846793005 + 1442695040888963407) % 2**64
-        leaves = sorted(t.leaf_ids())
-        t.expand_leaf(leaves[state % len(leaves)])
-    return t
+        leaves = [p for p, sym in enumerate(code) if not sym]
+        p = leaves[state % len(leaves)]
+        code[p : p + 1] = [d] + [0] * d
+    return DaryTree.from_preorder_code(d, code)
 
 
 class TestBasics:
@@ -38,25 +42,20 @@ class TestBasics:
             new_root_tree(1)
 
     def test_expand_gives_d_children(self):
-        t = new_root_tree(4)
-        kids = t.expand_leaf(t.root)
-        assert len(kids) == 4
+        t = DaryTree(4, (4, 0, 0, 0, 0))  # the root expanded
+        kids = [1, 2, 3, 4]
         assert t.internal_count == 1
         assert t.leaf_count == 4
         assert [t.slot(c) for c in kids] == [1, 2, 3, 4]  # slots are word letters
         assert all(t.parent(c) == t.root for c in kids)
-
-    def test_expand_non_leaf_rejected(self):
-        t = new_root_tree(2)
-        t.expand_leaf(t.root)
-        with pytest.raises(NotALeafError):
-            t.expand_leaf(t.root)
+        assert all(t.is_leaf(c) for c in kids)
 
     def test_stale_ids_rejected(self):
         t = grown(2, 4)
-        dead = max(t.node_ids()) + 17
-        with pytest.raises(StaleNodeError):
-            t.parent(dead)
+        for dead in (-1, t.node_count, t.node_count + 17):
+            for query in (t.parent, t.slot, t.is_leaf, t.node_word, t.depth):
+                with pytest.raises(StaleNodeError, match="does not name a node"):
+                    query(dead)
 
     def test_size_identities(self):
         # |t| = dn+1, |leaves| = (d-1)n+1, |edges| = dn
@@ -66,20 +65,65 @@ class TestBasics:
                 assert t.node_count == d * n + 1
                 assert t.leaf_count == (d - 1) * n + 1
                 assert t.edge_count == d * n
+                assert len(list(t.leaf_ids())) == t.leaf_count
+
+
+class TestIds:
+    @pytest.mark.parametrize("d,n,seed", [(2, 12, 1), (3, 8, 2), (5, 5, 3)])
+    def test_ids_are_preorder_positions(self, d, n, seed):
+        t = grown(d, n, seed)
+        assert list(t.node_ids()) == list(range(t.node_count))
+        words = [t.node_word(u) for u in t.node_ids()]
+        assert all(a < b for a, b in zip(words, words[1:]))  # strictly increasing
+        assert [t.is_leaf(u) for u in t.node_ids()] == [not s for s in t.code]
+        assert [t.nonroot_node_at(r) for r in range(t.edge_count)] == list(
+            range(1, t.node_count)
+        )
+
+    @pytest.mark.parametrize("d,n,seed", [(2, 12, 4), (3, 8, 5), (5, 5, 6)])
+    def test_parent_and_slot_agree_with_words(self, d, n, seed):
+        t = grown(d, n, seed)
+        for u in range(1, t.node_count):
+            p = t.parent(u)
+            assert t.node_word(u) == t.node_word(p) + (t.slot(u),)
+            assert not t.is_leaf(p)
+            assert t.depth(u) == len(t.node_word(u))
+        assert t.slot(t.root) == 0
+
+    def test_edge_rank_range(self):
+        t = grown(3, 2)
+        with pytest.raises(IndexError):
+            t.nonroot_node_at(t.edge_count)
+
+    def test_attribute_assignment_fails(self):
+        t = grown(2, 3)
+        code = t.code
+        with pytest.raises(AttributeError):
+            t.code = (0,)
+        with pytest.raises(AttributeError):
+            t.d = 3
+        with pytest.raises(AttributeError):
+            t.extra = 1
+        with pytest.raises(AttributeError):
+            del t.code
+        assert t.code is code and t.d == 2
 
 
 class TestWords:
     def test_child_words(self):
-        t = new_root_tree(3)
-        kids = t.expand_leaf(t.root)
-        assert [t.node_word(c) for c in kids] == [(1,), (2,), (3,)]
-        grand = t.expand_leaf(kids[1])
-        assert t.node_word(grand[2]) == (2, 3)
+        t = DaryTree(3, (3, 0, 0, 0))
+        assert [t.node_word(c) for c in (1, 2, 3)] == [(1,), (2,), (3,)]
+        t = DaryTree(3, (3, 0, 3, 0, 0, 0, 0))  # then its second child
+        assert t.node_word(5) == (2, 3)
+        assert t.node_at((3,)) == 6
 
     def test_node_at_inverts_node_word(self):
         t = grown(3, 6, seed=5)
         for u in t.node_ids():
             assert t.node_at(t.node_word(u)) == u
+        for word in ((4,), (1, 1, 1, 1, 1, 1, 1, 1), (0,)):
+            with pytest.raises(KeyError):
+                t.node_at(word)
 
     def test_format_parse(self):
         assert format_word(()) == ""
@@ -107,10 +151,11 @@ class TestPreorderCode:
     def test_known_codes(self):
         t = new_root_tree(2)
         assert t.to_preorder_code() == [0]
-        t.expand_leaf(t.root)
-        assert t.to_preorder_code() == [2, 0, 0]
-        t.expand_leaf(t.node_at((2,)))
+        t = DaryTree.from_preorder_code(2, [2, 0, 0])
+        assert t.code == (2, 0, 0)
+        t = DaryTree.from_preorder_code(2, [2, 0, 2, 0, 0])
         assert t.to_preorder_code() == [2, 0, 2, 0, 0]
+        assert t.node_at((2,)) == 2 and not t.is_leaf(2)
 
     def test_code_text_round_trip(self):
         t = grown(3, 5, seed=2)
@@ -122,6 +167,23 @@ class TestPreorderCode:
         with pytest.raises(MalformedCodeError):
             DaryTree.from_code_text(2, bad)
 
+    @pytest.mark.parametrize(
+        "d,code,message",
+        [
+            (2, [2, 0], "code ended with 1 nodes pending"),
+            (2, [2, 2, 0], "code ended with 2 nodes pending"),
+            (2, [0, 5], "trailing symbol at position 1"),
+            (2, [2, 0, 0, 0], "trailing symbol at position 3"),
+            (2, [2, 1, 0, 0, 0], "symbol 1 at position 1 is neither 0 nor 2"),
+            (2, [2, 0, 5], "symbol 5 at position 2 is neither 0 nor 2"),
+            (10**9, [10**9, 0], "code ended with 999999999 nodes pending"),
+        ],
+    )
+    def test_malformed_code_messages(self, d, code, message):
+        # the first position where reading symbol by symbol goes wrong
+        with pytest.raises(MalformedCodeError, match=f"^{message}$"):
+            DaryTree.from_preorder_code(d, code)
+
     @given(st.integers(2, 5), st.integers(0, 25), st.integers(0, 2**32))
     @settings(max_examples=60, deadline=None)
     def test_code_round_trip(self, d, n, seed):
@@ -132,65 +194,30 @@ class TestPreorderCode:
 
 
 class TestSurgery:
+    """Subtree surgery on codes: the subtree at u is ``code[u:_end(walk, u)]``."""
+
     def test_detach_keeps_stub_leaf(self):
         t = grown(2, 5, seed=11)
         u = t.node_at((1,))
-        before = t.node_count
-        sub = t.detach_subtree(u)
-        assert t.is_leaf(u)
-        assert t.node_count + sub.node_count == before + 1  # u counted twice
-        assert t.validate() == []
-        assert sub.validate() == []
+        e = _end(_walk(2, t.code), u)
+        rest = DaryTree(2, t.code[:u] + (0,) + t.code[e:])
+        sub = DaryTree(2, t.code[u:e])
+        assert rest.is_leaf(u)
+        assert rest.node_count + sub.node_count == t.node_count + 1  # u counted twice
 
     def test_graft_restores(self):
         t = grown(3, 6, seed=3)
-        original = t.copy()
         u = t.node_at((2,))
-        sub = t.detach_subtree(u)
-        t.graft(u, sub)
-        assert t == original
-
-    def test_detach_root_rejected(self):
-        t = grown(2, 3, seed=7)
-        with pytest.raises(RootSurgeryError):
-            t.detach_subtree(t.root)
-
-    def test_free_list_recycles_ids(self):
-        t = grown(2, 8, seed=1)
-        u = t.node_at((1,))
-        t.detach_subtree(u)
-        peak = max(t.node_ids())
-        t.expand_leaf(u)
-        assert max(t.node_ids()) <= peak + 3  # mostly recycled slots
-
-    def test_preorder_follows_surgery(self):
-        # preorder() is kept between calls; every change must drop it
-        t = DaryTree.from_code_text(2, "2 2 0 0 2 0 0")
-        assert t.code_text() == "2 2 0 0 2 0 0"
-        u = t.node_at((1,))
-        sub = t.detach_subtree(u)
-        assert t.code_text() == "2 0 2 0 0"
-        t.graft(u, sub)
-        assert t.code_text() == "2 2 0 0 2 0 0"
-        c = t.copy()
-        c.expand_leaf(c.node_at((1, 1)))
-        assert c.code_text() == "2 2 2 0 0 0 2 0 0"
-        assert t.code_text() == "2 2 0 0 2 0 0"
-
-    def test_copy_is_deep_and_id_stable(self):
-        t = grown(3, 4, seed=9)
-        c = t.copy()
-        assert sorted(c.node_ids()) == sorted(t.node_ids())
-        c.expand_leaf(sorted(c.leaf_ids())[0])
-        assert c != t
+        e = _end(_walk(3, t.code), u)
+        rest, sub = t.code[:u] + (0,) + t.code[e:], t.code[u:e]
+        assert DaryTree(3, rest[:u] + sub + rest[u + 1 :]) == t
 
     def test_equality_is_shape_based(self):
-        a = new_root_tree(2)
-        a.expand_leaf(a.root)
-        b = new_root_tree(2)
-        b.expand_leaf(b.root)
+        a = DaryTree(2, [2, 0, 0])
+        b = DaryTree.from_code_text(2, "2 0 0")
         assert a == b
         assert a != new_root_tree(3)
+        assert new_root_tree(2) != new_root_tree(3)
 
     def test_unhashable(self):
         with pytest.raises(TypeError):
@@ -198,11 +225,8 @@ class TestSurgery:
 
 
 def test_depth_and_height():
-    t = new_root_tree(2)
-    assert t.height() == 0
-    t.expand_leaf(t.root)
-    t.expand_leaf(t.node_at((2,)))
-    t.expand_leaf(t.node_at((2, 1)))
+    assert new_root_tree(2).height() == 0
+    t = DaryTree(2, (2, 0, 2, 2, 0, 0, 0))  # root, (2,) and (2, 1) expanded
     assert t.height() == 3
     assert t.depth(t.node_at((2, 1, 2))) == 3
     assert t.depth(t.root) == 0
