@@ -5,8 +5,7 @@ BENCH_growth.json.
 One row per (label, kernel, d, n): median over three runs of the step
 loop (ns/step and steps/s), the lex phase inside it (`lex_seconds`), and
 the `code` serialization of the grown tree (`code_seconds`: the kernel's
-`code_text()`, or the CLI's former join over `preorder_code()` for a
-kernel without it).  The compiled kernel (the package default) runs the
+`code_text()`).  The compiled kernel (the package default) runs the
 full sizes; the Python kernel runs smaller ones, otherwise a run takes
 minutes.  Rows with the same label, kernel, d and n are replaced, others
 kept, so one file can hold rows of two commits measured on one machine:
@@ -58,18 +57,12 @@ TRIP_N = 10_000
 TRIPS = 10
 
 
-def code_text(k):
-    if hasattr(k, "code_text"):
-        return k.code_text()
-    return " ".join(str(s) for s in k.preorder_code()).encode("ascii")
-
-
 def run(kernel, d, n, seed):
     k = make_kernel(d, seed, kernel)
     t0 = time.perf_counter()
     k.steps(n)
     t1 = time.perf_counter()
-    code_text(k)
+    k.code_text()
     t2 = time.perf_counter()
     return k.name, t1 - t0, k.lex_seconds, t2 - t1
 

@@ -62,12 +62,10 @@ from .sampler import (
     OpCounters,
     SplitMix64,
     chain,
-    grow_step,
     grow_to,
     kernel_name,
     make_kernel,
     sample_mark_set,
-    uniform_below,
 )
 from .tree import DaryTree, from_preorder_code, lex_compare, new_root_tree
 from .walks import LukWalk, enumerate_walks
@@ -112,7 +110,6 @@ __all__ = [
     "enumerate_trees",
     "enumerate_walks",
     "from_preorder_code",
-    "grow_step",
     "grow_to",
     "height_stats",
     "is_excursion_forest",
@@ -127,7 +124,6 @@ __all__ = [
     "rotate_inv",
     "sample_mark_set",
     "third_enlarge",
-    "uniform_below",
     "validate",
     "verify_binary_variants",
     "verify_enlarge_bijection",

@@ -2,7 +2,8 @@
 
 Behaviour contract (PRNG, draw order, arena layout, allocation order,
 counters) is documented in ``_growth_py``; the two kernels must stay
-observably identical.  The step loop, the lex phase, the serializers and
+observably identical.  The argument checks and the size guard are the
+shared ones of ``_kernel.Kernel``.  The step loop, the lex phase, the serializers and
 whole histogram runs execute in C, so one Python call does bulk work.
 
 The library is named after the first 16 hex digits of the C source's
@@ -15,8 +16,8 @@ library cannot be had (no C compiler, an unwritable cache, a compile
 error), and the package then runs on the Python kernel.
 
 Node ids are int32: growth past INT32_MAX node ids is refused with
-SizeGuardError (``errors.check_node_ids``, shared with the Python kernel)
-before anything is allocated, and a failed allocation raises MemoryError.
+SizeGuardError before anything is allocated, and a failed allocation
+raises MemoryError.
 """
 
 import ctypes
@@ -25,7 +26,7 @@ from collections import Counter
 from ctypes import c_char_p, c_double, c_int, c_int32, c_int64, c_uint64, c_void_p
 from operator import attrgetter
 
-from .errors import INT32_MAX, SizeGuardError, check_node_ids
+from ._kernel import MASK, Kernel
 
 try:  # the builtin module loads in a tenth of hashlib's import time
     from _sha256 import sha256
@@ -36,7 +37,6 @@ KERNEL_NAME = "c"
 
 SOURCE = os.path.join(os.path.dirname(__file__), "_growth_core.c")
 
-_MASK = (1 << 64) - 1
 # bytes of chain codes per C call in histogram
 _HISTOGRAM_BLOCK = 1 << 16
 
@@ -139,16 +139,12 @@ def _checked(status):
     return status
 
 
-class GrowthKernel:
+class GrowthKernel(Kernel):
     name = KERNEL_NAME
 
     def __init__(self, d, seed):
-        if d < 2:
-            raise ValueError(f"arity must be >= 2, got {d}")
-        if d + 1 > INT32_MAX:
-            raise SizeGuardError(f"arity {d} leaves no room for int32 node ids")
-        self.d = d
-        self._k = _lib.dg_new(d, seed & _MASK)
+        super().__init__(d)
+        self._k = _lib.dg_new(d, seed & MASK)
         if not self._k:
             raise MemoryError("the C growth core could not allocate a kernel")
         self._head = _Head.from_address(self._k)
@@ -161,15 +157,11 @@ class GrowthKernel:
     # ------------------------------------------------------------------
     # PRNG (splitmix64)
 
-    def uniform_below(self, k):
-        if k < 1:
-            raise ValueError("uniform_below needs k >= 1")
-        if k > _MASK:
-            raise OverflowError("uniform_below needs k < 2**64")
+    def _uniform_below(self, k):
         return _lib.dg_uniform_below(self._k, k)
 
     def reseed(self, seed):
-        self._head.state = seed & _MASK
+        self._head.state = seed & MASK
         self._head.rng_draws = 0
 
     # ------------------------------------------------------------------
@@ -179,46 +171,20 @@ class GrowthKernel:
         """Back to the single-node tree; counters cleared, PRNG untouched."""
         _lib.dg_reset(self._k)
 
-    @property
-    def root(self):
-        return self.d * self.n
-
-    @property
-    def node_count(self):
-        return self.d * self.n + 1
-
     # ------------------------------------------------------------------
     # growth
 
-    def step(self):
-        self.steps(1)
+    def _steps(self, k):
+        _checked(_lib.dg_steps(self._k, k))
 
-    def steps(self, k):
-        if k > 0:
-            check_node_ids(self.d, self.n + k)
-            _checked(_lib.dg_steps(self._k, k))
-
-    def step_with(self, ranks, letter):
-        """Apply one step with externally chosen ranks and letter (test hook)."""
-        d = self.d
-        universe = d * self.n + d - 1
-        ranks = list(ranks)
-        if len(ranks) != d - 1 or len(set(ranks)) != d - 1:
-            raise ValueError(f"need {d - 1} distinct ranks")
-        if any(not 0 <= r < universe for r in ranks):
-            raise ValueError(f"rank outside [0, {universe})")
-        if not 1 <= letter <= d:
-            raise ValueError(f"letter {letter} outside 1..{d}")
-        check_node_ids(d, self.n + 1)
-        _checked(_lib.dg_step_with(self._k, (c_int64 * (d - 1))(*ranks), letter))
+    def _step_with(self, ranks, letter):
+        ranks = (c_int64 * (self.d - 1))(*ranks)
+        _checked(_lib.dg_step_with(self._k, ranks, letter))
 
     # ------------------------------------------------------------------
     # inspection
 
-    def edge_word(self, rank):
-        """Root word of the edge's child node for a given rank."""
-        if not 0 <= rank < self.d * self.n:
-            raise IndexError(f"edge rank {rank} outside [0, {self.d * self.n})")
+    def _edge_word(self, rank):
         cap = 64
         while True:
             word = (c_int32 * cap)()
@@ -259,10 +225,7 @@ class GrowthKernel:
     def height(self):
         return _checked(_lib.dg_height(self._k))
 
-    def histogram(self, n, chains):
-        """Shape counts over repeated chains to size n (one PRNG stream), keyed
-        by ``tree.shape_key``."""
-        check_node_ids(self.d, n)
+    def _histogram(self, n, chains):
         if chains <= 0:
             return {}
         n = max(n, 0)

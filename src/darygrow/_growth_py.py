@@ -2,7 +2,8 @@
 
 Identical observable behaviour to the compiled kernel in ``_growth_c``:
 same PRNG, same draw order, same arena layout, same counters, same
-serializations.  The layout
+serializations.  The PRNG, the rank draw and every argument check and
+size guard live in ``_kernel``, which both kernels share.  The layout
 contract (which also pins cross-implementation determinism, see README):
 
 * the arena is always compact: after k steps the live ids are exactly
@@ -11,7 +12,7 @@ contract (which also pins cross-implementation determinism, see README):
   marked bud (ascending bud index), one replacement leaf per marked edge
   (edges processed in descending lexicographic order of their words), and
   the new root last;
-* per step the PRNG serves first the d-1 distinct ranks (rejection on the
+* per step the PRNG serves first d-1 ranks, all different (rejection on the
   top range inside uniform_below; a rank equal to an earlier one in the
   same step is drawn again, earlier ranks are kept), then the letter.
 
@@ -25,12 +26,10 @@ cost that is not O(d).
 
 import time
 
-from .errors import check_node_ids
-from .tree import shape_key
+from ._kernel import Kernel, SplitMix64, draw_ranks
+from .tree import format_code, shape_key
 
 KERNEL_NAME = "python"
-
-_MASK = (1 << 64) - 1
 
 
 def _compare_words(a, b):
@@ -64,43 +63,27 @@ def _insertion_sort_desc(keyed):
     return compared
 
 
-class GrowthKernel:
+class GrowthKernel(Kernel):
     name = KERNEL_NAME
 
     def __init__(self, d, seed):
-        if d < 2:
-            raise ValueError(f"arity must be >= 2, got {d}")
-        self.d = d
-        self._state = seed & _MASK
+        super().__init__(d)
+        self._rng = SplitMix64(seed)
         self._leafmark = [-1] * d
         self.reset()
-        self.rng_draws = 0
 
     # ------------------------------------------------------------------
     # PRNG (splitmix64)
 
-    def _next64(self):
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        self.rng_draws += 1
-        return z ^ (z >> 31)
+    @property
+    def rng_draws(self):
+        return self._rng.draws
 
-    def uniform_below(self, k):
-        if k < 1:
-            raise ValueError("uniform_below needs k >= 1")
-        if k == 1:
-            return 0
-        threshold = ((1 << 64) // k) * k
-        while True:
-            x = self._next64()
-            if x < threshold:
-                return x % k
+    def _uniform_below(self, k):
+        return self._rng.uniform_below(k)
 
     def reseed(self, seed):
-        self._state = seed & _MASK
-        self.rng_draws = 0
+        self._rng = SplitMix64(seed)
 
     # ------------------------------------------------------------------
     # state
@@ -117,14 +100,6 @@ class GrowthKernel:
         self.lex_seconds = 0.0
         self.max_step_redirections = 0
 
-    @property
-    def root(self):
-        return self.d * self.n
-
-    @property
-    def node_count(self):
-        return self.d * self.n + 1
-
     def _alloc_leaf(self):
         v = len(self._parent)
         self._parent.append(-1)
@@ -133,50 +108,31 @@ class GrowthKernel:
         self.node_allocations += 1
         return v
 
-    def _word(self, u):
+    def _edge_word(self, u):
         parent, slot = self._parent, self._slot
         letters = []
         while parent[u] >= 0:
             letters.append(slot[u])
             u = parent[u]
         letters.reverse()
-        return letters
-
-    def edge_word(self, rank):
-        """Root word of the edge's child node for a given rank."""
-        if not 0 <= rank < self.d * self.n:
-            raise IndexError(f"edge rank {rank} outside [0, {self.d * self.n})")
-        return tuple(self._word(rank))
+        return tuple(letters)
 
     # ------------------------------------------------------------------
     # one growth step
 
     def step(self):
+        # one step, unguarded: steps() and histogram() guard the whole run
         d = self.d
-        universe = d * self.n + d - 1
-        ranks = []
-        while len(ranks) < d - 1:
-            r = self.uniform_below(universe)
-            if r not in ranks:
-                ranks.append(r)
-        letter = self.uniform_below(d) + 1
-        self._apply(ranks, letter)
+        ranks = draw_ranks(self._rng, d * self.n + d - 1, d - 1)
+        letter = self._rng.uniform_below(d) + 1
+        self._step_with(ranks, letter)
 
-    def step_with(self, ranks, letter):
-        """Apply one step with externally chosen ranks and letter (test hook)."""
-        d = self.d
-        universe = d * self.n + d - 1
-        ranks = list(ranks)
-        if len(ranks) != d - 1 or len(set(ranks)) != d - 1:
-            raise ValueError(f"need {d - 1} distinct ranks")
-        if any(not 0 <= r < universe for r in ranks):
-            raise ValueError(f"rank outside [0, {universe})")
-        if not 1 <= letter <= d:
-            raise ValueError(f"letter {letter} outside 1..{d}")
-        check_node_ids(d, self.n + 1)
-        self._apply(ranks, letter)
+    def _steps(self, k):
+        for _ in range(k):
+            self.step()
 
-    def _apply(self, ranks, letter):
+    def _step_with(self, ranks, letter):
+        """The growth bijection on the arena, for checked ranks and letter."""
         d = self.d
         parent, slot, child = self._parent, self._slot, self._child
         edge_count = d * self.n
@@ -194,7 +150,7 @@ class GrowthKernel:
 
         if len(edges) > 1:
             t0 = time.perf_counter_ns()
-            keyed = [(self._word(u), u) for u in edges]
+            keyed = [(self._edge_word(u), u) for u in edges]
             self.lex_letters_compared += _insertion_sort_desc(keyed)
             edges = [u for _, u in keyed]
             self.lex_seconds += (time.perf_counter_ns() - t0) * 1e-9
@@ -226,12 +182,6 @@ class GrowthKernel:
         if delta > self.max_step_redirections:
             self.max_step_redirections = delta
 
-    def steps(self, k):
-        if k > 0:
-            check_node_ids(self.d, self.n + k)
-        for _ in range(k):
-            self.step()
-
     # ------------------------------------------------------------------
     # inspection
 
@@ -255,7 +205,7 @@ class GrowthKernel:
 
     def code_text(self):
         """Preorder code as ASCII: ``0`` or ``d`` per node, space separated."""
-        return " ".join(map(str, self.preorder_code())).encode("ascii")
+        return format_code(self.preorder_code()).encode("ascii")
 
     def paren_text(self):
         """``(`` + children + ``)`` per internal node, ``o`` per leaf, as ASCII."""
@@ -292,14 +242,11 @@ class GrowthKernel:
                     stack.append((child[j], h + 1))
         return best
 
-    def histogram(self, n, chains):
-        """Shape counts over repeated chains to size n (one PRNG stream), keyed
-        by ``tree.shape_key``."""
-        check_node_ids(self.d, n)
+    def _histogram(self, n, chains):
         counts = {}
         for _ in range(chains):
             self.reset()
-            self.steps(n)
+            self._steps(n)
             key = shape_key(self.preorder_code())
             counts[key] = counts.get(key, 0) + 1
         return counts

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -142,9 +143,11 @@ def cmd_verify_bijection(args) -> int:
 
 
 def cmd_verify_rotation(args) -> int:
+    # the longest walks cost the most: refuse them before any output
+    oracle.rotation_guard(args.m, args.max_inc, args.force)
     status = 0
     for m in range(1, args.m + 1):
-        report = oracle.verify_rotation_lemma(m, args.max_inc)
+        report = oracle.verify_rotation_lemma(m, args.max_inc, force=args.force)
         status |= _print_report(report)
     return status
 
@@ -157,7 +160,24 @@ def cmd_verify_variants(args) -> int:
     return status
 
 
+def _log10_comb(a: int, b: int) -> float:
+    """log10 of the binomial C(a, b), from lgamma."""
+    lg = math.lgamma
+    return (lg(a + 1) - lg(b + 1) - lg(a - b + 1)) / math.log(10)
+
+
 def cmd_verify_counts(args) -> int:
+    # the count prints as an exact decimal, which Python writes up to
+    # int_max_str_digits digits; refuse when the identity's left side, the
+    # largest number checked, may be longer, so the check also stays quick
+    limit = sys.get_int_max_str_digits()
+    d, m = args.d, args.n + 1
+    digits = 1 + _log10_comb((d - 1) * m + 1, d - 1) + _log10_comb(d * m + 1, m)
+    if limit and digits > limit:
+        raise SizeGuardError(
+            f"the counts at d={d}, n={args.n} have about {digits:.0f} digits,"
+            f" above the {limit} that Python prints (PYTHONINTMAXSTRDIGITS)"
+        )
     count = oracle.count_trees(args.d, args.n)
     report = {
         "check": "counts",
@@ -256,6 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     rot = vsub.add_parser("rotation")
     rot.add_argument("--m", type=_positive, required=True)
     rot.add_argument("--max-inc", type=_nonneg, default=3)
+    rot.add_argument("--force", action="store_true")
     rot.set_defaults(func=cmd_verify_rotation)
 
     var = vsub.add_parser("variants")
@@ -302,6 +323,9 @@ def main(argv=None) -> int:
         return 2
     except SizeGuardError as exc:
         print(f"size guard: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 1
     except DarygrowError as exc:
         print(f"error: {exc}", file=sys.stderr)

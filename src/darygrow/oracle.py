@@ -254,13 +254,20 @@ def _input_obj(x: EdgeMarkedTree, a) -> dict:
     return obj
 
 
-def verify_rotation_lemma(m: int, max_increment: int) -> dict:
+def rotation_guard(m: int, max_increment: int, force: bool = False) -> None:
+    """Refuse :func:`verify_rotation_lemma` beyond the budget: it enumerates
+    (max_increment + 2)^m increment tuples to find the walks of length m."""
+    _guard((max_increment + 2) ** m, force)
+
+
+def verify_rotation_lemma(m: int, max_increment: int, force: bool = False) -> dict:
     """Certify the rotation principle over all capped walks of length m.
 
     Every rotation class has m pairwise distinct members with exactly one
     excursion among them, and for an excursion the first argmin of the
     r-th rotation sits at m - r.
     """
+    rotation_guard(m, max_increment, force)
     report = {
         "check": "rotation_lemma",
         "params": {"m": m, "max_increment": max_increment},

@@ -10,8 +10,9 @@ The heavy lifting happens in a kernel: the compiled one from
 ``setup.py build_ext`` or compiled on first import into a cache keyed by
 its source's sha256) when available, otherwise the pure-Python twin in
 ``darygrow._growth_py``.  Both kernels implement the same observable
-contract, documented in ``_growth_py``, for every arity; the compiled one
-refuses growth past 2^31 - 1 node ids with SizeGuardError.  Set the
+contract, documented in ``_growth_py``, for every arity, and share the
+PRNG, the rank draw and the argument checks of ``darygrow._kernel``; both
+refuse growth past 2^31 - 1 node ids with SizeGuardError.  Set the
 environment variable DARYGROW_PURE_PYTHON to any non-empty value to force
 the fallback.
 """
@@ -22,53 +23,9 @@ import os
 from dataclasses import dataclass, fields
 from typing import Iterator, List, Tuple
 
-from .errors import ArityError
+from ._kernel import SplitMix64, draw_ranks
 from .marks import Bud, EdgeMark, MarkTarget
 from .tree import DaryTree
-
-_MASK = (1 << 64) - 1
-
-
-class SplitMix64:
-    """The package PRNG: splitmix64, fixed for cross-platform determinism.
-
-    State advances by the 64-bit golden gamma; outputs pass through the
-    standard two-round finalizer.  ``draws`` counts raw 64-bit outputs.
-    """
-
-    __slots__ = ("state", "draws")
-
-    def __init__(self, seed: int) -> None:
-        self.state = seed & _MASK
-        self.draws = 0
-
-    def next64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        self.draws += 1
-        return z ^ (z >> 31)
-
-    def uniform_below(self, k: int) -> int:
-        """Unbiased uniform integer in [0, k).
-
-        Rejection rule: draws at or above floor(2^64 / k) * k are discarded
-        and redrawn.  k = 1 consumes no draw.
-        """
-        if k < 1:
-            raise ValueError("uniform_below needs k >= 1")
-        if k == 1:
-            return 0
-        threshold = ((1 << 64) // k) * k
-        while True:
-            x = self.next64()
-            if x < threshold:
-                return x % k
-
-
-def uniform_below(rng: SplitMix64, k: int) -> int:
-    return rng.uniform_below(k)
 
 
 def sample_mark_set(rng: SplitMix64, tree: DaryTree) -> List[MarkTarget]:
@@ -79,14 +36,8 @@ def sample_mark_set(rng: SplitMix64, tree: DaryTree) -> List[MarkTarget]:
     ranks are rejected and redrawn, so the subset is exactly uniform.
     """
     d = tree.d
-    universe = tree.edge_count + d - 1
-    picked: List[int] = []
-    while len(picked) < d - 1:
-        r = rng.uniform_below(universe)
-        if r not in picked:
-            picked.append(r)
     marks: List[MarkTarget] = []
-    for r in picked:
+    for r in draw_ranks(rng, tree.edge_count + d - 1, d - 1):
         if r < tree.edge_count:
             marks.append(EdgeMark(tree.nonroot_node_at(r)))
         else:
@@ -162,8 +113,6 @@ class GrowthState:
     __slots__ = ("kernel",)
 
     def __init__(self, d: int, seed: int, kernel: str | None = None) -> None:
-        if d < 2:
-            raise ArityError(f"arity must be >= 2, got {d}")
         self.kernel = make_kernel(d, seed, kernel)
 
     @property
@@ -181,11 +130,6 @@ class GrowthState:
     @property
     def counters(self) -> OpCounters:
         return OpCounters(**{c: getattr(self.kernel, c) for c in COUNTERS})
-
-
-def grow_step(state: GrowthState) -> None:
-    """Advance the chain by one internal node; marks are not retained."""
-    state.kernel.step()
 
 
 def grow_to(

@@ -53,6 +53,11 @@ def shape_key(code: Sequence[int]) -> bytes:
     return bytes(map(bool, code))
 
 
+def format_code(code: Sequence[int]) -> str:
+    """Render a preorder code as space-separated decimals."""
+    return " ".join(map(str, code))
+
+
 def format_word(word: Sequence[int]) -> str:
     """Render a node word as text: ``""`` for the root, ``"21"`` for (2, 1).
 
@@ -116,9 +121,9 @@ class DaryTree:
     ``edge_count == d*n``.
 
     Equality compares arity and code.  Instances are unhashable; use
-    ``code`` as a dictionary key.  Parents, slots, depths and the walk that
-    :meth:`node_at` steps along come from one pass over the code, made on
-    first use and kept.
+    ``code`` as a dictionary key.  Parents, slots, depths and the subtree
+    ends that :meth:`node_at` steps along come from one pass over the code,
+    made on first use and kept.
     """
 
     __slots__ = ("d", "code", "_links")
@@ -184,8 +189,8 @@ class DaryTree:
         return self.code[self.check_node(u)] == 0
 
     def _walked(self) -> Tuple[List[int], List[int], List[int], List[int]]:
-        """Parent, slot and depth of every node, from one pass over the
-        code, and the code's Łukasiewicz walk."""
+        """Parent, slot, depth and subtree end (one past the subtree's last
+        position) of every node, from one pass over the code and one back."""
         if self._links is None:
             d, size = self.d, len(self.code)
             parent, slot, depth = [-1] * size, [0] * size, [0] * size
@@ -200,8 +205,11 @@ class DaryTree:
                         stack.pop()
                 if sym:
                     stack.append([u, 0])
-            walk = _walk(d, self.code)
-            object.__setattr__(self, "_links", (parent, slot, depth, walk))
+            end = list(range(1, size + 1))  # a leaf's subtree is itself
+            for u in range(size - 1, 0, -1):
+                if slot[u] == d:  # a last child ends where its parent does
+                    end[parent[u]] = end[u]
+            object.__setattr__(self, "_links", (parent, slot, depth, end))
         return self._links
 
     def parent(self, u: int) -> Optional[int]:
@@ -251,14 +259,15 @@ class DaryTree:
     def node_at(self, word: Sequence[int]) -> int:
         """Node id found by walking ``word`` from the root."""
         code, d = self.code, self.d
-        walk = self._walked()[3]
+        end = self._walked()[3]
         u = 0
         for letter in word:
             if not code[u] or not 1 <= letter <= d:
                 raise KeyError(f"no node at word {tuple(word)!r}")
             u += 1  # the first child; then skip the siblings before this one
-            for _ in range(letter - 1):
-                u = _end(walk, u)
+            while letter > 1:
+                u = end[u]
+                letter -= 1
         return u
 
     def depth(self, u: int) -> int:
@@ -289,7 +298,7 @@ class DaryTree:
 
     def code_text(self) -> str:
         """Preorder code as space-separated ASCII decimals."""
-        return " ".join(map(str, self.code))
+        return format_code(self.code)
 
     @classmethod
     def from_code_text(cls, d: int, text: str) -> "DaryTree":

@@ -2,8 +2,10 @@
 
 Acceptance tests report through the `criterion` fixture so the run ends
 with one PASS/FAIL/SKIP line per criterion, whatever order pytest ran them
-in, each with its elapsed time against the criterion's time budget, and a
-line naming the growth kernel the run selected.
+in, each with its elapsed time against the criterion's time budget, a line
+naming the growth kernel the run selected, and a line per test module
+skipped at collection (a missing compiled kernel skips `test_kernels.py`),
+with its reason.
 """
 
 import sys
@@ -14,6 +16,7 @@ from typing import Optional
 import pytest
 
 _LINES: dict = {}
+_SKIPPED_MODULES: dict = {}
 
 
 @pytest.fixture
@@ -56,10 +59,20 @@ def _kernel_line() -> str:
     return f"kernel      {kernel_name()}  ({where})"
 
 
+def pytest_collectreport(report):
+    if report.skipped:
+        _, _, reason = report.longrepr  # (path, line, "Skipped: why")
+        _SKIPPED_MODULES[report.nodeid] = reason.removeprefix("Skipped: ")
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    if not _LINES:
+    if not _LINES and not _SKIPPED_MODULES:
         return
     terminalreporter.section("acceptance criteria")
     terminalreporter.write_line(_kernel_line())
+    for module, reason in sorted(_SKIPPED_MODULES.items()):
+        terminalreporter.write_line(f"skipped     {module}  ({reason})")
+    if not _SKIPPED_MODULES:
+        terminalreporter.write_line("skipped     no test module")
     for number in sorted(_LINES):
         terminalreporter.write_line(_LINES[number])

@@ -132,6 +132,27 @@ def test_python_kernel_size_guard_exit(capsys):
     assert "size guard" in err
 
 
+@pytest.mark.parametrize("kernel", ["c", "python"])
+def test_allocation_failure_is_one_line_error(kernel):
+    # a d = 10^9 kernel cannot allocate its root's child row under a 1 GiB
+    # address-space limit: exit 1 and one line, as a size guard reports
+    argv = ["grow", "--d", "1000000000", "--n", "1", "--seed", "0", "--kernel", kernel]
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from darygrow.cli import main\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 1, out.stderr
+    assert out.stdout == ""
+    lines = out.stderr.splitlines()
+    assert lines[0] == "effective seed: 0"
+    assert len(lines) == 2 and lines[1].startswith("out of memory: ")
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["grow", "--d", "1", "--n", "5"])
@@ -261,6 +282,19 @@ def test_verify_rotation(capsys):
     assert all(json.loads(line)["pass"] for line in out.splitlines())
 
 
+def test_rotation_size_guard():
+    # 5^40 increment tuples: refused before any walk is enumerated
+    out = subprocess.run(
+        [sys.executable, "-m", "darygrow.cli", "verify", "rotation", "--m", "40"],
+        capture_output=True,
+        text=True,
+        timeout=2,
+    )
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr.startswith("size guard")
+
+
 @pytest.mark.parametrize("args", [["--m", "0"], ["--m", "-2"], ["--m", "4", "--max-inc", "-3"]])
 def test_empty_rotation_check_is_usage_error(args, capsys):
     # these certified nothing and used to report a pass
@@ -289,6 +323,14 @@ def test_verify_counts_exact_decimal(capsys):
     report = json.loads(out)
     assert report["count"] == str(oracle.count_trees(2, 100))
     assert report["enumerated"] is None
+
+
+def test_verify_counts_too_long_to_print_is_size_guard(capsys):
+    # the count has about 60,000 digits, past what Python turns into text
+    code, out, err = run_cli(["verify", "counts", "--d", "2", "--n", "100000"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("size guard") and len(err.splitlines()) == 1
 
 
 # ----------------------------------------------------------------------

@@ -8,15 +8,17 @@ first import when a C compiler is present, so this module is skipped only
 where the compiled kernel cannot be built.
 """
 
+import signal
 import subprocess
 import sys
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from darygrow import _growth_py
 from darygrow.cli import main as cli_main
-from darygrow.errors import SizeGuardError, check_node_ids
+from darygrow.errors import ArityError, SizeGuardError, check_node_ids
 from darygrow.bijections import enlarge
 from darygrow.marks import Bud, EdgeMark, EdgeMarkedTree
 from darygrow.sampler import COUNTERS, SplitMix64, make_kernel
@@ -29,6 +31,22 @@ c_kernel = pytest.importorskip(
 
 def both(d, seed):
     return make_kernel(d, seed, kernel="python"), make_kernel(d, seed, kernel="c")
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block once ``seconds`` have passed."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 COUNTER_FIELDS = COUNTERS
@@ -133,12 +151,18 @@ class TestDraws:
         ]
         assert c.rng_draws == ref.draws
 
-    def test_uniform_below_range_checked(self):
-        c = make_kernel(2, 0, kernel="c")
+    @pytest.mark.parametrize("source", ["python", "c", "SplitMix64"])
+    def test_uniform_below_range_checked(self, source):
+        if source == "SplitMix64":
+            rng = SplitMix64(0)
+        else:
+            rng = make_kernel(2, 0, kernel=source)
         with pytest.raises(ValueError):
-            c.uniform_below(0)
-        with pytest.raises(OverflowError):
-            c.uniform_below(2**64)
+            rng.uniform_below(0)
+        # above 2^64 the rejection threshold is 0, so no draw is ever kept
+        for k in (2**64, 2**65):
+            with deadline(2), pytest.raises(OverflowError):
+                rng.uniform_below(k)
 
 
 class TestArenaContract:
@@ -223,8 +247,11 @@ class TestMatchesReferenceSemantics:
         k.step_with(ranks, letter)
         assert k.preorder_code() == expected.tree.to_preorder_code()
 
-    def test_step_with_validates(self):
-        k = make_kernel(3, 0, kernel="python")
+    @pytest.mark.parametrize("name", ["python", "c"])
+    def test_step_with_validates(self, name):
+        with pytest.raises(ArityError):
+            make_kernel(1, 0, kernel=name)
+        k = make_kernel(3, 0, kernel=name)
         k.steps(2)
         with pytest.raises(ValueError):
             k.step_with([0, 0], 1)  # duplicate ranks

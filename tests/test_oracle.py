@@ -138,6 +138,11 @@ class TestRotationVerifier:
         assert oracle.verify_rotation_lemma(5, 4)["walks"] == 70
         assert oracle.verify_rotation_lemma(7, 3)["walks"] == 875
 
+    def test_guard(self):
+        # 5^11 increment tuples, past the budget
+        with pytest.raises(SizeGuardError):
+            oracle.verify_rotation_lemma(11, 3)
+
 
 class TestBinaryVariantVerifier:
     @pytest.mark.parametrize("n", range(0, 5))

@@ -12,12 +12,10 @@ from darygrow.sampler import (
     OpCounters,
     SplitMix64,
     chain,
-    grow_step,
     grow_to,
     kernel_name,
     make_kernel,
     sample_mark_set,
-    uniform_below,
 )
 from darygrow.tree import DaryTree
 
@@ -67,11 +65,6 @@ class TestSplitMix64:
         n = 10**5
         ones = sum(rng.uniform_below(2) for _ in range(n))
         assert 0.49 < ones / n < 0.51
-
-    def test_module_level_wrapper(self):
-        a = SplitMix64(11)
-        b = SplitMix64(11)
-        assert uniform_below(a, 7) == b.uniform_below(7)
 
 
 class TestSampleMarkSet:
@@ -198,7 +191,7 @@ class TestGrowing:
     def test_grow_step_state(self):
         state = GrowthState(3, seed=17)
         for expected in (1, 2, 3):
-            grow_step(state)
+            state.kernel.step()
             assert state.step == expected
             assert state.tree.internal_count == expected
         assert state.counters.node_allocations == 9

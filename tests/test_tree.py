@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from darygrow.errors import ArityError, MalformedCodeError, StaleNodeError
+from darygrow.sampler import grow_to
 from darygrow.tree import (
     DaryTree,
     _end,
@@ -124,6 +125,13 @@ class TestWords:
         for word in ((4,), (1, 1, 1, 1, 1, 1, 1, 1), (0,)):
             with pytest.raises(KeyError):
                 t.node_at(word)
+
+    def test_node_at_on_grown_trees(self):
+        # deep trees with large sibling subtrees to skip
+        for d in (2, 5):
+            t, _ = grow_to(d, 2000, seed=11)
+            for u in t.node_ids():
+                assert t.node_at(t.node_word(u)) == u
 
     def test_format_parse(self):
         assert format_word(()) == ""
