@@ -14,7 +14,7 @@ run the script with each commit's `src` first on PYTHONPATH and its own
 
 The reference layer gets rows of its own (`reference` in the JSON):
 the seconds of criterion 3's exhaustive bijection suite (median of three
-runs; the first also enumerates the trees), and the ms per enlarge ->
+runs, each enumerating its trees afresh), and the ms per enlarge ->
 reduce round trip on a grown tree of n = 10^4 for d = 2, 3 and 5 (median
 over ten random mark sets; `make_ms` is building the edge-marked tree from
 the grown tree, outside the trip), and `from_code_ms`, the median of ten

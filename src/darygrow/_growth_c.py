@@ -15,9 +15,9 @@ with ``os.replace``.  Importing this module raises ImportError when the
 library cannot be had (no C compiler, an unwritable cache, a compile
 error), and the package then runs on the Python kernel.
 
-Node ids are int32: growth past INT32_MAX node ids is refused with
-SizeGuardError before anything is allocated, and a failed allocation
-raises MemoryError.
+Node ids and child slots are int32: growth past INT32_MAX of either is
+refused with SizeGuardError before anything is allocated, and a failed
+allocation raises MemoryError.
 """
 
 import ctypes

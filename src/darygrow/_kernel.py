@@ -5,7 +5,7 @@ The step semantics are documented in ``_growth_py``.  This module imports
 nothing but ``errors``, so the compiled kernel loads without the Python one.
 """
 
-from .errors import INT32_MAX, ArityError, SizeGuardError, check_node_ids
+from .errors import INT32_MAX, ArityError, SizeGuardError, check_child_slots
 
 MASK = (1 << 64) - 1
 
@@ -93,10 +93,10 @@ class Kernel:
         self.steps(1)
 
     def steps(self, k: int) -> None:
-        """Grow by ``k`` internal nodes; past the node-id limit, SizeGuardError
-        before anything changes."""
+        """Grow by ``k`` internal nodes; past the int32 node-id or child-slot
+        limit, SizeGuardError before anything changes."""
         if k > 0:
-            check_node_ids(self.d, self.n + k)
+            check_child_slots(self.d, self.n + k)
             self._steps(k)
 
     def step_with(self, ranks, letter: int) -> None:
@@ -110,7 +110,7 @@ class Kernel:
             raise ValueError(f"rank outside [0, {universe})")
         if not 1 <= letter <= d:
             raise ValueError(f"letter {letter} outside 1..{d}")
-        check_node_ids(d, self.n + 1)
+        check_child_slots(d, self.n + 1)
         self._step_with(ranks, letter)
 
     def edge_word(self, rank: int) -> tuple:
@@ -127,5 +127,5 @@ class Kernel:
     def histogram(self, n: int, chains: int) -> dict:
         """Shape counts over repeated chains to size n (one PRNG stream), keyed
         by ``tree.shape_key``."""
-        check_node_ids(self.d, n)
+        check_child_slots(self.d, n)
         return self._histogram(n, chains)

@@ -21,6 +21,7 @@ the reference semantics those kernels are tested against.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import chain
 from typing import List, Optional, Tuple
 
@@ -183,13 +184,15 @@ def add_root_inv(t: LeafMarkedTree) -> MarkedForest:
     if len(code) == 1:
         raise RootSurgeryError("single-node tree has no root to remove")
     walk = _walk(t.d, code)
+    marks = t.leaves  # sorted: each child's marks follow the previous child's
     parts = []
-    s = 1
+    s, lo = 1, bisect_left(marks, 1)
     for _ in range(t.d):
         e = _end(walk, s)
-        leaves = tuple(p - s for p in t.leaves if s <= p < e)
+        hi = bisect_left(marks, e, lo)
+        leaves = tuple(p - s for p in marks[lo:hi])
         parts.append(LeafMarkedTree.from_code(t.d, code[s:e], leaves))
-        s = e
+        s, lo = e, hi
     return MarkedForest(parts)
 
 

@@ -187,7 +187,8 @@ def cmd_verify_counts(args) -> int:
         "pass": False,
     }
     try:
-        report["enumerated"] = len(oracle.enumerate_trees(args.d, args.n, force=args.force))
+        codes = oracle.enumerate_codes(args.d, args.n, force=args.force)
+        report["enumerated"] = sum(1 for _ in codes)
         report["pass"] = report["identity_ok"] and report["enumerated"] == count
     except SizeGuardError:
         report["enumerated"] = None

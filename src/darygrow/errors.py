@@ -52,12 +52,28 @@ class UnderpoweredTestError(DarygrowError, ValueError):
 def check_node_ids(d: int, n: int) -> None:
     """Refuse a tree of n internal nodes whose d*n + 1 node ids pass INT32_MAX.
 
-    The compiled kernel stores node ids as int32; both kernels call this
-    before growing, so they refuse the same sizes.
+    The compiled kernel stores node ids as int32; both kernels refuse the
+    same sizes through :func:`check_child_slots`.
     """
     nodes = d * n + 1
     if nodes > INT32_MAX:
         raise SizeGuardError(
             f"{n} internal nodes at d={d} need {nodes} node ids,"
+            f" above the int32 limit {INT32_MAX}"
+        )
+
+
+def check_child_slots(d: int, n: int) -> None:
+    """Refuse a tree of n internal nodes whose d*(d*n + 1) child slots, d per
+    node, pass INT32_MAX; at that limit every slot index fits int32.
+
+    Checks the node ids first (:func:`check_node_ids`), so the message names
+    the limit a size passes first.  Both kernels call this before growing.
+    """
+    check_node_ids(d, n)
+    slots = d * (d * n + 1)
+    if slots > INT32_MAX:
+        raise SizeGuardError(
+            f"{n} internal nodes at d={d} need {slots} child slots,"
             f" above the int32 limit {INT32_MAX}"
         )

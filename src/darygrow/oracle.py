@@ -26,7 +26,7 @@ from .marks import (
     leaf_sequence,
 )
 from .sampler import make_kernel
-from .tree import DaryTree, shape_key
+from .tree import DaryTree, _end, _walk, shape_key
 from .walks import enumerate_walks
 
 # each exhaustive run multiplies trees, mark sets and letters; refuse
@@ -66,42 +66,39 @@ def growth_identity_holds(d: int, n: int) -> bool:
     return lhs == rhs
 
 
-def _compositions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def enumerate_codes(d: int, n: int, force: bool = False) -> Iterator[Tuple[int, ...]]:
+    """Every preorder code of a d-ary tree with n internal nodes, as a tuple,
+    in lexicographic order (0 before d).
 
-
-_CODE_CACHE: Dict[Tuple[int, int], List[Tuple[int, ...]]] = {}
-
-
-def _codes(d: int, n: int) -> List[Tuple[int, ...]]:
-    key = (d, n)
-    cached = _CODE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if n == 0:
-        out = [(0,)]
-    else:
-        out = []
-        for comp in _compositions(n - 1, d):
-            for parts in product(*(_codes(d, k) for k in comp)):
-                code: Tuple[int, ...] = (d,)
-                for p in parts:
-                    code += p
-                out.append(code)
-        out.sort()
-    _CODE_CACHE[key] = out
-    return out
+    One working list steps from each code to the next (Ruskey 1978, Zaks
+    1980): the last leaf with an internal node after it turns internal, and
+    the tail after it becomes its smallest completion, a leaf wherever
+    another slot stays open, else an internal node.  A completion always
+    exists, so nothing backtracks.
+    """
+    _guard(count_trees(d, n), force)
+    size = d * n + 1
+    block = [d] + [0] * (d - 1)
+    code = block * n + [0]
+    last = size - 1 - d if n else -1  # the last internal node
+    while True:
+        yield tuple(code)
+        i = last - 1
+        while i >= 0 and code[i]:
+            i -= 1
+        if i < 0:
+            return
+        # positions i+1 .. last are internal; once i is, the tail after it
+        # owes one fewer and fills size - 1 - i positions: d per internal
+        # node owed, then one leaf per slot open before the tail
+        due = last - i - 1
+        code[i:] = [d] + [0] * (size - i - 2 - d * due) + block * due + [0]
+        last = size - 1 - d if due else i
 
 
 def enumerate_trees(d: int, n: int, force: bool = False) -> List[DaryTree]:
     """All d-ary trees with n internal nodes, in preorder-code order."""
-    _guard(count_trees(d, n), force)
-    return [DaryTree.from_preorder_code(d, code) for code in _codes(d, n)]
+    return [DaryTree.from_preorder_code(d, c) for c in enumerate_codes(d, n, force)]
 
 
 def enumerate_marked_trees(
@@ -114,7 +111,7 @@ def enumerate_marked_trees(
     """
     _guard(count_trees(d, n) * mark_set_count(d, n), force)
     of_code = EdgeMarkedTree.from_code
-    for code in _codes(d, n):
+    for code in enumerate_codes(d, n, force):
         # bud b is the number b - (d - 1) < 0, an edge its position > 0
         universe = [*range(1 - d, 0), *range(1, len(code))]
         for chosen in combinations(universe, d - 1):
@@ -142,35 +139,31 @@ def enumerate_leaf_marked(
     """All size-n trees with m marked leaves."""
     leaves = (d - 1) * n + 1
     _guard(count_trees(d, n) * math.comb(leaves, m), force)
-    for code in _codes(d, n):
+    for code in enumerate_codes(d, n, force):
         for chosen in combinations(_leaf_positions(code), m):
             yield LeafMarkedTree.from_code(d, code, chosen)
 
 
 def enumerate_forests(d: int, n: int, force: bool = False) -> Iterator[MarkedForest]:
-    """All d-tuples of trees with n internal nodes and d-1 marks in total."""
-    # loose guard: every forest is counted once via the split below
+    """All d-tuples of trees with n internal nodes and d-1 marks in total:
+    the root splits of the size-(n+1) trees with d-1 marked leaves, in the
+    order of :func:`enumerate_leaf_marked`."""
+    # exact: the growth identity equates it with those marked trees' count
     _guard(d * math.comb(d * n + d - 1, d - 1) * count_trees(d, n), force)
-    for sizes in _compositions(n, d):
-        per_position = [
-            [(code, _leaf_positions(code)) for code in _codes(d, k)] for k in sizes
-        ]
-        for picks in product(*per_position):
-            leaf_counts = [len(leaves) for _, leaves in picks]
-            for marks in _compositions(d - 1, d):
-                if any(m > c for m, c in zip(marks, leaf_counts)):
-                    continue
-                mark_choices = [
-                    combinations(leaves, m)
-                    for (_, leaves), m in zip(picks, marks)
-                ]
-                for chosen in product(*mark_choices):
-                    yield MarkedForest(
-                        [
-                            LeafMarkedTree.from_code(d, code, leaves)
-                            for (code, _), leaves in zip(picks, chosen)
-                        ]
-                    )
+    of_code = LeafMarkedTree.from_code
+    for code in enumerate_codes(d, n + 1, force):
+        walk = _walk(d, code)
+        bounds = [1]
+        for _ in range(d):
+            bounds.append(_end(walk, bounds[-1]))
+        slices = [(s, e, code[s:e]) for s, e in zip(bounds, bounds[1:])]
+        for chosen in combinations(_leaf_positions(code), d - 1):
+            trees, lo = [], 0
+            for s, e, piece in slices:
+                hi = bisect_left(chosen, e, lo)
+                trees.append(of_code(d, piece, tuple(p - s for p in chosen[lo:hi])))
+                lo = hi
+            yield MarkedForest(trees)
 
 
 # ----------------------------------------------------------------------
@@ -480,7 +473,7 @@ def chi_square_uniformity(
         observed = k.histogram(n, samples)
     else:
         observed = _histogram(d, n, samples, seed)
-    class_keys = {shape_key(code) for code in _codes(d, n)}
+    class_keys = {shape_key(code) for code in enumerate_codes(d, n, force)}
     unknown = sum(c for key, c in observed.items() if key not in class_keys)
     if unknown:
         # shapes outside the enumerated class set mean the sampler is broken

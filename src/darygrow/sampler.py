@@ -12,9 +12,9 @@ its source's sha256) when available, otherwise the pure-Python twin in
 ``darygrow._growth_py``.  Both kernels implement the same observable
 contract, documented in ``_growth_py``, for every arity, and share the
 PRNG, the rank draw and the argument checks of ``darygrow._kernel``; both
-refuse growth past 2^31 - 1 node ids with SizeGuardError.  Set the
-environment variable DARYGROW_PURE_PYTHON to any non-empty value to force
-the fallback.
+refuse growth past 2^31 - 1 node ids or child slots with SizeGuardError.
+Set the environment variable DARYGROW_PURE_PYTHON to any non-empty value
+to force the fallback.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ skipped at collection (a missing compiled kernel skips `test_kernels.py`),
 with its reason.
 """
 
+import signal
 import sys
 import time
 from contextlib import contextmanager
@@ -43,6 +44,27 @@ def criterion():
             line("FAIL")
             raise
         line("PASS")
+
+    return run
+
+
+@pytest.fixture
+def deadline():
+    """``deadline(seconds)``: a context manager that raises TimeoutError in
+    its block once ``seconds`` have passed (SIGALRM)."""
+
+    @contextmanager
+    def run(seconds: float):
+        def expire(signum, frame):
+            raise TimeoutError(f"still running after {seconds} s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
 
     return run
 

@@ -198,6 +198,15 @@ class TestAddRoot:
         f = five_forest()
         assert add_root_inv(add_root(f)).key() == f.key()
 
+    def test_inv_is_linear_in_arity(self, deadline):
+        # d children and d - 1 marks: one pass over the sorted marks, where
+        # a scan of every mark per child took seconds
+        d = 10_000
+        t = LeafMarkedTree.from_code(d, (d,) + (0,) * d, tuple(range(2, d + 1)))
+        with deadline(1):
+            out = add_root_inv(t)
+        assert [len(c.leaves) for c in out.trees] == [0] + [1] * (d - 1)
+
 
 # ----------------------------------------------------------------------
 # enlarge / reduce

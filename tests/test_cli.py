@@ -122,11 +122,20 @@ def test_kernel_flag_chooses_python(capsys):
     assert out_py == out_any
 
 
-def test_python_kernel_size_guard_exit(capsys):
-    # refused at once, as on the compiled kernel, instead of growing until
-    # memory runs out
-    argv = ["grow", "--d", "2", "--n", "1000000000000", "--seed", "0", "--kernel", "python"]
-    code, out, err = run_cli(argv, capsys)
+@pytest.mark.parametrize("kernel", ["python", "c"])
+@pytest.mark.parametrize(
+    "d,n", [("2", "1000000000000"), ("100000", "3")], ids=["node-ids", "child-slots"]
+)
+def test_python_kernel_size_guard_exit(kernel, d, n, capsys, deadline):
+    # refused at once on both kernels instead of growing until memory runs
+    # out: 2*10^12 + 1 node ids, or 3*10^10 child slots for 3*10^5 nodes
+    if kernel == "c":
+        pytest.importorskip(
+            "darygrow._growth_c", reason="compiled kernel not built", exc_type=ImportError
+        )
+    argv = ["grow", "--d", d, "--n", n, "--seed", "0", "--kernel", kernel]
+    with deadline(2):
+        code, out, err = run_cli(argv, capsys)
     assert code == 1
     assert out == ""
     assert "size guard" in err
@@ -323,6 +332,33 @@ def test_verify_counts_exact_decimal(capsys):
     report = json.loads(out)
     assert report["count"] == str(oracle.count_trees(2, 100))
     assert report["enumerated"] is None
+
+
+def test_verify_counts_at_large_arity(capsys):
+    # one size-1 tree; listing it must not recurse d deep
+    code, out, err = run_cli(["verify", "counts", "--d", "1000", "--n", "1"], capsys)
+    assert code == 0, err
+    assert "Traceback" not in err
+    report = json.loads(out)
+    assert report["pass"] is True and report["enumerated"] == 1
+
+
+def test_verify_counts_streams_in_bounded_memory():
+    # 1,430,715 trees, counted one code at a time under a 256 MiB address
+    # space; a list of every tree takes about 600 MB
+    argv = ["verify", "counts", "--d", "3", "--n", "10"]
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))\n"
+        "from darygrow.cli import main\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout)
+    assert report["enumerated"] == 1430715 and report["pass"] is True
 
 
 def test_verify_counts_too_long_to_print_is_size_guard(capsys):

@@ -8,10 +8,8 @@ first import when a C compiler is present, so this module is skipped only
 where the compiled kernel cannot be built.
 """
 
-import signal
 import subprocess
 import sys
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,22 +29,6 @@ c_kernel = pytest.importorskip(
 
 def both(d, seed):
     return make_kernel(d, seed, kernel="python"), make_kernel(d, seed, kernel="c")
-
-
-@contextmanager
-def deadline(seconds):
-    """Raise TimeoutError in the block once ``seconds`` have passed."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 COUNTER_FIELDS = COUNTERS
@@ -152,7 +134,7 @@ class TestDraws:
         assert c.rng_draws == ref.draws
 
     @pytest.mark.parametrize("source", ["python", "c", "SplitMix64"])
-    def test_uniform_below_range_checked(self, source):
+    def test_uniform_below_range_checked(self, source, deadline):
         if source == "SplitMix64":
             rng = SplitMix64(0)
         else:

@@ -100,6 +100,7 @@ class TestEnumeration:
             forests = list(oracle.enumerate_forests(3, n))
             expected = 3 * math.comb(3 * n + 2, 2) * oracle.count_trees(3, n)
             assert len(forests) == expected
+            assert len({f.key() for f in forests}) == expected
             excursions = [f for f in forests if is_excursion_forest(f)]
             assert len(excursions) * 3 == expected
 
