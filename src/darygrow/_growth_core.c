@@ -10,6 +10,15 @@
  * marked edge's path to the root once, two edges side by side, and reads
  * slots only where two paths part.
  *
+ * At d = 2 a step is one random parent/slot read and one dependent child
+ * write, so the loop is software-pipelined: steps are drawn 16 ahead and
+ * their arena lines prefetched (steps_d2).  This cannot be observed.  A
+ * step's ranks and letter depend only on the PRNG state and n, never on the
+ * tree, so drawing early gives the same draws in the same order; no draw is
+ * made past the last step of a call, and every step is applied exactly as
+ * before.  d >= 3 is not pipelined: there the lex phase's climbs already
+ * keep the memory system busy, and prefetching only moved its stalls.
+ *
  * Node ids are int32.  The wrapper refuses any growth past INT32_MAX node
  * ids before calling in, so every id and slot below fits; indexes into
  * the child array are computed in int64.  Functions that allocate return
@@ -330,29 +339,68 @@ static int apply(dg_kernel *k, const int64_t *ranks, int64_t letter)
     return 0;
 }
 
-static int step(dg_kernel *k)
+/* Draw one step's d - 1 distinct ranks into rk, of a tree with n internal
+ * nodes, and its letter.  The draws depend on the PRNG and n alone. */
+static inline void draw_step(dg_kernel *k, int64_t n, int64_t *rk, int64_t *letter)
 {
-    int64_t d = k->d, universe = d * k->n + d - 1, got = 0, i, r;
+    int64_t d = k->d, universe = d * n + d - 1, got = 0, i, r;
     while (got < d - 1) {
         r = (int64_t)uniform_below(k, (uint64_t)universe);
-        for (i = 0; i < got && k->rk[i] != r; i++)
+        for (i = 0; i < got && rk[i] != r; i++)
             ;
         if (i == got)
-            k->rk[got++] = r;
+            rk[got++] = r;
     }
-    return apply(k, k->rk, (int64_t)uniform_below(k, (uint64_t)d) + 1);
+    *letter = (int64_t)uniform_below(k, (uint64_t)d) + 1;
+}
+
+/* Steps drawn ahead at d = 2 (a power of two), and how many steps before its
+ * own a step's child row is prefetched. */
+enum { AHEAD = 16, LATE = 8 };
+
+/*
+ * d = 2, software-pipelined: step i + AHEAD - 1 is drawn and its parent and
+ * slot entries prefetched, step i + LATE reads its (by now cached) parent
+ * and prefetches the child row its relink writes, and step i is applied.
+ * A prefetch reads ids that earlier steps may still move, which costs a
+ * wasted fetch at worst; apply reads the arena afresh.  apply cannot fail
+ * at d = 2 (no lex phase), so no draw is ever left unapplied.
+ */
+static void steps_d2(dg_kernel *k, int64_t count)
+{
+    int64_t rank[AHEAD], letter[AHEAD], drawn = 0, i, r, p;
+    for (i = 0; i < count; i++) {
+        for (; drawn < count && drawn < i + AHEAD; drawn++) {
+            r = drawn & (AHEAD - 1);
+            draw_step(k, k->n + drawn - i, &rank[r], &letter[r]);
+            __builtin_prefetch(k->parent + rank[r]);
+            __builtin_prefetch(k->slot + rank[r]);
+        }
+        if (i + LATE < drawn) {
+            r = rank[(i + LATE) & (AHEAD - 1)];
+            if (r < k->nodes && (p = k->parent[r]) >= 0)
+                __builtin_prefetch(k->child + 2 * p + k->slot[r] - 1, 1);
+        }
+        apply(k, &rank[i & (AHEAD - 1)], letter[i & (AHEAD - 1)]);
+    }
 }
 
 int dg_steps(dg_kernel *k, int64_t count)
 {
-    int64_t i;
+    int64_t i, letter;
     if (count <= 0)
         return 0;
     if (reserve(k, k->nodes + k->d * count) < 0)
         return -1;
-    for (i = 0; i < count; i++)
-        if (step(k) < 0)
+    if (k->d == 2) {
+        steps_d2(k, count);
+        return 0;
+    }
+    for (i = 0; i < count; i++) {
+        draw_step(k, k->n, k->rk, &letter);
+        if (apply(k, k->rk, letter) < 0)
             return -1;
+    }
     return 0;
 }
 

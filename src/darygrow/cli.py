@@ -14,12 +14,12 @@ import math
 import os
 import sys
 
-from .errors import DarygrowError, SizeGuardError, UnderpoweredTestError
+from .errors import DarygrowError, SizeGuardError, UnderpoweredTestError, check_child_slots
 from .marks import edge_marked_from_obj
 from .bijections import enlarge_trace
 from . import oracle
 from .sampler import COUNTERS, make_kernel
-from .tree import DaryTree, format_word, words_of_code
+from .tree import DaryTree
 
 SEED_ENV = "DARY_SEED"
 
@@ -72,18 +72,32 @@ def _effective_seed(args) -> int:
 
 
 def _dot_from_code(d, code):
-    def name(w):
-        return format_word(w) if w else "e"
-
+    """Graphviz text of a code, each node named by its word as
+    ``tree.format_word`` renders it (``e`` for the root).  A name extends
+    its parent's, so each stack entry keeps both renderings of its word:
+    letters run together, or dot-joined once any letter is above 9."""
     nodes = []
     edges = []
-    for word, sym in words_of_code(d, code):
-        if sym:
-            nodes.append(f'  "{name(word)}";')
+    stack = []  # [name, plain, dotted, any letter > 9, children seen]
+    for sym in code:
+        if stack:
+            top = stack[-1]
+            top[4] += 1
+            letter = str(top[4])
+            plain = top[1] + letter
+            dotted = f"{top[2]}.{letter}" if top[2] else letter
+            big = top[3] or top[4] > 9
+            name = dotted if big else plain
+            edges.append(f'  "{top[0]}" -> "{name}";')
         else:
-            nodes.append(f'  "{name(word)}" [shape=point];')
-        if word:
-            edges.append(f'  "{name(word[:-1])}" -> "{name(word)}";')
+            name, plain, dotted, big = "e", "", "", False
+        if sym:
+            nodes.append(f'  "{name}";')
+            stack.append([name, plain, dotted, big, 0])
+        else:
+            nodes.append(f'  "{name}" [shape=point];')
+            while stack and stack[-1][4] == d:
+                stack.pop()
     return "\n".join(["digraph tree {"] + nodes + edges + ["}"])
 
 
@@ -111,6 +125,8 @@ def _emit(kernel, fmt):
 def cmd_grow(args) -> int:
     seed = _effective_seed(args)
     kernel = make_kernel(args.d, seed, args.kernel)
+    # the final size, before --emit-every grows and prints the way there
+    check_child_slots(args.d, args.n)
     if args.emit_every:
         done = 0
         while done + args.emit_every < args.n:

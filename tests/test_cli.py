@@ -13,6 +13,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from darygrow import _growth_py, cli, oracle
 from darygrow.bijections import reduce as reduce_map
@@ -21,7 +22,12 @@ from darygrow.tree import DaryTree
 
 
 def run_cli(args, capsys):
-    code = cli.main(args)
+    """Exit code, stdout and stderr of one in-process run; argparse's
+    SystemExit counts as the exit code."""
+    try:
+        code = cli.main(args)
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -141,6 +147,17 @@ def test_python_kernel_size_guard_exit(kernel, d, n, capsys, deadline):
     assert "size guard" in err
 
 
+def test_emit_every_size_guard_up_front(capsys, deadline):
+    # refused before the first tree, not after printing every tree on the
+    # way to the node-id limit
+    argv = ["grow", "--d", "2", "--n", str(10**12), "--seed", "0", "--emit-every", "1"]
+    with deadline(2):
+        code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert "size guard" in err
+
+
 @pytest.mark.parametrize("kernel", ["c", "python"])
 def test_allocation_failure_is_one_line_error(kernel):
     # a d = 10^9 kernel cannot allocate its root's child row under a 1 GiB
@@ -178,6 +195,45 @@ def test_json_format(capsys):
     obj = json.loads(out)
     assert obj["d"] == 4 and obj["n"] == 7
     assert len(obj["code"].split()) == 4 * 7 + 1
+
+
+@st.composite
+def grow_argv(draw):
+    # mostly valid sizes, plus arities and sizes that argparse (exit 2) or
+    # the size guard (exit 1) must refuse
+    d = draw(st.integers(0, 1000))
+    # the arena holds d * (d*n + 1) child slots: keep it to a few million
+    small = st.integers(-1, min(40, 3_000_000 // max(d * d, 1)))
+    n = draw(st.one_of(small, st.integers(10**10, 10**13)))
+    argv = ["grow", "--d", str(d), "--n", str(n)]
+    argv += ["--seed", str(draw(st.integers(-(2**70), 2**70)))]
+    argv += ["--format", draw(st.sampled_from(["code", "paren", "dot", "json"]))]
+    if draw(st.booleans()):
+        argv += ["--emit-every", str(draw(st.integers(-1, 42)))]
+    if draw(st.booleans()):
+        argv.append("--counters")
+    return argv
+
+
+@given(argv=grow_argv())
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_grow_fuzz(argv, capsys, deadline):
+    pytest.importorskip(
+        "darygrow._growth_c", reason="compiled kernel not built", exc_type=ImportError
+    )
+    # an uncaught exception fails the test as a traceback would
+    outs = []
+    for kernel in ("python", "c"):
+        with deadline(10):
+            code, out, err = run_cli(argv + ["--kernel", kernel], capsys)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 # ----------------------------------------------------------------------
@@ -250,6 +306,22 @@ def test_dot_output_pinned(capsys):
     )
     digest = hashlib.sha256(out.encode("ascii")).hexdigest()
     assert digest == "780b2ca817e02937b560294e5b9aab9a7b261315da13c288d94d3e861ba2e66a"
+
+
+@pytest.mark.parametrize(
+    "d,n,expected",
+    [
+        (2, 2000, "88f476d6df3a9275c48dc14377127f34dff88c4276f2787184c1bd572be48639"),
+        # letters 10..12 switch whole names to the dotted form
+        (12, 300, "80bd9c82a145c83fc15436dba8c5107fdc4b7ac720408c025cc4bc6762579047"),
+    ],
+)
+def test_dot_names_pinned(d, n, expected, capsys):
+    # byte-identical to the output of naming every node with format_word
+    _, out, _ = run_cli(
+        ["grow", "--d", str(d), "--n", str(n), "--seed", "9", "--format", "dot"], capsys
+    )
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == expected
 
 
 def test_export_basics(tmp_path, capsys):

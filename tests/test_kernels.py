@@ -8,6 +8,7 @@ first import when a C compiler is present, so this module is skipped only
 where the compiled kernel cannot be built.
 """
 
+import random
 import subprocess
 import sys
 
@@ -89,6 +90,27 @@ class TestAgreement:
             cy.step()
             assert py.rng_draws == cy.rng_draws
             assert py.preorder_code() == cy.preorder_code()
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 200])
+    def test_chunked_steps_match(self, d):
+        # chunk sizes around the C core's d = 2 draw-ahead ring of 16 steps:
+        # a kernel that drew a step too many would leave the PRNG ahead,
+        # and the next uniform_below would differ
+        py, c = both(d, 31)
+        rng = random.Random(d)
+        for chunk in (1, 7, "step_with", 15, 16, "draw", 17, 40):
+            ranks = rng.sample(range(d * py.n + d - 1), d - 1)
+            letter = rng.randrange(1, d + 1)
+            for k in (py, c):
+                if chunk == "step_with":
+                    k.step_with(ranks, letter)
+                elif chunk == "draw":
+                    k.uniform_below(2**40)
+                else:
+                    k.steps(chunk)
+            assert py.preorder_code() == c.preorder_code()
+            assert counters(py) == counters(c)
+            assert py.uniform_below(2**40) == c.uniform_below(2**40)
 
     def test_edge_words_match(self):
         py, cy = both(4, 13)
