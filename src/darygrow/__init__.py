@@ -58,7 +58,6 @@ from .oracle import (
     verify_rotation_lemma,
 )
 from .sampler import (
-    GrowthState,
     OpCounters,
     SplitMix64,
     chain,
@@ -81,7 +80,6 @@ __all__ = [
     "DarygrowError",
     "EdgeMark",
     "EdgeMarkedTree",
-    "GrowthState",
     "LEFT",
     "LeafMarkedTree",
     "LukWalk",

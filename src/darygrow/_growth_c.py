@@ -160,10 +160,6 @@ class GrowthKernel(Kernel):
     def _uniform_below(self, k):
         return _lib.dg_uniform_below(self._k, k)
 
-    def reseed(self, seed):
-        self._head.state = seed & MASK
-        self._head.rng_draws = 0
-
     # ------------------------------------------------------------------
     # state
 
@@ -202,11 +198,6 @@ class GrowthKernel(Kernel):
         if self.d < 256:
             return list(self._code(self.d))
         return [self.d if internal else 0 for internal in self._code(1)]
-
-    def code_bytes(self):
-        if self.d > 255 and self.n:
-            raise ValueError("bytes must be in range(0, 256)")
-        return self._code(self.d)
 
     def code_text(self):
         """Preorder code as ASCII: ``0`` or ``d`` per node, space separated."""

@@ -2,9 +2,13 @@
 
 Identical observable behaviour to the compiled kernel in ``_growth_c``:
 same PRNG, same draw order, same arena layout, same counters, same
-serializations.  The PRNG, the rank draw and every argument check and
-size guard live in ``_kernel``, which both kernels share.  The layout
-contract (which also pins cross-implementation determinism, see README):
+serializations.  This module keeps only the arena, the growth step and
+the arena walks (edge words, the preorder code).  The PRNG, the rank
+draw, the counter list, every argument check and size guard, and every
+view read off the preorder code (code and paren text, height, histogram,
+``tree``, ``counters``) live in ``_kernel.Kernel``, which both kernels
+share.  The layout contract (which also pins cross-implementation
+determinism, see README):
 
 * the arena is always compact: after k steps the live ids are exactly
   0 .. d*k, the root is d*k, and edge rank r maps to node id r;
@@ -27,7 +31,6 @@ cost that is not O(d).
 import time
 
 from ._kernel import Kernel, SplitMix64, draw_ranks
-from .tree import format_code, shape_key
 
 KERNEL_NAME = "python"
 
@@ -82,9 +85,6 @@ class GrowthKernel(Kernel):
     def _uniform_below(self, k):
         return self._rng.uniform_below(k)
 
-    def reseed(self, seed):
-        self._rng = SplitMix64(seed)
-
     # ------------------------------------------------------------------
     # state
 
@@ -120,7 +120,7 @@ class GrowthKernel(Kernel):
     # ------------------------------------------------------------------
     # one growth step
 
-    def step(self):
+    def _step(self):
         # one step, unguarded: steps() and histogram() guard the whole run
         d = self.d
         ranks = draw_ranks(self._rng, d * self.n + d - 1, d - 1)
@@ -129,7 +129,7 @@ class GrowthKernel(Kernel):
 
     def _steps(self, k):
         for _ in range(k):
-            self.step()
+            self._step()
 
     def _step_with(self, ranks, letter):
         """The growth bijection on the arena, for checked ranks and letter."""
@@ -199,54 +199,3 @@ class GrowthKernel(Kernel):
                 for j in range(base + d - 1, base - 1, -1):
                     stack.append(child[j])
         return code
-
-    def code_bytes(self):
-        return bytes(self.preorder_code())
-
-    def code_text(self):
-        """Preorder code as ASCII: ``0`` or ``d`` per node, space separated."""
-        return format_code(self.preorder_code()).encode("ascii")
-
-    def paren_text(self):
-        """``(`` + children + ``)`` per internal node, ``o`` per leaf, as ASCII."""
-        d = self.d
-        out = []
-        stack = []  # children still to come, per open internal node
-        for sym in self.preorder_code():
-            if sym:
-                out.append("(")
-                stack.append(d)
-            else:
-                out.append("o")
-                while stack:
-                    stack[-1] -= 1
-                    if stack[-1] == 0:
-                        stack.pop()
-                        out.append(")")
-                    else:
-                        break
-        return "".join(out).encode("ascii")
-
-    def height(self):
-        d, child = self.d, self._child
-        best = 0
-        stack = [(self.root, 0)]
-        while stack:
-            u, h = stack.pop()
-            base = u * d
-            if child[base] < 0:
-                if h > best:
-                    best = h
-            else:
-                for j in range(base, base + d):
-                    stack.append((child[j], h + 1))
-        return best
-
-    def _histogram(self, n, chains):
-        counts = {}
-        for _ in range(chains):
-            self.reset()
-            self._steps(n)
-            key = shape_key(self.preorder_code())
-            counts[key] = counts.get(key, 0) + 1
-        return counts

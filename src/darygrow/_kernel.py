@@ -1,11 +1,17 @@
-"""What both growth kernels share: the PRNG, the rank draw, and in
-:class:`Kernel` every argument check and size guard of the kernel API.
+"""What both growth kernels share: the PRNG, the rank draw, the counter
+list, and in :class:`Kernel` every argument check and size guard of the
+kernel API and every view derived from the preorder code.
 
-The step semantics are documented in ``_growth_py``.  This module imports
-nothing but ``errors``, so the compiled kernel loads without the Python one.
+A kernel itself keeps only its arena and the growth step; the step
+semantics are documented in ``_growth_py``.  This module imports nothing
+but ``errors`` and ``tree``, so the compiled kernel loads without the
+Python one.
 """
 
+from dataclasses import dataclass, fields
+
 from .errors import INT32_MAX, ArityError, SizeGuardError, check_child_slots
+from .tree import DaryTree, format_code, format_paren, shape_key
 
 MASK = (1 << 64) - 1
 
@@ -68,11 +74,30 @@ def draw_ranks(rng: SplitMix64, universe: int, count: int) -> list:
     return ranks
 
 
+@dataclass(frozen=True)
+class OpCounters:
+    """Cost counters accumulated over a run; all monotone non-decreasing.
+
+    The field names are the counter attributes every kernel exposes.
+    """
+
+    node_allocations: int = 0
+    link_redirections: int = 0
+    rng_draws: int = 0
+    lex_letters_compared: int = 0
+    max_step_redirections: int = 0
+
+
+COUNTERS = tuple(f.name for f in fields(OpCounters))
+
+
 class Kernel:
-    """The kernel API up to storage.  A subclass sets ``name``, keeps ``n``
-    and the counters, and provides ``_steps``, ``_step_with``,
-    ``_edge_word``, ``_uniform_below`` and ``_histogram``, which are called
-    only with arguments checked here."""
+    """The kernel API up to storage.  A subclass sets ``name``, keeps ``n``,
+    the counters and ``lex_seconds``, and provides ``reset``,
+    ``preorder_code``, ``_steps``, ``_step_with``, ``_edge_word`` and
+    ``_uniform_below``, which are called only with arguments checked here.
+    The views below are all read off ``preorder_code``; a kernel may
+    override them with faster ones that give the same result."""
 
     def __init__(self, d: int) -> None:
         if d < 2:
@@ -129,3 +154,32 @@ class Kernel:
         by ``tree.shape_key``."""
         check_child_slots(self.d, n)
         return self._histogram(n, chains)
+
+    def _histogram(self, n, chains):
+        counts = {}
+        for _ in range(chains):
+            self.reset()
+            self._steps(n)
+            key = shape_key(self.preorder_code())
+            counts[key] = counts.get(key, 0) + 1
+        return counts
+
+    @property
+    def counters(self) -> OpCounters:
+        return OpCounters(**{c: getattr(self, c) for c in COUNTERS})
+
+    @property
+    def tree(self) -> DaryTree:
+        """The current tree as a fresh, checked :class:`DaryTree`."""
+        return DaryTree.from_preorder_code(self.d, self.preorder_code())
+
+    def code_text(self) -> bytes:
+        """Preorder code as ASCII: ``0`` or ``d`` per node, space separated."""
+        return format_code(self.preorder_code()).encode("ascii")
+
+    def paren_text(self) -> bytes:
+        """``(`` + children + ``)`` per internal node, ``o`` per leaf, as ASCII."""
+        return format_paren(self.d, self.preorder_code()).encode("ascii")
+
+    def height(self) -> int:
+        return self.tree.height()

@@ -9,10 +9,12 @@ error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
+import time
 
 from .errors import DarygrowError, SizeGuardError, UnderpoweredTestError, check_child_slots
 from .marks import edge_marked_from_obj
@@ -71,13 +73,12 @@ def _effective_seed(args) -> int:
 # output formats
 
 
-def _dot_from_code(d, code):
-    """Graphviz text of a code, each node named by its word as
-    ``tree.format_word`` renders it (``e`` for the root).  A name extends
-    its parent's, so each stack entry keeps both renderings of its word:
-    letters run together, or dot-joined once any letter is above 9."""
-    nodes = []
-    edges = []
+def _dot_names(d, code):
+    """(parent name or None, name, symbol) per node of a code, in preorder;
+    a node is named by its word as ``tree.format_word`` renders it (``e``
+    for the root).  A name extends its parent's, so each stack entry keeps
+    both renderings of its word: letters run together, or dot-joined once
+    any letter is above 9."""
     stack = []  # [name, plain, dotted, any letter > 9, children seen]
     for sym in code:
         if stack:
@@ -87,29 +88,41 @@ def _dot_from_code(d, code):
             plain = top[1] + letter
             dotted = f"{top[2]}.{letter}" if top[2] else letter
             big = top[3] or top[4] > 9
-            name = dotted if big else plain
-            edges.append(f'  "{top[0]}" -> "{name}";')
+            parent, name = top[0], dotted if big else plain
         else:
-            name, plain, dotted, big = "e", "", "", False
+            parent, name, plain, dotted, big = None, "e", "", "", False
+        yield parent, name, sym
         if sym:
-            nodes.append(f'  "{name}";')
             stack.append([name, plain, dotted, big, 0])
         else:
-            nodes.append(f'  "{name}" [shape=point];')
             while stack and stack[-1][4] == d:
                 stack.pop()
-    return "\n".join(["digraph tree {"] + nodes + edges + ["}"])
+
+
+def _dot_lines(d, code):
+    """Graphviz text of a code, line by line: every node, then every edge.
+    Two passes over the code, so only the names on one root path are held;
+    stdout's buffer writes the lines out in chunks."""
+    yield "digraph tree {\n"
+    for _, name, sym in _dot_names(d, code):
+        yield f'  "{name}";\n' if sym else f'  "{name}" [shape=point];\n'
+    for parent, name, _ in _dot_names(d, code):
+        if parent is not None:
+            yield f'  "{parent}" -> "{name}";\n'
+    yield "}\n"
 
 
 def _emit(kernel, fmt):
     """Write the kernel's tree to stdout; code and paren come from the kernel
-    as ASCII bytes and go to the binary stream as they are."""
+    as ASCII bytes and go to the binary stream as they are, dot is streamed
+    line by line."""
+    if fmt == "dot":
+        sys.stdout.writelines(_dot_lines(kernel.d, kernel.preorder_code()))
+        return
     if fmt == "code":
         data = kernel.code_text()
     elif fmt == "paren":
         data = kernel.paren_text()
-    elif fmt == "dot":
-        data = _dot_from_code(kernel.d, kernel.preorder_code()).encode("ascii")
     else:
         head = b'{"d": %d, "n": %d, "code": "' % (kernel.d, kernel.n)
         data = head + kernel.code_text() + b'"}'  # as json.dumps writes it
@@ -127,20 +140,23 @@ def cmd_grow(args) -> int:
     kernel = make_kernel(args.d, seed, args.kernel)
     # the final size, before --emit-every grows and prints the way there
     check_child_slots(args.d, args.n)
-    if args.emit_every:
-        done = 0
-        while done + args.emit_every < args.n:
-            kernel.steps(args.emit_every)
-            done += args.emit_every
-            _emit(kernel, args.format)
-        kernel.steps(args.n - done)
-    else:
-        kernel.steps(args.n)
-    _emit(kernel, args.format)
+    every = args.emit_every
+    grow_s = emit_s = 0.0
+    for size in itertools.chain(range(every, args.n, every) if every else (), [args.n]):
+        t0 = time.perf_counter()
+        kernel.steps(size - kernel.n)
+        t1 = time.perf_counter()
+        _emit(kernel, args.format)
+        grow_s += t1 - t0
+        emit_s += time.perf_counter() - t1
     if args.counters:
+        import resource
+
         summary = {"kernel": kernel.name}
         summary.update((c, getattr(kernel, c)) for c in COUNTERS)
-        summary["lex_seconds"] = kernel.lex_seconds
+        summary.update(lex_seconds=kernel.lex_seconds, grow_s=grow_s, emit_s=emit_s)
+        # ru_maxrss is in KiB on Linux
+        summary["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         print(json.dumps(summary), file=sys.stderr)
     return 0
 
@@ -255,7 +271,7 @@ def cmd_export(args) -> int:
     except DarygrowError as exc:
         print(f"invalid code: {exc}", file=sys.stderr)
         return 2
-    print(_dot_from_code(d, code))
+    sys.stdout.writelines(_dot_lines(d, code))
     return 0
 
 

@@ -21,7 +21,7 @@ from itertools import accumulate
 from typing import Iterable, List, Sequence, Tuple, Union
 
 from .errors import ArityError, MalformedObjectError, MarkCountError
-from .tree import DaryTree, Word, format_code, format_word, parse_word, words_of_code
+from .tree import DaryTree, Word, format_code, format_word, parse_word
 from .walks import LukWalk
 
 
@@ -72,13 +72,8 @@ class _CodeTree(_Value):
 
     def words(self, positions: Sequence[int]) -> Tuple[Word, ...]:
         """The words of the nodes at these preorder positions."""
-        wanted = set(positions)
-        found = {
-            p: word
-            for p, (word, _) in enumerate(words_of_code(self.d, self.code))
-            if p in wanted
-        }
-        return tuple(found[p] for p in positions)
+        tree = self.tree
+        return tuple(map(tree.node_word, positions))
 
 
 class EdgeMarkedTree(_CodeTree):

@@ -11,19 +11,22 @@ The heavy lifting happens in a kernel: the compiled one from
 its source's sha256) when available, otherwise the pure-Python twin in
 ``darygrow._growth_py``.  Both kernels implement the same observable
 contract, documented in ``_growth_py``, for every arity, and share the
-PRNG, the rank draw and the argument checks of ``darygrow._kernel``; both
+PRNG, the rank draw, the counter list (``OpCounters``), the argument
+checks and the code-derived views of ``darygrow._kernel.Kernel``; both
 refuse growth past 2^31 - 1 node ids or child slots with SizeGuardError.
 Set the environment variable DARYGROW_PURE_PYTHON to any non-empty value
 to force the fallback.
+
+A kernel is the whole chain state: ``grow_to`` and ``chain`` read its
+``tree`` and ``counters``.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields
 from typing import Iterator, List, Tuple
 
-from ._kernel import SplitMix64, draw_ranks
+from ._kernel import COUNTERS, OpCounters, SplitMix64, draw_ranks  # COUNTERS: re-exported
 from .marks import Bud, EdgeMark, MarkTarget
 from .tree import DaryTree
 
@@ -86,66 +89,20 @@ def make_kernel(d: int, seed: int, kernel: str | None = None):
     return mod.GrowthKernel(d, seed)
 
 
-@dataclass(frozen=True)
-class OpCounters:
-    """Cost counters accumulated over a run; all monotone non-decreasing.
-
-    The field names are the counter attributes every kernel exposes.
-    """
-
-    node_allocations: int = 0
-    link_redirections: int = 0
-    rng_draws: int = 0
-    lex_letters_compared: int = 0
-    max_step_redirections: int = 0
-
-
-COUNTERS = tuple(f.name for f in fields(OpCounters))
-
-
-class GrowthState:
-    """A growth chain in progress: current tree, step number, PRNG, counters.
-
-    Thin wrapper over a kernel instance.  ``tree`` materializes the current
-    shape as a fresh :class:`DaryTree` on each access.
-    """
-
-    __slots__ = ("kernel",)
-
-    def __init__(self, d: int, seed: int, kernel: str | None = None) -> None:
-        self.kernel = make_kernel(d, seed, kernel)
-
-    @property
-    def d(self) -> int:
-        return self.kernel.d
-
-    @property
-    def step(self) -> int:
-        return self.kernel.n
-
-    @property
-    def tree(self) -> DaryTree:
-        return DaryTree.from_preorder_code(self.kernel.d, self.kernel.preorder_code())
-
-    @property
-    def counters(self) -> OpCounters:
-        return OpCounters(**{c: getattr(self.kernel, c) for c in COUNTERS})
-
-
 def grow_to(
     d: int, n: int, seed: int, kernel: str | None = None
 ) -> Tuple[DaryTree, OpCounters]:
     """Grow a uniform tree with ``n`` internal nodes from the given seed."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    state = GrowthState(d, seed, kernel)
-    state.kernel.steps(n)
-    return state.tree, state.counters
+    k = make_kernel(d, seed, kernel)
+    k.steps(n)
+    return k.tree, k.counters
 
 
 def chain(d: int, seed: int, kernel: str | None = None) -> Iterator[DaryTree]:
     """Lazy stream of snapshots t_0, t_1, ...; each yield is a fresh copy."""
-    state = GrowthState(d, seed, kernel)
+    k = make_kernel(d, seed, kernel)
     while True:
-        yield state.tree
-        state.kernel.step()
+        yield k.tree
+        k.step()

@@ -58,6 +58,27 @@ def format_code(code: Sequence[int]) -> str:
     return " ".join(map(str, code))
 
 
+def format_paren(d: int, code: Sequence[int]) -> str:
+    """Render a preorder code as ``(`` + children + ``)`` per internal node
+    and ``o`` per leaf."""
+    out = []
+    stack = []  # children still to come, per open internal node
+    for sym in code:
+        if sym:
+            out.append("(")
+            stack.append(d)
+        else:
+            out.append("o")
+            while stack:
+                stack[-1] -= 1
+                if stack[-1] == 0:
+                    stack.pop()
+                    out.append(")")
+                else:
+                    break
+    return "".join(out)
+
+
 def format_word(word: Sequence[int]) -> str:
     """Render a node word as text: ``""`` for the root, ``"21"`` for (2, 1).
 
@@ -89,24 +110,6 @@ def _walk(d: int, code: Sequence[int]) -> List[int]:
 def _end(walk: List[int], p: int) -> int:
     """One past the last position of the subtree at position ``p``."""
     return walk.index(walk[p] - 1, p + 1)
-
-
-def words_of_code(d: int, code: Sequence[int]) -> Iterator[Tuple[Word, int]]:
-    """Pair each preorder symbol of a well-formed code with its node word."""
-    stack = []  # [word, children seen]
-    for sym in code:
-        if stack:
-            parent_word, used = stack[-1]
-            word = parent_word + (used + 1,)
-            stack[-1][1] += 1
-        else:
-            word = ()
-        yield word, sym
-        if sym:
-            stack.append([word, 0])
-        else:
-            while stack and stack[-1][1] == d:
-                stack.pop()
 
 
 class DaryTree:

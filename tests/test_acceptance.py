@@ -17,7 +17,7 @@ import pytest
 from darygrow import oracle
 from darygrow.bijections import cut, enlarge, reduce
 from darygrow.marks import EdgeMarkedTree, is_excursion_forest
-from darygrow.sampler import GrowthState, SplitMix64, make_kernel, sample_mark_set
+from darygrow.sampler import SplitMix64, make_kernel, sample_mark_set
 from darygrow.tree import DaryTree
 
 COUNTING_SUITE = (
@@ -173,13 +173,13 @@ def test_criterion_10_cost_model(criterion):
         # both sizes are read off one chain, at n and at 2n steps: a separate
         # run to 2n would repeat the first n steps exactly, so measuring them
         # once leaves one independent noisy sample fewer in the ratio
-        state = GrowthState(d, seed=2718, kernel="c")
+        kernel = make_kernel(d, seed=2718, kernel="c")
         w0 = time.perf_counter()
 
         def run(steps):
-            state.kernel.steps(steps - state.step)
+            kernel.steps(steps - kernel.n)
             wall = time.perf_counter() - w0
-            return state.counters, wall - state.kernel.lex_seconds
+            return kernel.counters, wall - kernel.lex_seconds
 
         k1, o1_single = run(n)
         assert k1.node_allocations == 3 * n

@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from darygrow import _growth_py, cli, oracle
 from darygrow.bijections import reduce as reduce_map
 from darygrow.marks import edge_marked_to_obj, leaf_marked_from_obj
+from darygrow.sampler import COUNTERS
 from darygrow.tree import DaryTree
 
 
@@ -50,13 +51,22 @@ def test_grow_n1_unique_shape(capsys):
 
 
 def test_stdout_carries_data_only(capsys):
-    _, out, err = run_cli(
-        ["grow", "--d", "2", "--n", "5", "--seed", "3", "--counters"], capsys
-    )
+    argv = ["grow", "--d", "2", "--n", "5", "--seed", "3"]
+    _, plain, _ = run_cli(argv, capsys)
+    _, out, err = run_cli(argv + ["--counters"], capsys)
+    assert out == plain
     DaryTree.from_code_text(2, out)  # parses as a bare code
     counters = json.loads(err.splitlines()[-1])
     assert counters["node_allocations"] == 10
     assert counters["kernel"] in ("python", "c")
+    # one run record: the counters first, then the phase times and peak RSS
+    assert list(counters) == [
+        "kernel", *COUNTERS, "lex_seconds", "grow_s", "emit_s", "peak_rss_mb"
+    ]
+    assert all(type(counters[c]) is int for c in COUNTERS)
+    for key in ("lex_seconds", "grow_s", "emit_s", "peak_rss_mb"):
+        assert type(counters[key]) is float and counters[key] >= 0
+    assert counters["peak_rss_mb"] > 1
 
 
 def test_emit_every(capsys):
@@ -497,7 +507,7 @@ def test_uniform_underpowered_exits_2(capsys):
 class RiggedKernel(_growth_py.GrowthKernel):
     """Ignores its random draws: every step marks the first ranks, letter 1."""
 
-    def step(self):
+    def _step(self):
         d = self.d
         universe = d * self.n + d - 1
         ranks = []

@@ -57,8 +57,6 @@ class TestAgreement:
         py.steps(n)
         cy.steps(n)
         assert py.preorder_code() == cy.preorder_code()
-        if d < 256:
-            assert py.code_bytes() == cy.code_bytes()
         assert py.height() == cy.height()
         assert counters(py) == counters(cy)
 
@@ -123,7 +121,7 @@ class TestAgreement:
         py, cy = both(3, 21)
         assert py.histogram(3, 400) == cy.histogram(3, 400)
 
-    def test_reset_and_reseed(self):
+    def test_reset_keeps_the_stream(self):
         py, cy = both(2, 5)
         for k in (py, cy):
             k.steps(10)
@@ -132,12 +130,6 @@ class TestAgreement:
             assert k.preorder_code() == [0]
         # reset keeps the PRNG stream position, so the replays agree with
         # each other but not with the first run
-        py.steps(10)
-        cy.steps(10)
-        assert py.preorder_code() == cy.preorder_code()
-        for k in (py, cy):
-            k.reseed(5)
-            k.reset()
         py.steps(10)
         cy.steps(10)
         assert py.preorder_code() == cy.preorder_code()
@@ -338,16 +330,8 @@ class TestWideArity:
         assert len(outs[0].split()) == 3 * d + 1
 
     @pytest.mark.parametrize("d", [256, 1000])
-    def test_code_bytes_refused_alike(self, d):
+    def test_histogram_keys_carry_no_arity(self, d):
         py, c = both(d, 3)
-        # a single leaf still has a byte code
-        assert py.code_bytes() == c.code_bytes() == b"\x00"
-        py.steps(2)
-        c.steps(2)
-        for k in (py, c):
-            with pytest.raises(ValueError, match="range"):
-                k.code_bytes()
-        # histogram keys carry no arity
         assert py.histogram(1, 3) == c.histogram(1, 3) == {b"\x01" + b"\x00" * d: 3}
 
 

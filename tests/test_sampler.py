@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from darygrow.errors import SizeGuardError
 from darygrow.marks import Bud, EdgeMark
 from darygrow.sampler import (
-    GrowthState,
     OpCounters,
     SplitMix64,
     chain,
@@ -159,6 +158,23 @@ class TestKernelSelection:
             k.histogram(2**30, 1)
         assert k.n == 5 and k.node_allocations == 10
 
+    @pytest.mark.parametrize("name", ["python", "c"])
+    def test_one_step_past_the_child_slots_refused(self, name, deadline):
+        # at d = 46341 the first internal node already needs d*(d+1) child
+        # slots, past 2^31 - 1: step() and a chain's second tree are refused
+        # at once, as steps() is, before any rank is drawn
+        if name == "c":
+            pytest.importorskip(
+                "darygrow._growth_c", reason="compiled kernel not built", exc_type=ImportError
+            )
+        with deadline(5), pytest.raises(SizeGuardError):
+            make_kernel(46341, 1, kernel=name).step()
+        trees = chain(46341, 1, kernel=name)
+        with deadline(5):
+            assert next(trees).node_count == 1
+            with pytest.raises(SizeGuardError):
+                next(trees)
+
 
 class TestGrowing:
     def test_grow_to_zero(self):
@@ -189,12 +205,12 @@ class TestGrowing:
             counters.rng_draws = 0
 
     def test_grow_step_state(self):
-        state = GrowthState(3, seed=17)
+        kernel = make_kernel(3, seed=17)
         for expected in (1, 2, 3):
-            state.kernel.step()
-            assert state.step == expected
-            assert state.tree.internal_count == expected
-        assert state.counters.node_allocations == 9
+            kernel.step()
+            assert kernel.n == expected
+            assert kernel.tree.internal_count == expected
+        assert kernel.counters.node_allocations == 9
 
     def test_chain_prefix_matches_grow_to(self):
         gen = chain(3, seed=55)
