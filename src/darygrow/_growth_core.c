@@ -19,8 +19,12 @@
  * before.  d >= 3 is not pipelined: there the lex phase's climbs already
  * keep the memory system busy, and prefetching only moved its stalls.
  *
- * Node ids are int32.  The wrapper refuses any growth past INT32_MAX node
- * ids before calling in, so every id and slot below fits; indexes into
+ * The arena is compact: a tree of n internal nodes has ids 0 .. d*n, so a
+ * step's d new ids are d*n + 1 .. d*n + d and apply hands them out by
+ * counting, with no allocator and no live-node count.
+ *
+ * Node ids are int32.  The wrapper refuses any growth past INT32_MAX child
+ * slots before calling in, so every id and slot below fits; indexes into
  * the child array are computed in int64.  Functions that allocate return
  * 0 on success and -1 when memory runs out, leaving the kernel usable.
  */
@@ -41,12 +45,11 @@ typedef struct {
     int64_t max_step_redirections;
     double lex_seconds;
     uint64_t state;
-    /* arena: nodes live ids, room for cap */
-    int64_t nodes, cap;
+    /* arena: ids 0 .. d*n live, room for cap */
+    int64_t cap;
     int32_t *parent, *slot, *child;
     /* per-step scratch, d entries each */
-    int64_t *rk, *buds, *edges, *rem, *pos, *woff, *wlen;
-    char *taken;
+    int64_t *rk, *edges, *pos, *woff, *wlen;
     /* root paths (node ids) of the marked edges, for the lex phase */
     int32_t *words;
     int64_t words_cap;
@@ -115,7 +118,6 @@ static int grow_words(dg_kernel *k)
 void dg_reset(dg_kernel *k)
 {
     k->n = 0;
-    k->nodes = 1;
     k->parent[0] = -1;
     k->slot[0] = 0;
     k->child[0] = -1;
@@ -133,19 +135,16 @@ dg_kernel *dg_new(int64_t d, uint64_t seed)
         return NULL;
     k->d = d;
     k->state = seed;
-    /* the seven int64 scratch arrays and `taken` share one block */
-    if (!(k->rk = malloc(7 * d * sizeof(int64_t) + d)) || reserve(k, 1) < 0 ||
+    /* the five scratch arrays share one block */
+    if (!(k->rk = malloc(5 * d * sizeof(int64_t))) || reserve(k, 1) < 0 ||
         grow_words(k) < 0) {
         dg_free(k);
         return NULL;
     }
-    k->buds = k->rk + d;
-    k->edges = k->buds + d;
-    k->rem = k->edges + d;
-    k->pos = k->rem + d;
+    k->edges = k->rk + d;
+    k->pos = k->edges + d;
     k->woff = k->pos + d;
     k->wlen = k->woff + d;
-    k->taken = (char *)(k->wlen + d);
     dg_reset(k);
     return k;
 }
@@ -265,27 +264,20 @@ restart:
 /* ------------------------------------------------------------------ */
 /* one growth step; the arena must have room for d more nodes */
 
-static inline int32_t alloc_leaf(dg_kernel *k)
-{
-    int64_t v = k->nodes++;
-    k->parent[v] = -1;
-    k->slot[v] = 0;
-    k->child[v * k->d] = -1;
-    k->node_allocations++;
-    return (int32_t)v;
-}
-
+/* The allocation order of `_growth_py`.  pos[p] is the subtree hung at
+ * position p of the new root; the old root keeps the last free one. */
 static int apply(dg_kernel *k, const int64_t *ranks, int64_t letter)
 {
-    int64_t d = k->d, edge_count = d * k->n, before = k->link_redirections;
-    int64_t nb = 0, ne = 0, nrem = 0, i, j, r, u, v, pu, c, base, new_root;
+    int64_t d = k->d, root = d * k->n, v = root, ne = 0, i, p, u, pu, c, base, redirections;
+    int64_t *pos = k->pos;
 
+    for (p = 0; p < d; p++)
+        pos[p] = root; /* free */
     for (i = 0; i < d - 1; i++) {
-        r = ranks[i];
-        if (r >= edge_count)
-            k->buds[nb++] = r - edge_count;
+        if (ranks[i] >= root)
+            pos[ranks[i] - root] = -1; /* a bud */
         else
-            k->edges[ne++] = r;
+            k->edges[ne++] = ranks[i];
     }
     if (ne >= 2) { /* before any write, so a failure leaves the tree as it was */
         double t0 = now();
@@ -293,49 +285,41 @@ static int apply(dg_kernel *k, const int64_t *ranks, int64_t letter)
             return -1;
         k->lex_seconds += now() - t0;
     }
-    for (i = 1; i < nb; i++) { /* buds ascending */
-        r = k->buds[i];
-        for (j = i - 1; j >= 0 && k->buds[j] > r; j--)
-            k->buds[j + 1] = k->buds[j];
-        k->buds[j + 1] = r;
-    }
 
-    memset(k->taken, 0, d);
-    for (i = 0; i < nb; i++) {
-        k->pos[k->buds[i]] = alloc_leaf(k);
-        k->taken[k->buds[i]] = 1;
+    for (p = 0; p < d; p++) {
+        if (pos[p] < 0) {
+            pos[p] = ++v;
+            k->child[v * d] = -1;
+        }
     }
-    for (i = 0; i < d; i++)
-        if (!k->taken[i])
-            k->rem[nrem++] = i;
-
-    for (i = 0; i < ne; i++) {
-        u = k->edges[i];
-        v = alloc_leaf(k);
+    for (p = d - 1, i = 0; i < ne; p--) {
+        if (pos[p] != root)
+            continue;
+        u = k->edges[i++];
         pu = k->parent[u];
-        k->child[pu * d + k->slot[u] - 1] = (int32_t)v;
+        k->child[pu * d + k->slot[u] - 1] = (int32_t)++v;
+        k->child[v * d] = -1;
         k->parent[v] = (int32_t)pu;
         k->slot[v] = k->slot[u];
-        k->link_redirections += 2;
-        k->pos[k->rem[--nrem]] = u;
+        pos[p] = u;
     }
-    k->pos[k->rem[0]] = edge_count; /* the old root */
 
-    new_root = alloc_leaf(k);
-    base = new_root * d;
+    base = ++v * d;
     for (i = 0; i < d; i++) {
-        c = k->pos[(i + letter) % d];
+        c = pos[(i + letter) % d];
         k->child[base + i] = (int32_t)c;
-        k->parent[c] = (int32_t)new_root;
+        k->parent[c] = (int32_t)v;
         k->slot[c] = (int32_t)(i + 1);
-        k->link_redirections += 2;
     }
-    k->parent[new_root] = -1;
-    k->slot[new_root] = 0;
+    k->parent[v] = -1;
+    k->slot[v] = 0;
     k->n++;
 
-    if (k->link_redirections - before > k->max_step_redirections)
-        k->max_step_redirections = k->link_redirections - before;
+    redirections = 2 * ne + 2 * d;
+    k->node_allocations += d;
+    k->link_redirections += redirections;
+    if (redirections > k->max_step_redirections)
+        k->max_step_redirections = redirections;
     return 0;
 }
 
@@ -378,7 +362,7 @@ static void steps_d2(dg_kernel *k, int64_t count)
         }
         if (i + LATE < drawn) {
             r = rank[(i + LATE) & (AHEAD - 1)];
-            if (r < k->nodes && (p = k->parent[r]) >= 0)
+            if (r < 2 * k->n + 1 && (p = k->parent[r]) >= 0)
                 __builtin_prefetch(k->child + 2 * p + k->slot[r] - 1, 1);
         }
         apply(k, &rank[i & (AHEAD - 1)], letter[i & (AHEAD - 1)]);
@@ -390,7 +374,7 @@ int dg_steps(dg_kernel *k, int64_t count)
     int64_t i, letter;
     if (count <= 0)
         return 0;
-    if (reserve(k, k->nodes + k->d * count) < 0)
+    if (reserve(k, k->d * (k->n + count) + 1) < 0)
         return -1;
     if (k->d == 2) {
         steps_d2(k, count);
@@ -407,7 +391,7 @@ int dg_steps(dg_kernel *k, int64_t count)
 /* Apply one step with ranks and letter already validated by the caller. */
 int dg_step_with(dg_kernel *k, const int64_t *ranks, int64_t letter)
 {
-    if (reserve(k, k->nodes + k->d) < 0)
+    if (reserve(k, k->d * (k->n + 1) + 1) < 0)
         return -1;
     return apply(k, ranks, letter);
 }
@@ -440,7 +424,7 @@ static int64_t walk(const dg_kernel *k, int mode, char *out, const char *sym, in
 {
     int64_t d = k->d, top = 0, h = 0, best = 0, at = 0, u, base, j;
     int ends = mode == WALK_PAREN || mode == WALK_HEIGHT;
-    int32_t *stack = malloc((k->nodes + k->n + 1) * sizeof(int32_t));
+    int32_t *stack = malloc((d * k->n + 1 + k->n + 1) * sizeof(int32_t));
     if (!stack)
         return -1;
     stack[top++] = (int32_t)(d * k->n);

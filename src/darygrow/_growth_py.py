@@ -12,16 +12,18 @@ determinism, see README):
 
 * the arena is always compact: after k steps the live ids are exactly
   0 .. d*k, the root is d*k, and edge rank r maps to node id r;
-* each step allocates exactly d nodes, in this order: one singleton per
-  marked bud (ascending bud index), one replacement leaf per marked edge
-  (edges processed in descending lexicographic order of their words), and
-  the new root last;
+* so the next step's d new ids, d*k + 1 .. d*k + d, are handed out by
+  counting: one leaf per marked bud (ascending position), one replacement
+  leaf per marked edge (descending lexicographic order of the edge words,
+  each edge's subtree taking the largest free position), the new root last;
+  the old root keeps the one free position left;
 * per step the PRNG serves first d-1 ranks, all different (rejection on the
   top range inside uniform_below; a rank equal to an earlier one in the
   same step is drawn again, earlier ranks are kept), then the letter.
 
 ``link_redirections`` counts parent and child pointer writes during
-surgery; the per-step count is 2*(marked edges) + 2*d, at most 4*d - 2.
+surgery, 2 per relinked edge and 2 per child of the new root: 2*(marked
+edges) + 2*d per step, at most 4*d - 2.
 ``lex_letters_compared`` counts letter pair comparisons while ordering the
 marked edges; the time spent materializing and ordering edge words is
 accumulated separately in ``lex_seconds`` because it is the only per-step
@@ -72,7 +74,6 @@ class GrowthKernel(Kernel):
     def __init__(self, d, seed):
         super().__init__(d)
         self._rng = SplitMix64(seed)
-        self._leafmark = [-1] * d
         self.reset()
 
     # ------------------------------------------------------------------
@@ -99,14 +100,6 @@ class GrowthKernel(Kernel):
         self.lex_letters_compared = 0
         self.lex_seconds = 0.0
         self.max_step_redirections = 0
-
-    def _alloc_leaf(self):
-        v = len(self._parent)
-        self._parent.append(-1)
-        self._slot.append(0)
-        self._child.extend(self._leafmark)
-        self.node_allocations += 1
-        return v
 
     def _edge_word(self, u):
         parent, slot = self._parent, self._slot
@@ -135,19 +128,17 @@ class GrowthKernel(Kernel):
         """The growth bijection on the arena, for checked ranks and letter."""
         d = self.d
         parent, slot, child = self._parent, self._slot, self._child
-        edge_count = d * self.n
-        before = self.link_redirections
+        root = self.root
 
-        buds = sorted(r - edge_count for r in ranks if r >= edge_count)
-        edges = [r for r in ranks if r < edge_count]
-
-        pos_root = [-1] * d
-        taken = [False] * d
-        for i in buds:
-            pos_root[i] = self._alloc_leaf()
-            taken[i] = True
-        remaining = [i for i in range(d) if not taken[i]]
-
+        # pos[p]: the subtree the new root hangs at position p; the old
+        # root keeps the free position that no edge's subtree takes
+        pos = [root] * d
+        edges = []
+        for r in ranks:
+            if r < root:
+                edges.append(r)
+            else:
+                pos[r - root] = -1  # a bud
         if len(edges) > 1:
             t0 = time.perf_counter_ns()
             keyed = [(self._edge_word(u), u) for u in edges]
@@ -155,32 +146,38 @@ class GrowthKernel(Kernel):
             edges = [u for _, u in keyed]
             self.lex_seconds += (time.perf_counter_ns() - t0) * 1e-9
 
-        for u in edges:
-            v = self._alloc_leaf()
+        parent.extend([-1] * d)
+        slot.extend([0] * d)
+        child.extend([-1] * (d * d))
+
+        v = root  # the last id handed out
+        for p in range(d):
+            if pos[p] < 0:
+                v += 1
+                pos[p] = v
+        free = [p for p in reversed(range(d)) if pos[p] == root]
+        for p, u in zip(free, edges):
+            v += 1
             pu = parent[u]
             child[pu * d + slot[u] - 1] = v
             parent[v] = pu
             slot[v] = slot[u]
-            self.link_redirections += 2
-            pos_root[remaining.pop()] = u
+            pos[p] = u
 
-        pos_root[remaining[0]] = self.root  # working tree, smallest position
-
-        new_root = self._alloc_leaf()
-        base = new_root * d
+        v += 1  # the new root, root + d
+        base = v * d
         for i in range(d):
-            c = pos_root[(i + letter) % d]
+            c = pos[(i + letter) % d]
             child[base + i] = c
-            parent[c] = new_root
+            parent[c] = v
             slot[c] = i + 1
-            self.link_redirections += 2
-        parent[new_root] = -1
-        slot[new_root] = 0
         self.n += 1
 
-        delta = self.link_redirections - before
-        if delta > self.max_step_redirections:
-            self.max_step_redirections = delta
+        redirections = 2 * len(edges) + 2 * d
+        self.node_allocations += d
+        self.link_redirections += redirections
+        if redirections > self.max_step_redirections:
+            self.max_step_redirections = redirections
 
     # ------------------------------------------------------------------
     # inspection

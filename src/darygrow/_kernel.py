@@ -118,8 +118,8 @@ class Kernel:
         self.steps(1)
 
     def steps(self, k: int) -> None:
-        """Grow by ``k`` internal nodes; past the int32 node-id or child-slot
-        limit, SizeGuardError before anything changes."""
+        """Grow by ``k`` internal nodes; past the int32 child-slot limit,
+        SizeGuardError before anything changes."""
         if k > 0:
             check_child_slots(self.d, self.n + k)
             self._steps(k)

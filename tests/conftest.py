@@ -8,6 +8,7 @@ skipped at collection (a missing compiled kernel skips `test_kernels.py`),
 with its reason.
 """
 
+import os
 import signal
 import sys
 import time
@@ -70,15 +71,18 @@ def deadline():
 
 
 def _kernel_line() -> str:
+    # names the C library only when the run selected it: a test module may
+    # import the compiled kernel in a run whose default is the Python one
     from darygrow.sampler import kernel_name
 
-    compiled = sys.modules.get("darygrow._growth_c")
-    where = (
-        "compiled kernel not available"
-        if compiled is None
-        else f"C core loaded from {compiled._lib._name}"
-    )
-    return f"kernel      {kernel_name()}  ({where})"
+    name = kernel_name()
+    if name == "c":
+        where = f"C core loaded from {sys.modules['darygrow._growth_c']._lib._name}"
+    elif os.environ.get("DARYGROW_PURE_PYTHON"):
+        where = "forced by DARYGROW_PURE_PYTHON"
+    else:
+        where = "compiled kernel not available"
+    return f"kernel      {name}  ({where})"
 
 
 def pytest_collectreport(report):

@@ -8,6 +8,7 @@ first import when a C compiler is present, so this module is skipped only
 where the compiled kernel cannot be built.
 """
 
+import os
 import random
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from darygrow import _growth_py
 from darygrow.cli import main as cli_main
-from darygrow.errors import ArityError, SizeGuardError, check_node_ids
+from darygrow.errors import ArityError, SizeGuardError, check_child_slots
 from darygrow.bijections import enlarge
 from darygrow.marks import Bud, EdgeMark, EdgeMarkedTree
 from darygrow.sampler import COUNTERS, SplitMix64, make_kernel
@@ -182,6 +183,52 @@ class TestArenaContract:
                 assert k.node_allocations - prev == 4
                 prev = k.node_allocations
 
+    @pytest.mark.parametrize("name", ["python", "c"])
+    def test_allocation_order(self, name):
+        # a step hands out ids R+1 .. R+4 (R = d*n) at d = 4: the buds by
+        # ascending position, then a replacement leaf per marked edge, the
+        # lex-larger edge first, each edge's subtree taking the largest free
+        # position left and the old root the last one; the new root is R+4.
+        # Position p hangs in slot s(p) of the new root.
+        d, n = 4, 10
+        R = d * n
+
+        def grown():
+            k = make_kernel(d, 5, kernel=name)
+            k.steps(n)
+            return k
+
+        words = [grown().edge_word(r) for r in range(R)]
+        e = 7
+        # two edges, lo's word the smaller and neither inside the other's
+        # subtree (a smaller word is a prefix of a larger one or parts from it)
+        lo, hi = next(
+            (x, y)
+            for x in range(R)
+            for y in range(R)
+            if words[x] < words[y] and words[y][: len(words[x])] != words[x]
+        )
+        for a in range(1, d + 1):
+            def s(p):
+                return (p - a) % d + 1
+
+            k = grown()
+            k.step_with([R + 2, R + 0, e], a)  # buds at positions 2 and 0
+            assert k.edge_word(R + 1) == (s(0),)
+            assert k.edge_word(R + 2) == (s(2),)
+            assert k.edge_word(R + 3) == (s(1),) + words[e]
+            assert k.edge_word(e) == (s(3),)
+            assert k.root == R + 4
+
+            k = grown()
+            k.step_with([lo, R + 1, hi], a)  # a bud at position 1
+            assert k.edge_word(R + 1) == (s(1),)
+            assert k.edge_word(R + 2) == (s(0),) + words[hi]
+            assert k.edge_word(R + 3) == (s(0),) + words[lo]
+            assert k.edge_word(hi) == (s(3),)
+            assert k.edge_word(lo) == (s(2),)
+            assert k.root == R + 4
+
     def test_redirections_bounded(self):
         for name in ("python", "c"):
             k = make_kernel(5, 3, kernel=name)
@@ -317,7 +364,9 @@ class TestWideArity:
 
     @pytest.mark.parametrize("d", [128, 200])
     def test_default_is_compiled(self, d):
-        assert make_kernel(d, 0).name == c_kernel.KERNEL_NAME
+        # unless DARYGROW_PURE_PYTHON forces the fallback for the run
+        expected = "python" if os.environ.get("DARYGROW_PURE_PYTHON") else c_kernel.KERNEL_NAME
+        assert make_kernel(d, 0).name == expected
 
     @pytest.mark.parametrize("d", [128, 200])
     def test_cli_forced_compiled_matches_python(self, d, capsys):
@@ -373,11 +422,12 @@ class TestSizeGuard:
         assert k.n == 6
 
     def test_guard_boundary(self):
-        # d * n + 1 node ids may reach INT32_MAX, not pass it; checked
-        # without growing, since the arena would take gigabytes
-        check_node_ids(2, 2**30 - 1)
+        # d * (d * n + 1) child slots may reach INT32_MAX, not pass it: at
+        # d = 2, n = 2^29 - 1 holds 2^31 - 2 of them; checked without
+        # growing, since the arena would take gigabytes
+        check_child_slots(2, 2**29 - 1)
         with pytest.raises(SizeGuardError):
-            check_node_ids(2, 2**30)
+            check_child_slots(2, 2**29)
 
     def test_histogram_past_int32_ids_refused(self):
         k = make_kernel(2, 0, kernel="c")

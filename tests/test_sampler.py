@@ -148,7 +148,7 @@ class TestKernelSelection:
             make_kernel(3, 1, kernel="fortran")
 
     def test_python_kernel_size_guard(self):
-        # the same node-id limit as the compiled kernel, checked before
+        # the same child-slot limit as the compiled kernel, checked before
         # anything grows
         k = make_kernel(2, 0, kernel="python")
         k.steps(5)
