@@ -15,9 +15,10 @@ with ``os.replace``.  Importing this module raises ImportError when the
 library cannot be had (no C compiler, an unwritable cache, a compile
 error), and the package then runs on the Python kernel.
 
-Node ids and child slots are int32: growth past INT32_MAX of either is
-refused with SizeGuardError before anything is allocated, and a failed
-allocation raises MemoryError.
+Node ids and child slots are int32, and only internal nodes have child
+slots: growth past ``errors.check_child_slots`` is refused with
+SizeGuardError before anything is allocated, a failed allocation raises
+MemoryError, and nothing proportional to d is allocated before a step.
 """
 
 import ctypes

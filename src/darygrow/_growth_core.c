@@ -21,7 +21,9 @@
  *
  * The arena is compact: a tree of n internal nodes has ids 0 .. d*n, so a
  * step's d new ids are d*n + 1 .. d*n + d and apply hands them out by
- * counting, with no allocator and no live-node count.
+ * counting, with no allocator and no live-node count.  The internal nodes
+ * are the steps' new roots d, 2d, .., d*n; only they have a child row, u's
+ * at child[u - d .. u), and u is a leaf when u % d != 0 or u == 0.
  *
  * Node ids are int32.  The wrapper refuses any growth past INT32_MAX child
  * slots before calling in, so every id and slot below fits; indexes into
@@ -45,10 +47,10 @@ typedef struct {
     int64_t max_step_redirections;
     double lex_seconds;
     uint64_t state;
-    /* arena: ids 0 .. d*n live, room for cap */
+    /* arena: ids 0 .. d*n live, room for cap ids and cap child slots */
     int64_t cap;
     int32_t *parent, *slot, *child;
-    /* per-step scratch, d entries each */
+    /* per-step scratch, d entries each, allocated by the first step */
     int64_t *rk, *edges, *pos, *woff, *wlen;
     /* root paths (node ids) of the marked edges, for the lex phase */
     int32_t *words;
@@ -84,6 +86,14 @@ static int reserve(dg_kernel *k, int64_t nodes)
     void *p;
     if (nodes <= k->cap)
         return 0;
+    if (nodes > 1 && !k->rk) { /* the first step's five scratch arrays, one block */
+        if (!(k->rk = malloc(5 * k->d * sizeof(int64_t))))
+            return -1;
+        k->edges = k->rk + k->d;
+        k->pos = k->edges + k->d;
+        k->woff = k->pos + k->d;
+        k->wlen = k->woff + k->d;
+    }
     if (cap < nodes)
         cap = nodes;
     if (cap > (int64_t)INT32_MAX + 1 && nodes <= (int64_t)INT32_MAX + 1)
@@ -95,7 +105,7 @@ static int reserve(dg_kernel *k, int64_t nodes)
     if (!(p = realloc(k->slot, cap * sizeof(int32_t))))
         return -1;
     k->slot = p;
-    if (!(p = realloc(k->child, cap * k->d * sizeof(int32_t))))
+    if (!(p = realloc(k->child, cap * sizeof(int32_t))))
         return -1;
     k->child = p;
     k->cap = cap;
@@ -120,7 +130,6 @@ void dg_reset(dg_kernel *k)
     k->n = 0;
     k->parent[0] = -1;
     k->slot[0] = 0;
-    k->child[0] = -1;
     k->node_allocations = 0;
     k->link_redirections = 0;
     k->lex_letters_compared = 0;
@@ -135,16 +144,10 @@ dg_kernel *dg_new(int64_t d, uint64_t seed)
         return NULL;
     k->d = d;
     k->state = seed;
-    /* the five scratch arrays share one block */
-    if (!(k->rk = malloc(5 * d * sizeof(int64_t))) || reserve(k, 1) < 0 ||
-        grow_words(k) < 0) {
+    if (reserve(k, 1) < 0 || grow_words(k) < 0) {
         dg_free(k);
         return NULL;
     }
-    k->edges = k->rk + d;
-    k->pos = k->edges + d;
-    k->woff = k->pos + d;
-    k->wlen = k->woff + d;
     dg_reset(k);
     return k;
 }
@@ -223,7 +226,7 @@ static int sort_edges_desc(dg_kernel *k, int64_t *edges, int64_t ne)
     int64_t lane, i, j, a, b;
     int32_t *lo, *pa, *pb;
     for (i = 0; i < ne; i++) /* the relink after sorting writes this child row */
-        __builtin_prefetch(k->child + parent[edges[i]] * k->d + k->slot[edges[i]] - 1, 1);
+        __builtin_prefetch(k->child + parent[edges[i]] - k->d + k->slot[edges[i]] - 1, 1);
 restart:
     lane = k->words_cap / (ne + 1);
     for (i = 0; i < ne; i += 2) {
@@ -268,7 +271,7 @@ restart:
  * position p of the new root; the old root keeps the last free one. */
 static int apply(dg_kernel *k, const int64_t *ranks, int64_t letter)
 {
-    int64_t d = k->d, root = d * k->n, v = root, ne = 0, i, p, u, pu, c, base, redirections;
+    int64_t d = k->d, root = d * k->n, v = root, ne = 0, i, p, u, pu, c, redirections;
     int64_t *pos = k->pos;
 
     for (p = 0; p < d; p++)
@@ -286,28 +289,24 @@ static int apply(dg_kernel *k, const int64_t *ranks, int64_t letter)
         k->lex_seconds += now() - t0;
     }
 
-    for (p = 0; p < d; p++) {
-        if (pos[p] < 0) {
+    for (p = 0; p < d; p++)
+        if (pos[p] < 0)
             pos[p] = ++v;
-            k->child[v * d] = -1;
-        }
-    }
     for (p = d - 1, i = 0; i < ne; p--) {
         if (pos[p] != root)
             continue;
         u = k->edges[i++];
         pu = k->parent[u];
-        k->child[pu * d + k->slot[u] - 1] = (int32_t)++v;
-        k->child[v * d] = -1;
+        k->child[pu - d + k->slot[u] - 1] = (int32_t)++v;
         k->parent[v] = (int32_t)pu;
         k->slot[v] = k->slot[u];
         pos[p] = u;
     }
 
-    base = ++v * d;
+    v++; /* the new root: its row starts at the old root's id */
     for (i = 0; i < d; i++) {
         c = pos[(i + letter) % d];
-        k->child[base + i] = (int32_t)c;
+        k->child[root + i] = (int32_t)c;
         k->parent[c] = (int32_t)v;
         k->slot[c] = (int32_t)(i + 1);
     }
@@ -363,7 +362,7 @@ static void steps_d2(dg_kernel *k, int64_t count)
         if (i + LATE < drawn) {
             r = rank[(i + LATE) & (AHEAD - 1)];
             if (r < 2 * k->n + 1 && (p = k->parent[r]) >= 0)
-                __builtin_prefetch(k->child + 2 * p + k->slot[r] - 1, 1);
+                __builtin_prefetch(k->child + p - 2 + k->slot[r] - 1, 1);
         }
         apply(k, &rank[i & (AHEAD - 1)], letter[i & (AHEAD - 1)]);
     }
@@ -422,7 +421,7 @@ enum { WALK_HEIGHT, WALK_CODE, WALK_TEXT, WALK_PAREN };
  */
 static int64_t walk(const dg_kernel *k, int mode, char *out, const char *sym, int64_t symlen)
 {
-    int64_t d = k->d, top = 0, h = 0, best = 0, at = 0, u, base, j;
+    int64_t d = k->d, top = 0, h = 0, best = 0, at = 0, u, c, j;
     int ends = mode == WALK_PAREN || mode == WALK_HEIGHT;
     int32_t *stack = malloc((d * k->n + 1 + k->n + 1) * sizeof(int32_t));
     if (!stack)
@@ -438,8 +437,7 @@ static int64_t walk(const dg_kernel *k, int mode, char *out, const char *sym, in
         }
         if (mode == WALK_TEXT && at)
             out[at++] = ' ';
-        base = u * d;
-        if (k->child[base] < 0) {
+        if ((uint32_t)u % (uint32_t)d || !u) { /* 32-bit: the cheaper division */
             if (mode == WALK_CODE)
                 out[at++] = 0;
             else if (mode == WALK_TEXT)
@@ -460,10 +458,10 @@ static int64_t walk(const dg_kernel *k, int mode, char *out, const char *sym, in
             stack[top++] = -1;
             h++;
         }
-        /* prefetched rows overlap misses the leaf test would serialize */
-        for (j = d - 1; j >= 0; j--) {
-            stack[top++] = k->child[base + j];
-            __builtin_prefetch(k->child + (int64_t)k->child[base + j] * d);
+        /* a row is read from its end, beside child[c] (c <= d*n < cap): fetch it */
+        for (j = u - 1; j >= u - d; j--) {
+            stack[top++] = c = k->child[j];
+            __builtin_prefetch(k->child + c);
         }
     }
     free(stack);

@@ -17,6 +17,8 @@ determinism, see README):
   leaf per marked edge (descending lexicographic order of the edge words,
   each edge's subtree taking the largest free position), the new root last;
   the old root keeps the one free position left;
+* the internal nodes are the steps' new roots d, 2d, .., d*k; only they have
+  a child row, u's at ``child[u-d:u]``, and u is a leaf when u % d or not u;
 * per step the PRNG serves first d-1 ranks, all different (rejection on the
   top range inside uniform_below; a rank equal to an earlier one in the
   same step is drawn again, earlier ranks are kept), then the letter.
@@ -94,7 +96,7 @@ class GrowthKernel(Kernel):
         self.n = 0
         self._parent = [-1]
         self._slot = [0]
-        self._child = [-1] * self.d
+        self._child = []
         self.node_allocations = 0
         self.link_redirections = 0
         self.lex_letters_compared = 0
@@ -148,7 +150,6 @@ class GrowthKernel(Kernel):
 
         parent.extend([-1] * d)
         slot.extend([0] * d)
-        child.extend([-1] * (d * d))
 
         v = root  # the last id handed out
         for p in range(d):
@@ -159,18 +160,17 @@ class GrowthKernel(Kernel):
         for p, u in zip(free, edges):
             v += 1
             pu = parent[u]
-            child[pu * d + slot[u] - 1] = v
+            child[pu - d + slot[u] - 1] = v
             parent[v] = pu
             slot[v] = slot[u]
             pos[p] = u
 
-        v += 1  # the new root, root + d
-        base = v * d
-        for i in range(d):
-            c = pos[(i + letter) % d]
-            child[base + i] = c
+        v += 1  # the new root, root + d; its row starts at the old root's id
+        row = pos[letter:] + pos[:letter]
+        child.extend(row)
+        for i, c in enumerate(row, 1):
             parent[c] = v
-            slot[c] = i + 1
+            slot[c] = i
         self.n += 1
 
         redirections = 2 * len(edges) + 2 * d
@@ -188,11 +188,11 @@ class GrowthKernel(Kernel):
         stack = [self.root]
         while stack:
             u = stack.pop()
-            base = u * d
-            if child[base] < 0:
+            if u % d or not u:
                 code.append(0)
             else:
                 code.append(d)
-                for j in range(base + d - 1, base - 1, -1):
-                    stack.append(child[j])
+                row = child[u - d : u]
+                row.reverse()
+                stack += row
         return code

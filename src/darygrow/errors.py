@@ -50,9 +50,9 @@ class UnderpoweredTestError(DarygrowError, ValueError):
 
 
 def check_child_slots(d: int, n: int) -> None:
-    """Refuse a tree of n internal nodes whose d*(d*n + 1) child slots, d per
-    node, pass INT32_MAX, so that every slot index and node id fits int32.
-    Both kernels call this before growing."""
+    """Refuse a tree of n internal nodes when d*(d*n + 1), d times its node
+    count, passes INT32_MAX: every id and slot then fits int32, and a step's
+    d - 1 rank draws and edge sort stay bounded.  Both kernels call this first."""
     slots = d * (d * n + 1)
     if slots > INT32_MAX:
         raise SizeGuardError(

@@ -98,6 +98,7 @@ def enumerate_codes(d: int, n: int, force: bool = False) -> Iterator[Tuple[int, 
 
 def enumerate_trees(d: int, n: int, force: bool = False) -> List[DaryTree]:
     """All d-ary trees with n internal nodes, in preorder-code order."""
+    _guard(count_trees(d, n) * (d * n + 1), force)  # the list's code symbols
     return [DaryTree.from_preorder_code(d, c) for c in enumerate_codes(d, n, force)]
 
 

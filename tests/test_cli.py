@@ -168,25 +168,70 @@ def test_emit_every_size_guard_up_front(capsys, deadline):
     assert "size guard" in err
 
 
-@pytest.mark.parametrize("kernel", ["c", "python"])
-def test_allocation_failure_is_one_line_error(kernel):
-    # a d = 10^9 kernel cannot allocate its root's child row under a 1 GiB
-    # address-space limit: exit 1 and one line, as a size guard reports
-    argv = ["grow", "--d", "1000000000", "--n", "1", "--seed", "0", "--kernel", kernel]
+def run_limited(argv):
+    """One CLI run in a fresh interpreter under a 1 GiB address-space limit."""
     code = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
         "from darygrow.cli import main\n"
         f"sys.exit(main({argv!r}))\n"
     )
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
     )
+
+
+def assert_one_line_error(out, prefix):
+    """Exit 1, no output, and one error line after the seed line."""
     assert out.returncode == 1, out.stderr
     assert out.stdout == ""
     lines = out.stderr.splitlines()
     assert lines[0] == "effective seed: 0"
-    assert len(lines) == 2 and lines[1].startswith("out of memory: ")
+    assert len(lines) == 2 and lines[1].startswith(prefix)
+
+
+@pytest.mark.parametrize("kernel", ["c", "python"])
+def test_allocation_failure_is_one_line_error(kernel):
+    # a d = 10^9 kernel allocates nothing per unit of d, so its first step
+    # reaches the size guard
+    argv = ["grow", "--d", "1000000000", "--n", "1", "--seed", "0", "--kernel", kernel]
+    assert_one_line_error(run_limited(argv), "size guard: ")
+
+
+def test_out_of_memory_is_one_line_error():
+    # 6*10^8 nodes fit the size guard but not a 1 GiB address space
+    argv = ["grow", "--d", "2", "--n", "300000000", "--seed", "0", "--kernel", "c"]
+    assert_one_line_error(run_limited(argv), "out of memory: ")
+
+
+@pytest.mark.parametrize("fmt", ["code", "paren", "dot", "json"])
+def test_huge_arity_single_node_tree(fmt):
+    # neither kernel allocates per unit of d before its first step, so the
+    # single-node tree of a d = 10^9 kernel prints alike on both
+    outs = []
+    for kernel in ("c", "python"):
+        argv = ["grow", "--d", "1000000000", "--n", "0", "--seed", "0",
+                "--format", fmt, "--kernel", kernel]
+        out = run_limited(argv)
+        assert out.returncode == 0, out.stderr
+        outs.append(out.stdout)
+    assert outs[0] == outs[1] != ""
+
+
+@pytest.mark.parametrize("kernel,n", [("c", 100), ("python", 10)])
+def test_large_arity_arena_is_one_row_per_internal_node(kernel, n):
+    # only internal nodes have child rows: a row for every node would take
+    # about 400 MB here (c, n = 100) and 100 MB (python, n = 10).  Linux
+    # carries the peak RSS of the process that execs into the new program,
+    # so the run is started from a small interpreter, not from this one.
+    argv = [sys.executable, "-m", "darygrow.cli", "grow", "--d", "1000",
+            "--n", str(n), "--seed", "0", "--counters", "--kernel", kernel]
+    spawn = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+    out = subprocess.run(
+        [sys.executable, "-c", spawn, *argv], capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stderr.splitlines()[-1])["peak_rss_mb"] < 64
 
 
 def test_usage_error_exits_2(capsys):
@@ -212,7 +257,8 @@ def grow_argv(draw):
     # mostly valid sizes, plus arities and sizes that argparse (exit 2) or
     # the size guard (exit 1) must refuse
     d = draw(st.integers(0, 1000))
-    # the arena holds d * (d*n + 1) child slots: keep it to a few million
+    # d * (d*n + 1), the size guard's count, also bounds the rank draws and
+    # edge sorts of n steps at arity d: keep it to a few million
     small = st.integers(-1, min(40, 3_000_000 // max(d * d, 1)))
     n = draw(st.one_of(small, st.integers(10**10, 10**13)))
     argv = ["grow", "--d", str(d), "--n", str(n)]
@@ -645,16 +691,7 @@ def test_huge_arity_input_is_refused_in_bounded_memory(tmp_path, args, text, mes
     # address-space limit a d = 10^9 input is an input error, not a MemoryError
     path = tmp_path / "input"
     path.write_text(text)
-    argv = [*args, "--input", str(path)]
-    code = (
-        "import resource, sys\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-        "from darygrow.cli import main\n"
-        f"sys.exit(main({argv!r}))\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
-    )
+    out = run_limited([*args, "--input", str(path)])
     assert out.returncode == 2, out.stderr
     assert out.stderr.startswith(message)
     assert out.stdout == ""

@@ -229,6 +229,35 @@ class TestArenaContract:
             assert k.edge_word(lo) == (s(2),)
             assert k.root == R + 4
 
+    @pytest.mark.parametrize("name", ["python", "c"])
+    @pytest.mark.parametrize("d", [2, 3, 5, 200])
+    def test_internal_ids_are_multiples_of_d(self, name, d):
+        # each step's new root d*(n+1) is its only internal node and no node
+        # changes kind, so the internal ids are exactly d, 2d, .., d*n: the
+        # leaf test both kernels make without reading the arena
+        n = 3 if d == 200 else 15
+
+        def check(k):
+            tree = k.tree
+            for r in range(k.root):
+                internal = tree.code[tree.node_at(k.edge_word(r))] == d
+                assert internal == (r > 0 and r % d == 0), r
+            assert k.root == d * k.n and tree.code[tree.root] == d
+
+        def grown():
+            k = make_kernel(d, 19, kernel=name)
+            k.steps(n)
+            return k
+
+        check(grown())
+        R = d * n
+        k = grown()
+        k.step_with(range(R, R + d - 1), 1)  # every bud
+        check(k)
+        k = grown()
+        k.step_with(random.Random(d).sample(range(R), d - 1), d)  # edges only
+        check(k)
+
     def test_redirections_bounded(self):
         for name in ("python", "c"):
             k = make_kernel(5, 3, kernel=name)

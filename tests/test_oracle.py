@@ -76,6 +76,13 @@ class TestEnumeration:
         n12 = oracle.enumerate_trees(2, 12, force=True)
         assert len(n12) == 208012
 
+    def test_guard_counts_symbols_of_the_list(self, deadline):
+        # 1,430,715 trees of 31 symbols each: under the object budget, but
+        # the list would hold 4.4*10^7 symbols, so it is refused at once
+        with deadline(1):
+            with pytest.raises(SizeGuardError):
+                oracle.enumerate_trees(3, 10)
+
     def test_enumerate_inputs_counts(self):
         assert len(oracle.enumerate_inputs(3, 0)) == 3
         assert len(oracle.enumerate_inputs(2, 1)) == 6
