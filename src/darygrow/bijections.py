@@ -7,7 +7,9 @@ built from three stages:
 * ``cut`` breaks the marked tree into an ordered forest of d leaf-marked
   trees by repeatedly detaching the subtree under the lexicographically
   largest remaining marked edge; bud marks become root-marked singleton
-  positions.  The forest it produces is always excursion type.
+  positions.  The forest it produces is always excursion type, and the
+  letter, which only ``rotate`` reads, cannot change it: so the exhaustive
+  oracle cuts each marked tree once and rotates that forest by all d letters.
 * ``rotate`` cyclically shifts the forest positions by the letter.
 * ``add_root`` hangs the d forest positions under a fresh root.
 
@@ -22,7 +24,7 @@ the reference semantics those kernels are tested against.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import chain
+from itertools import accumulate, chain
 from typing import List, Optional, Tuple
 
 from .errors import (
@@ -36,6 +38,7 @@ from .marks import (
     EdgeMarkedTree,
     LeafMarkedTree,
     MarkedForest,
+    _increments,
     forest_to_obj,
     is_excursion_forest,
     leaf_marked_to_obj,
@@ -58,8 +61,9 @@ def _check_letter(d: int, a: int) -> None:
 def cut(x: EdgeMarkedTree, a: int, details: Optional[list] = None):
     """Break an edge-marked tree into an excursion-type marked forest.
 
-    The letter ``a`` is not used; it is passed through so the composition
-    with rotate reads naturally.  Returns ``(forest, a)``.
+    The letter ``a`` is not read, so the forest is the same for every
+    letter; it is passed through so the composition with rotate reads
+    naturally.  Returns ``(forest, a)``.
 
     Bud b_j yields a root-marked singleton at position j.  Then, while
     marked edges remain, the subtree under the lexicographically largest
@@ -76,16 +80,16 @@ def cut(x: EdgeMarkedTree, a: int, details: Optional[list] = None):
     d = x.d
     code = x.code
     walk = _walk(d, code)
-    starts = (0,) + x.edges
-    ends = [len(code)] + [_end(walk, p) for p in x.edges]
-    free = sorted(set(range(d)) - set(x.buds))
+    spans = [(0, len(code))] + [(p, _end(walk, p)) for p in x.edges]
+    free = [j for j in range(d) if j not in x.buds]  # buds checked above
 
     slots: List[LeafMarkedTree] = [None] * d  # type: ignore[list-item]
+    bud = LeafMarkedTree.from_code(d, (0,), (0,))  # immutable, so shared
     for j in x.buds:
-        slots[j] = LeafMarkedTree.from_code(d, (0,), (0,))
-    for i, (s, e) in enumerate(zip(starts, ends)):
+        slots[j] = bud
+    for i, (s, e) in enumerate(spans):
         parts, leaves, size, at = [], [], 0, s
-        for h, h_end in zip(starts[i + 1 :], ends[i + 1 :]):
+        for h, h_end in spans[i + 1 :]:
             if h >= e:
                 break
             if h < at:
@@ -95,8 +99,7 @@ def cut(x: EdgeMarkedTree, a: int, details: Optional[list] = None):
             parts += (code[at:h], (0,))
             size += 1
             at = h_end
-        parts.append(code[at:e])
-        piece = tuple(chain.from_iterable(parts))
+        piece = tuple(chain(*parts, code[at:e])) if parts else code[s:e]
         slots[free[i]] = LeafMarkedTree.from_code(d, piece, tuple(leaves))
 
     if details is not None:
@@ -104,7 +107,7 @@ def cut(x: EdgeMarkedTree, a: int, details: Optional[list] = None):
         for i in range(len(x.edges), 0, -1):
             edge = format_word(words[i - 1])
             details.append({"position": free[i], "edge": edge, "remaining": free[:i]})
-    return MarkedForest(slots), a
+    return MarkedForest.from_trees(tuple(slots)), a
 
 
 def cut_inv(f: MarkedForest, a: int):
@@ -115,16 +118,16 @@ def cut_inv(f: MarkedForest, a: int):
     lexicographically first marked leaf of the tree built so far; that
     leaf's edge becomes a mark and the grafted tree's marks replace it.
     """
-    d = f.d
     if not is_excursion_forest(f):  # raises MarkCountError for a wrong total
         raise NotExcursionError(
             f"leaf sequence {leaf_sequence(f).format()} is not an excursion"
         )
-
-    singleton = [len(t.code) == 1 and len(t.leaves) == 1 for t in f.trees]
-    buds = tuple(j for j, s in enumerate(singleton) if s)
-    rest = [t for t, s in zip(f.trees, singleton) if not s]
-
+    buds, rest = [], []
+    for j, t in enumerate(f.trees):
+        if len(t.code) == 1 and len(t.leaves) == 1:
+            buds.append(j)
+        else:
+            rest.append(t)
     code = list(rest[0].code)
     live = list(rest[0].leaves)  # sorted, so live[0] is the lex-first
     edges: List[int] = []
@@ -143,14 +146,15 @@ def cut_inv(f: MarkedForest, a: int):
         # counting forces zero leftovers: the grafts consume exactly the
         # marks the non-singleton trees carry beyond the bud marks
         raise CorruptForestError(f"{len(live)} marked leaves left over")
-    return EdgeMarkedTree.from_code(d, tuple(code), buds, tuple(edges)), a
+    return EdgeMarkedTree.from_code(f.d, tuple(code), tuple(buds), tuple(edges)), a
 
 
 def rotate(f: MarkedForest, a: int) -> MarkedForest:
     """Shift forest positions: output position i holds input position (i+a) mod d."""
-    d = f.d
-    _check_letter(d, a)
-    return MarkedForest([f.trees[(i + a) % d] for i in range(d)])
+    t = f.trees
+    _check_letter(len(t), a)
+    s = a % len(t)
+    return MarkedForest.from_trees(t[s:] + t[:s])
 
 
 def rotate_inv(f: MarkedForest) -> Tuple[MarkedForest, int]:
@@ -158,12 +162,12 @@ def rotate_inv(f: MarkedForest) -> Tuple[MarkedForest, int]:
 
     Returns ``(excursion-type forest, letter)`` with the letter chosen so
     that ``rotate_inv(rotate(g, a)) == (g, a)`` for excursion-type g: the
-    shift r recovered from the leaf sequence maps to letter d - r, with
-    r = 0 mapping to d.
+    shift r in [0, d) recovered from the leaf sequence maps to letter d - r.
     """
-    r = leaf_sequence(f).excursion_shift()
-    d = f.d
-    return rotate(f, r or d), (d - r if r > 0 else d)
+    sums = list(accumulate(_increments(f), initial=0))  # the leaf sequence
+    r = sums.index(min(sums)) % f.d  # as ``LukWalk.excursion_shift``
+    t = f.trees
+    return MarkedForest.from_trees(t[r:] + t[:r]), f.d - r
 
 
 def add_root(f: MarkedForest) -> LeafMarkedTree:
@@ -172,9 +176,10 @@ def add_root(f: MarkedForest) -> LeafMarkedTree:
     code = [d]
     leaves: List[int] = []
     for t in f.trees:
-        base = len(code)
-        leaves.extend(base + p for p in t.leaves)
-        code.extend(t.code)
+        if t.leaves:
+            base = len(code)
+            leaves += [base + p for p in t.leaves]
+        code += t.code
     return LeafMarkedTree.from_code(d, tuple(code), tuple(leaves))
 
 
@@ -183,17 +188,19 @@ def add_root_inv(t: LeafMarkedTree) -> MarkedForest:
     code = t.code
     if len(code) == 1:
         raise RootSurgeryError("single-node tree has no root to remove")
-    walk = _walk(t.d, code)
+    d = t.d
+    find = _walk(d, code).index
     marks = t.leaves  # sorted: each child's marks follow the previous child's
     parts = []
     s, lo = 1, bisect_left(marks, 1)
-    for _ in range(t.d):
-        e = _end(walk, s)
+    # child i starts at walk value d - 1 - i and ends at the next d - 2 - i
+    for low in range(d - 2, -2, -1):
+        e = find(low, s + 1)
         hi = bisect_left(marks, e, lo)
-        leaves = tuple(p - s for p in marks[lo:hi])
-        parts.append(LeafMarkedTree.from_code(t.d, code[s:e], leaves))
+        leaves = tuple([p - s for p in marks[lo:hi]]) if hi > lo else ()
+        parts.append(LeafMarkedTree.from_code(d, code[s:e], leaves))
         s, lo = e, hi
-    return MarkedForest(parts)
+    return MarkedForest.from_trees(tuple(parts))
 
 
 def enlarge(x: EdgeMarkedTree, a: int) -> LeafMarkedTree:

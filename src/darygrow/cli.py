@@ -150,15 +150,31 @@ def cmd_grow(args) -> int:
         grow_s += t1 - t0
         emit_s += time.perf_counter() - t1
     if args.counters:
-        import resource
-
         summary = {"kernel": kernel.name}
         summary.update((c, getattr(kernel, c)) for c in COUNTERS)
         summary.update(lex_seconds=kernel.lex_seconds, grow_s=grow_s, emit_s=emit_s)
-        # ru_maxrss is in KiB on Linux
-        summary["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        summary["peak_rss_mb"] = _peak_rss_kib() / 1024
         print(json.dumps(summary), file=sys.stderr)
     return 0
+
+
+def _peak_rss_kib() -> int:
+    """This program's peak resident set in KiB.
+
+    ``VmHWM`` starts afresh when a program is exec'd; ``ru_maxrss`` also
+    keeps the peak of the process that exec'd it, so it is only the
+    fallback where ``/proc`` has no ``VmHWM`` line.
+    """
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])  # "VmHWM:  1234 kB"
+    except OSError:
+        pass
+    import resource
+
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
 
 
 def _print_report(report) -> int:

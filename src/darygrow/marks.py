@@ -177,6 +177,15 @@ class MarkedForest(_Value):
         if arities.count(len(arities)) != len(arities):
             raise ArityError(f"forest of {len(arities)} trees with arities {arities}")
 
+    @classmethod
+    def from_trees(cls, trees: Tuple[LeafMarkedTree, ...]) -> "MarkedForest":
+        """The forest of this tuple, taken as given (every tree of arity
+        ``len(trees)``): for a stage that just built every tree at that
+        arity, or permuted an already checked forest."""
+        f = cls.__new__(cls)
+        f.trees = trees
+        return f
+
     @property
     def d(self) -> int:
         return len(self.trees)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations, product
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -181,7 +181,12 @@ def verify_enlarge_bijection(d: int, n: int, force: bool = False) -> dict:
     * the image count and the per-tree image multiplicity match the counts
       the marking argument predicts,
     * reducing the image returns the exact input.
+
+    ``cut`` does not read the letter, so each marked tree is cut once and
+    its forest rotated by every letter.  ``inputs`` counts the inputs
+    checked, the failing one included.
     """
+    _guard(count_trees(d, n) * mark_set_count(d, n) * d, force)
     params = {"d": d, "n": n}
     expected_mult = math.comb((d - 1) * (n + 1) + 1, d - 1)
     report = {
@@ -194,36 +199,37 @@ def verify_enlarge_bijection(d: int, n: int, force: bool = False) -> dict:
     }
     images = {}
     per_tree: Dict[Tuple[int, ...], int] = {}
-    inputs = enumerate_inputs(d, n, force=force)
-    report["inputs"] = len(inputs)
-    for x, a in inputs:
-        forest, _ = bijections.cut(x, a)
+    for x in enumerate_marked_trees(d, n, force=force):
+        forest, _ = bijections.cut(x, 1)
         if not is_excursion_forest(forest):
+            report["inputs"] += 1
             report["counterexample"] = {
                 "kind": "cut_not_excursion",
-                "input": _input_obj(x, a),
+                "input": _input_obj(x, 1),
                 "leaf_sequence": leaf_sequence(forest).format(),
             }
             return report
-        image = bijections.add_root(bijections.rotate(forest, a))
-        key = image.key()
-        if key in images:
-            report["counterexample"] = {
-                "kind": "collision",
-                "input": _input_obj(x, a),
-                "other_input": _input_obj(*images[key]),
-            }
-            return report
-        images[key] = (x, a)
-        per_tree[image.code] = per_tree.get(image.code, 0) + 1
-        back, back_a = bijections.reduce(image)
-        if back_a != a or back != x:
-            report["counterexample"] = {
-                "kind": "round_trip",
-                "input": _input_obj(x, a),
-                "returned": _input_obj(back, back_a),
-            }
-            return report
+        for a in range(1, d + 1):
+            report["inputs"] += 1
+            image = bijections.add_root(bijections.rotate(forest, a))
+            key = image.key()
+            if key in images:
+                report["counterexample"] = {
+                    "kind": "collision",
+                    "input": _input_obj(x, a),
+                    "other_input": _input_obj(*images[key]),
+                }
+                return report
+            images[key] = (x, a)
+            per_tree[image.code] = per_tree.get(image.code, 0) + 1
+            back, back_a = bijections.reduce(image)
+            if back_a != a or back != x:
+                report["counterexample"] = {
+                    "kind": "round_trip",
+                    "input": _input_obj(x, a),
+                    "returned": _input_obj(back, back_a),
+                }
+                return report
     expected_images = expected_mult * count_trees(d, n + 1)
     report["images"] = len(images)
     report["expected_images"] = expected_images
@@ -269,9 +275,8 @@ def verify_rotation_lemma(m: int, max_increment: int, force: bool = False) -> di
         "walks": 0,
         "counterexample": None,
     }
-    walks = 0
     for s in enumerate_walks(m, max_increment):
-        walks += 1
+        report["walks"] += 1
         rots = [s.rot(r) for r in range(m)]
         distinct = {w.values for w in rots}
         if len(distinct) != m:
@@ -280,7 +285,6 @@ def verify_rotation_lemma(m: int, max_increment: int, force: bool = False) -> di
                 "walk": s.format(),
                 "distinct": len(distinct),
             }
-            report["walks"] = walks
             return report
         excursions = [w for w in rots if w.is_excursion()]
         if len(excursions) != 1:
@@ -289,7 +293,6 @@ def verify_rotation_lemma(m: int, max_increment: int, force: bool = False) -> di
                 "walk": s.format(),
                 "count": len(excursions),
             }
-            report["walks"] = walks
             return report
         if s.is_excursion():
             for r in range(m):
@@ -299,13 +302,10 @@ def verify_rotation_lemma(m: int, max_increment: int, force: bool = False) -> di
                         "walk": s.format(),
                         "r": r,
                     }
-                    report["walks"] = walks
                     return report
         if s.rot(s.excursion_shift()) not in excursions:
             report["counterexample"] = {"kind": "shift", "walk": s.format()}
-            report["walks"] = walks
             return report
-    report["walks"] = walks
     report["pass"] = True
     return report
 
@@ -437,14 +437,7 @@ class ChiSquareReport:
     seed: int
 
     def to_obj(self) -> dict:
-        return {
-            "classes": self.classes,
-            "statistic": self.statistic,
-            "dof": self.dof,
-            "p_value": self.p_value,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def chi_square_uniformity(

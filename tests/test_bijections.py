@@ -43,9 +43,10 @@ from darygrow.marks import (
     leaf_marked_to_obj,
     leaf_sequence,
 )
-from darygrow.oracle import enumerate_inputs
+from darygrow.oracle import enumerate_inputs, enumerate_marked_trees
 from darygrow.sampler import SplitMix64, make_kernel, sample_mark_set
 from darygrow.tree import DaryTree, new_root_tree
+from test_acceptance import BIJECTION_SUITE
 
 
 def tree(d, text):
@@ -123,6 +124,13 @@ class TestCut:
     def test_wrong_mark_count(self):
         with pytest.raises(MarkCountError):
             cut(edge_marked(3, "0", buds=[0]), 1)
+
+    def test_forest_same_for_every_letter(self):
+        # the premise on which the oracle cuts each marked tree only once
+        for d, n in BIJECTION_SUITE:
+            for x in enumerate_marked_trees(d, n):
+                keys = {cut(x, a)[0].key() for a in range(1, d + 1)}
+                assert len(keys) == 1, (d, n, x.key())
 
 
 # ----------------------------------------------------------------------

@@ -221,15 +221,14 @@ def test_huge_arity_single_node_tree(fmt):
 @pytest.mark.parametrize("kernel,n", [("c", 100), ("python", 10)])
 def test_large_arity_arena_is_one_row_per_internal_node(kernel, n):
     # only internal nodes have child rows: a row for every node would take
-    # about 400 MB here (c, n = 100) and 100 MB (python, n = 10).  Linux
-    # carries the peak RSS of the process that execs into the new program,
-    # so the run is started from a small interpreter, not from this one.
+    # about 400 MB here (c, n = 100) and 100 MB (python, n = 10).  The run
+    # starts straight from this process, which holds 96 MB, so the figure
+    # must be the program's own peak, not its launcher's.
     argv = [sys.executable, "-m", "darygrow.cli", "grow", "--d", "1000",
             "--n", str(n), "--seed", "0", "--counters", "--kernel", kernel]
-    spawn = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
-    out = subprocess.run(
-        [sys.executable, "-c", spawn, *argv], capture_output=True, text=True, timeout=120
-    )
+    ballast = b"\1" * (96 << 20)
+    out = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    del ballast
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stderr.splitlines()[-1])["peak_rss_mb"] < 64
 

@@ -8,9 +8,9 @@ import math
 
 import pytest
 
-from darygrow import oracle
+from darygrow import bijections, oracle
 from darygrow.errors import SizeGuardError, UnderpoweredTestError
-from darygrow.marks import EdgeMarkedTree
+from darygrow.marks import EdgeMarkedTree, MarkedForest
 from darygrow.tree import DaryTree, shape_key
 
 scipy_special = pytest.importorskip("scipy.special")
@@ -133,6 +133,48 @@ class TestBijectionVerifier:
     def test_guard(self):
         with pytest.raises(SizeGuardError):
             oracle.verify_enlarge_bijection(4, 6)
+
+    @pytest.mark.parametrize(
+        "stage,kind,inputs_per_call",
+        [("reduce", "round_trip", 1), ("rotate", "collision", 1), ("cut", "cut_not_excursion", 3)],
+    )
+    def test_broken_stage_fails(self, monkeypatch, stage, kind, inputs_per_call):
+        # a verifier that checked nothing must not report pass; the cut runs
+        # once per marked tree, for its 3 inputs
+        real = getattr(bijections, stage)
+        calls = []
+
+        def broken(*args):
+            calls.append(args)
+            return BROKEN[stage](real, len(calls), *args)
+
+        monkeypatch.setattr(bijections, stage, broken)
+        report = oracle.verify_enlarge_bijection(3, 2)
+        assert report["pass"] is False
+        assert report["counterexample"]["kind"] == kind
+        assert 0 < report["inputs"] <= inputs_per_call * len(calls)
+
+
+def _reduce_wrong_letter_once(real, call, t):
+    back, a = real(t)
+    return back, a % 3 + 1 if call == 5 else a
+
+
+def _rotate_ignoring_letter(real, call, f, a):
+    return real(f, 1)
+
+
+def _cut_swapping_ends(real, call, x, a):
+    f, a = real(x, a)
+    t = f.trees
+    return MarkedForest((t[-1],) + t[1:-1] + (t[0],)), a
+
+
+BROKEN = {
+    "reduce": _reduce_wrong_letter_once,
+    "rotate": _rotate_ignoring_letter,
+    "cut": _cut_swapping_ends,
+}
 
 
 class TestRotationVerifier:
