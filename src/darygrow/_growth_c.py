@@ -2,9 +2,11 @@
 
 Behaviour contract (PRNG, draw order, arena layout, allocation order,
 counters) is documented in ``_growth_py``; the two kernels must stay
-observably identical.  The argument checks and the size guard are the
-shared ones of ``_kernel.Kernel``.  The step loop, the lex phase, the serializers and
-whole histogram runs execute in C, so one Python call does bulk work.
+observably identical.  The argument checks, the size guard and the views
+read off the shape are the shared ones of ``_kernel.Kernel``.  The step
+loop, the lex phase, the shape walk and whole histogram runs execute in C,
+so one Python call does bulk work; the paren text and the height are the
+only views the C core renders itself.
 
 The library is named after the first 16 hex digits of the C source's
 sha256, ``_growth_core-<digest>.so``.  It is looked up beside this file,
@@ -50,8 +52,7 @@ _SIGNATURES = {
     "dg_step_with": (c_int, [c_void_p, ctypes.POINTER(c_int64), c_int64]),
     "dg_edge_word": (c_int64, [c_void_p, c_int64, ctypes.POINTER(c_int32), c_int64]),
     "dg_height": (c_int64, [c_void_p]),
-    "dg_code": (c_int64, [c_void_p, c_char_p, c_int64]),
-    "dg_code_text": (c_int64, [c_void_p, c_char_p, c_char_p, c_int64]),
+    "dg_code": (c_int64, [c_void_p, c_char_p]),
     "dg_paren_text": (c_int64, [c_void_p, c_char_p]),
     "dg_histogram": (c_int, [c_void_p, c_int64, c_int64, c_char_p]),
 }
@@ -190,23 +191,10 @@ class GrowthKernel(Kernel):
                 return tuple(word[cap - depth :])
             cap *= 2
 
-    def _code(self, sym):
-        buf = ctypes.create_string_buffer(self.node_count)
-        _checked(_lib.dg_code(self._k, buf, sym))
-        return buf.raw
-
-    def preorder_code(self):
-        if self.d < 256:
-            return list(self._code(self.d))
-        return [self.d if internal else 0 for internal in self._code(1)]
-
-    def code_text(self):
-        """Preorder code as ASCII: ``0`` or ``d`` per node, space separated."""
-        sym = str(self.d).encode("ascii")
-        n, nodes = self.n, self.node_count
-        buf = ctypes.create_string_buffer(n * len(sym) + (nodes - n) + nodes - 1)
-        _checked(_lib.dg_code_text(self._k, buf, sym, len(sym)))
-        return buf.raw
+    def _shape(self):
+        shape = bytearray(self.node_count)
+        _checked(_lib.dg_code(self._k, (ctypes.c_char * len(shape)).from_buffer(shape)))
+        return shape
 
     def paren_text(self):
         """``(`` + children + ``)`` per internal node, ``o`` per leaf, as ASCII."""

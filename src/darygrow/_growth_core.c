@@ -1,10 +1,12 @@
 /*
  * Compiled growth core: the arena, the splitmix64 PRNG, the step loop, the
- * lex ordering of marked edges and the serializers, in plain C with no
- * Python headers.  `_growth_c.py` loads it with ctypes and wraps it in the
- * GrowthKernel API.  The behaviour contract (draw order, arena layout,
- * allocation order, counters) is documented in `_growth_py.py`, the
- * readable spec; the two kernels must stay observably identical.
+ * lex ordering of marked edges and three preorder walks (the shape, the
+ * paren text and the height), in plain C with no Python headers.
+ * `_growth_c.py` loads it with ctypes and wraps it in the GrowthKernel API;
+ * every other view of the tree is rendered in Python from the shape.  The
+ * behaviour contract (draw order, arena layout, allocation order, counters)
+ * is documented in `_growth_py.py`, the readable spec; the two kernels must
+ * stay observably identical.
  *
  * The lex phase is the only per-step cost that is not O(d): it walks each
  * marked edge's path to the root once, two edges side by side, and reads
@@ -33,7 +35,6 @@
 
 #include <stdint.h>
 #include <stdlib.h>
-#include <string.h>
 #include <time.h>
 
 typedef struct {
@@ -408,21 +409,20 @@ int64_t dg_edge_word(const dg_kernel *k, int64_t u, int32_t *out, int64_t cap)
     return p ? out + cap - p : -1;
 }
 
-enum { WALK_HEIGHT, WALK_CODE, WALK_TEXT, WALK_PAREN };
+enum { WALK_HEIGHT, WALK_SHAPE, WALK_PAREN };
 
 /*
- * Preorder walk.  Writes one symbol per node to out (WALK_CODE: byte sym
- * or 0; WALK_TEXT: "sym" or "0", space separated, sym being the decimal d
- * of length symlen; WALK_PAREN: "(" or "o", and ")" when a subtree ends)
- * and returns the bytes written; WALK_HEIGHT writes nothing and returns
- * the height.  -1 when the stack cannot be allocated.  The stack holds
- * node ids still to visit and, where the mode needs subtree ends, a -1
- * pushed below each internal node's children.
+ * Preorder walk.  Writes one symbol per node to out (WALK_SHAPE: byte 1 or
+ * 0; WALK_PAREN: "(" or "o", and ")" when a subtree ends) and returns the
+ * bytes written; WALK_HEIGHT writes nothing and returns the height.  -1
+ * when the stack cannot be allocated.  The stack holds node ids still to
+ * visit and, where the mode needs subtree ends, a -1 pushed below each
+ * internal node's children.
  */
-static int64_t walk(const dg_kernel *k, int mode, char *out, const char *sym, int64_t symlen)
+static int64_t walk(const dg_kernel *k, int mode, char *out)
 {
     int64_t d = k->d, top = 0, h = 0, best = 0, at = 0, u, c, j;
-    int ends = mode == WALK_PAREN || mode == WALK_HEIGHT;
+    int ends = mode != WALK_SHAPE;
     int32_t *stack = malloc((d * k->n + 1 + k->n + 1) * sizeof(int32_t));
     if (!stack)
         return -1;
@@ -435,23 +435,17 @@ static int64_t walk(const dg_kernel *k, int mode, char *out, const char *sym, in
                 out[at++] = ')';
             continue;
         }
-        if (mode == WALK_TEXT && at)
-            out[at++] = ' ';
         if ((uint32_t)u % (uint32_t)d || !u) { /* 32-bit: the cheaper division */
-            if (mode == WALK_CODE)
+            if (mode == WALK_SHAPE)
                 out[at++] = 0;
-            else if (mode == WALK_TEXT)
-                out[at++] = '0';
             else if (mode == WALK_PAREN)
                 out[at++] = 'o';
             else if (h > best)
                 best = h;
             continue;
         }
-        if (mode == WALK_CODE)
-            out[at++] = sym[0];
-        else if (mode == WALK_TEXT)
-            memcpy(out + at, sym, symlen), at += symlen;
+        if (mode == WALK_SHAPE)
+            out[at++] = 1;
         else if (mode == WALK_PAREN)
             out[at++] = '(';
         if (ends) {
@@ -470,34 +464,28 @@ static int64_t walk(const dg_kernel *k, int mode, char *out, const char *sym, in
 
 int64_t dg_height(const dg_kernel *k)
 {
-    return walk(k, WALK_HEIGHT, NULL, NULL, 0);
+    return walk(k, WALK_HEIGHT, NULL);
 }
 
-/* Preorder code, one byte per node: sym for internal nodes, 0 for leaves. */
-int64_t dg_code(const dg_kernel *k, char *out, int64_t sym)
+/* The shape: one byte per node in preorder, 1 internal and 0 leaf. */
+int64_t dg_code(const dg_kernel *k, char *out)
 {
-    char c = (char)sym;
-    return walk(k, WALK_CODE, out, &c, 1);
-}
-
-int64_t dg_code_text(const dg_kernel *k, char *out, const char *sym, int64_t symlen)
-{
-    return walk(k, WALK_TEXT, out, sym, symlen);
+    return walk(k, WALK_SHAPE, out);
 }
 
 int64_t dg_paren_text(const dg_kernel *k, char *out)
 {
-    return walk(k, WALK_PAREN, out, NULL, 0);
+    return walk(k, WALK_PAREN, out);
 }
 
-/* `chains` chains to size n on one PRNG stream, each shape key (byte 1 or
- * 0 per node) into the next d*n+1 bytes of out. */
+/* `chains` chains to size n on one PRNG stream, each shape into the next
+ * d*n+1 bytes of out. */
 int dg_histogram(dg_kernel *k, int64_t n, int64_t chains, char *out)
 {
     int64_t i, len = k->d * n + 1;
     for (i = 0; i < chains; i++) {
         dg_reset(k);
-        if (dg_steps(k, n) < 0 || dg_code(k, out + i * len, 1) < 0)
+        if (dg_steps(k, n) < 0 || dg_code(k, out + i * len) < 0)
             return -1;
     }
     return 0;

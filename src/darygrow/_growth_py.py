@@ -3,12 +3,12 @@
 Identical observable behaviour to the compiled kernel in ``_growth_c``:
 same PRNG, same draw order, same arena layout, same counters, same
 serializations.  This module keeps only the arena, the growth step and
-the arena walks (edge words, the preorder code).  The PRNG, the rank
-draw, the counter list, every argument check and size guard, and every
-view read off the preorder code (code and paren text, height, histogram,
-``tree``, ``counters``) live in ``_kernel.Kernel``, which both kernels
-share.  The layout contract (which also pins cross-implementation
-determinism, see README):
+the arena walks (edge words, the shape).  The PRNG, the rank draw, the
+counter list, every argument check and size guard, and every view read off
+the shape (preorder code, code and paren text, height, histogram, ``tree``,
+``counters``) live in ``_kernel.Kernel``, which both kernels share.  The
+layout contract (which also pins cross-implementation determinism, see
+README):
 
 * the arena is always compact: after k steps the live ids are exactly
   0 .. d*k, the root is d*k, and edge rank r maps to node id r;
@@ -182,17 +182,17 @@ class GrowthKernel(Kernel):
     # ------------------------------------------------------------------
     # inspection
 
-    def preorder_code(self):
+    def _shape(self):
         d, child = self.d, self._child
-        code = []
+        shape = []
         stack = [self.root]
         while stack:
             u = stack.pop()
             if u % d or not u:
-                code.append(0)
+                shape.append(0)
             else:
-                code.append(d)
+                shape.append(1)
                 row = child[u - d : u]
                 row.reverse()
                 stack += row
-        return code
+        return bytes(shape)

@@ -1,6 +1,6 @@
 """What both growth kernels share: the PRNG, the rank draw, the counter
 list, and in :class:`Kernel` every argument check and size guard of the
-kernel API and every view derived from the preorder code.
+kernel API and every view derived from the shape a kernel walks.
 
 A kernel itself keeps only its arena and the growth step; the step
 semantics are documented in ``_growth_py``.  This module imports nothing
@@ -11,7 +11,7 @@ Python one.
 from dataclasses import dataclass, fields
 
 from .errors import INT32_MAX, ArityError, SizeGuardError, check_child_slots
-from .tree import DaryTree, format_code, format_paren, shape_key
+from .tree import DaryTree, format_paren, format_shape
 
 MASK = (1 << 64) - 1
 
@@ -93,11 +93,12 @@ COUNTERS = tuple(f.name for f in fields(OpCounters))
 
 class Kernel:
     """The kernel API up to storage.  A subclass sets ``name``, keeps ``n``,
-    the counters and ``lex_seconds``, and provides ``reset``,
-    ``preorder_code``, ``_steps``, ``_step_with``, ``_edge_word`` and
-    ``_uniform_below``, which are called only with arguments checked here.
-    The views below are all read off ``preorder_code``; a kernel may
-    override them with faster ones that give the same result."""
+    the counters and ``lex_seconds``, and provides ``reset``, ``_shape``,
+    ``_steps``, ``_step_with``, ``_edge_word`` and ``_uniform_below``, which
+    are called only with arguments checked here.  ``_shape()`` is the tree's
+    ``tree.shape_key``: one byte per node in preorder, 1 internal and 0 leaf,
+    as bytes or a bytearray.  The views below are all read off it; a kernel
+    may override them with faster ones that give the same result."""
 
     def __init__(self, d: int) -> None:
         if d < 2:
@@ -151,7 +152,7 @@ class Kernel:
 
     def histogram(self, n: int, chains: int) -> dict:
         """Shape counts over repeated chains to size n (one PRNG stream), keyed
-        by ``tree.shape_key``."""
+        by ``tree.shape_key`` as bytes."""
         check_child_slots(self.d, n)
         return self._histogram(n, chains)
 
@@ -160,7 +161,7 @@ class Kernel:
         for _ in range(chains):
             self.reset()
             self._steps(n)
-            key = shape_key(self.preorder_code())
+            key = bytes(self._shape())
             counts[key] = counts.get(key, 0) + 1
         return counts
 
@@ -168,18 +169,23 @@ class Kernel:
     def counters(self) -> OpCounters:
         return OpCounters(**{c: getattr(self, c) for c in COUNTERS})
 
+    def preorder_code(self) -> list:
+        """Depth-first preorder child counts, 0 or ``d`` per node."""
+        return list(map((0, self.d).__getitem__, self._shape()))
+
     @property
     def tree(self) -> DaryTree:
         """The current tree as a fresh, checked :class:`DaryTree`."""
         return DaryTree.from_preorder_code(self.d, self.preorder_code())
 
-    def code_text(self) -> bytes:
-        """Preorder code as ASCII: ``0`` or ``d`` per node, space separated."""
-        return format_code(self.preorder_code()).encode("ascii")
+    def code_text(self) -> bytearray:
+        """Preorder code as ASCII: ``0`` or ``d`` per node, space separated;
+        a bytearray, which spares the memory of one more copy of the text."""
+        return format_shape(self.d, self._shape())
 
     def paren_text(self) -> bytes:
         """``(`` + children + ``)`` per internal node, ``o`` per leaf, as ASCII."""
-        return format_paren(self.d, self.preorder_code()).encode("ascii")
+        return format_paren(self.d, self._shape()).encode("ascii")
 
     def height(self) -> int:
         return self.tree.height()

@@ -49,6 +49,10 @@ class UnderpoweredTestError(DarygrowError, ValueError):
     """A statistical test was requested with too few samples per class."""
 
 
+class KernelUnavailableError(DarygrowError, ImportError):
+    """The compiled kernel was asked for, but its C core cannot be loaded."""
+
+
 def check_child_slots(d: int, n: int) -> None:
     """Refuse a tree of n internal nodes when d*(d*n + 1), d times its node
     count, passes INT32_MAX: every id and slot then fits int32, and a step's

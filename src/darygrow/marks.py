@@ -21,7 +21,7 @@ from itertools import accumulate
 from typing import Iterable, List, Sequence, Tuple, Union
 
 from .errors import ArityError, MalformedObjectError, MarkCountError
-from .tree import DaryTree, Word, format_code, format_word, parse_word
+from .tree import DaryTree, Word, format_word, parse_word
 from .walks import LukWalk
 
 
@@ -266,7 +266,7 @@ def validate(x: Union[EdgeMarkedTree, LeafMarkedTree, MarkedForest]) -> List[str
 def edge_marked_to_obj(x: EdgeMarkedTree) -> dict:
     marks = [{"bud": i} for i in x.buds]
     marks.extend({"edge": format_word(w)} for w in x.words(x.edges))
-    return {"d": x.d, "code": format_code(x.code), "marks": marks}
+    return {"d": x.d, "code": x.tree.code_text(), "marks": marks}
 
 
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
@@ -303,7 +303,7 @@ def edge_marked_from_obj(obj: dict) -> EdgeMarkedTree:
 def leaf_marked_to_obj(x: LeafMarkedTree) -> dict:
     return {
         "d": x.d,
-        "code": format_code(x.code),
+        "code": x.tree.code_text(),
         "leaves": [format_word(w) for w in x.mark_words()],
     }
 

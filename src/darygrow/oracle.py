@@ -447,14 +447,12 @@ def chi_square_uniformity(
     seed: int,
     kernel: Optional[str] = None,
     force: bool = False,
-    _histogram=None,
 ) -> ChiSquareReport:
     """Goodness of fit of the growth chain against the uniform law.
 
     Grows ``samples`` independent chains to size n with one PRNG stream,
     bins the final shapes by ``tree.shape_key``, and compares against equal
-    class masses.  Needs at least 10 samples per class.  ``_histogram``
-    lets tests substitute a tampered sampler.
+    class masses.  Needs at least 10 samples per class.
     """
     classes = count_trees(d, n)
     _guard(classes, force)
@@ -462,11 +460,7 @@ def chi_square_uniformity(
         raise UnderpoweredTestError(
             f"{samples} samples for {classes} classes; need at least {10 * classes}"
         )
-    if _histogram is None:
-        k = make_kernel(d, seed, kernel)
-        observed = k.histogram(n, samples)
-    else:
-        observed = _histogram(d, n, samples, seed)
+    observed = make_kernel(d, seed, kernel).histogram(n, samples)
     class_keys = {shape_key(code) for code in enumerate_codes(d, n, force)}
     unknown = sum(c for key, c in observed.items() if key not in class_keys)
     if unknown:

@@ -27,6 +27,7 @@ import os
 from typing import Iterator, List, Tuple
 
 from ._kernel import COUNTERS, OpCounters, SplitMix64, draw_ranks  # COUNTERS: re-exported
+from .errors import KernelUnavailableError
 from .marks import Bud, EdgeMark, MarkTarget
 from .tree import DaryTree
 
@@ -76,14 +77,18 @@ def kernel_name() -> str:
 def make_kernel(d: int, seed: int, kernel: str | None = None):
     """A fresh growth kernel; ``kernel`` forces "python" or "c".
 
-    The default is the kernel selected at import.
+    The default is the kernel selected at import.  Forcing "c" where the C
+    core cannot be loaded raises KernelUnavailableError, an ImportError.
     """
     if kernel is None:
         mod = _kernel_module
     elif kernel == "python":
         from . import _growth_py as mod
     elif kernel == "c":
-        from . import _growth_c as mod  # type: ignore[no-redef]
+        try:
+            from . import _growth_c as mod  # type: ignore[no-redef]
+        except ImportError as exc:
+            raise KernelUnavailableError(f"kernel 'c' is not available: {exc}") from exc
     else:
         raise ValueError(f"unknown kernel {kernel!r}")
     return mod.GrowthKernel(d, seed)

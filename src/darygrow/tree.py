@@ -32,6 +32,9 @@ from .errors import ArityError, MalformedCodeError, StaleNodeError
 
 Word = Tuple[int, ...]
 
+# shape bytes translated at a time by format_shape
+_BLOCK = 1 << 16
+
 
 def lex_compare(w1: Sequence[int], w2: Sequence[int]) -> int:
     """Compare two node words lexicographically.
@@ -53,14 +56,25 @@ def shape_key(code: Sequence[int]) -> bytes:
     return bytes(map(bool, code))
 
 
-def format_code(code: Sequence[int]) -> str:
-    """Render a preorder code as space-separated decimals."""
-    return " ".join(map(str, code))
+def format_shape(d: int, shape: bytes) -> bytearray:
+    """The preorder code text of a shape as :func:`shape_key` gives it:
+    ``0`` or ``d`` per node, space separated, in ASCII.  ``translate`` turns
+    each byte into ``0`` or the first digit of ``d``, and a strided
+    assignment puts the result at every other position of a run of spaces.
+    When ``d`` has more digits, ``replace`` then expands that first digit,
+    which is never ``0`` and so matches no other byte of the text."""
+    sym = b"%d" % d
+    table = bytes.maketrans(b"\0\1", b"0" + sym[:1])
+    text = bytearray(b" ") * (2 * len(shape) - 1)
+    # block by block, so that no translated copy of the whole shape is held
+    for i in range(0, len(shape), _BLOCK):
+        text[2 * i : 2 * (i + _BLOCK) : 2] = shape[i : i + _BLOCK].translate(table)
+    return text if len(sym) == 1 else text.replace(sym[:1], sym)
 
 
 def format_paren(d: int, code: Sequence[int]) -> str:
-    """Render a preorder code as ``(`` + children + ``)`` per internal node
-    and ``o`` per leaf."""
+    """Render a preorder code, or a shape, as ``(`` + children + ``)`` per
+    internal node and ``o`` per leaf."""
     out = []
     stack = []  # children still to come, per open internal node
     for sym in code:
@@ -301,7 +315,7 @@ class DaryTree:
 
     def code_text(self) -> str:
         """Preorder code as space-separated ASCII decimals."""
-        return format_code(self.code)
+        return format_shape(self.d, shape_key(self.code)).decode("ascii")
 
     @classmethod
     def from_code_text(cls, d: int, text: str) -> "DaryTree":

@@ -379,6 +379,22 @@ def test_dot_names_pinned(d, n, expected, capsys):
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == expected
 
 
+@pytest.mark.parametrize("kernel", ["python", "c"])
+@pytest.mark.parametrize(
+    "d,n,fmt,expected",
+    [
+        (3, 1000, "code", "7a606da4890920a1ed60c80c256adb137e5c95fe8839759c173ed1d7e1fa15aa"),
+        # a two-digit symbol
+        (12, 200, "json", "8facce48426857e8503350e6a15cbe2c2131bb7f9bf3c57ffc088acc2fcb2b6b"),
+    ],
+)
+def test_code_text_pinned(d, n, fmt, expected, kernel, capsys):
+    # byte-identical to the output of joining the decimal symbols
+    argv = ["grow", "--d", str(d), "--n", str(n), "--seed", "42", "--format", fmt]
+    _, out, _ = run_cli([*argv, "--kernel", kernel], capsys)
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == expected
+
+
 def test_export_basics(tmp_path, capsys):
     f = tmp_path / "code.txt"
     f.write_text("0\n")

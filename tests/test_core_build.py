@@ -1,6 +1,8 @@
 """The C growth core compiles cleanly with the compiler that builds it,
 runs clean under AddressSanitizer and UndefinedBehaviorSanitizer, and its
-ctypes wrapper declares exactly the functions it exports."""
+ctypes wrapper declares exactly the functions it exports; where the core
+cannot be had, the package runs on the Python kernel and a forced compiled
+kernel is refused with one error."""
 
 import ast
 import os
@@ -43,6 +45,19 @@ for d, n in ((2, 3000), (3, 20000), (5, 2000), (200, 20)):
 print("agree")
 """
 
+# run on a package copy with no C core to be had
+MISSING_CORE = """
+from darygrow.errors import DarygrowError
+from darygrow.sampler import kernel_name, make_kernel
+
+assert kernel_name() == "python"
+try:
+    make_kernel(2, 0, kernel="c")
+except ImportError as exc:
+    assert isinstance(exc, DarygrowError)
+    print("refused")
+"""
+
 
 def compiler():
     """The command `_growth_c.compile_library` runs, or a skip."""
@@ -50,6 +65,16 @@ def compiler():
     if shutil.which(cc[0]) is None:
         pytest.skip(f"no C compiler: {cc[0]!r} is not on PATH")
     return cc
+
+
+def package_copy(tmp_path):
+    """The package's Python and C sources, and no library, in tmp_path."""
+    copy = tmp_path / "darygrow"
+    copy.mkdir()
+    for name in os.listdir(PACKAGE):
+        if name.endswith(".py") or name == "_growth_core.c":
+            shutil.copy(os.path.join(PACKAGE, name), copy)
+    return copy
 
 
 def test_core_is_warning_free():
@@ -94,11 +119,7 @@ def test_core_under_sanitizers(tmp_path):
     _growth_c = pytest.importorskip(
         "darygrow._growth_c", reason="compiled kernel not built", exc_type=ImportError
     )
-    copy = tmp_path / "darygrow"
-    copy.mkdir()
-    for name in os.listdir(PACKAGE):
-        if name.endswith(".py") or name == "_growth_core.c":
-            shutil.copy(os.path.join(PACKAGE, name), copy)
+    copy = package_copy(tmp_path)
     library = str(copy / _growth_c.library_name())
     flags = ["-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all"]
     built = subprocess.run(
@@ -125,3 +146,37 @@ def test_core_under_sanitizers(tmp_path):
     )
     assert out.returncode == 0, out.stderr[-4000:]
     assert out.stdout.split() == ["agree"]
+
+
+def test_missing_core_is_one_error_line(tmp_path):
+    # no library beside the sources, an empty cache and no compiler on PATH
+    package_copy(tmp_path)
+    for folder in ("cache", "bin"):
+        (tmp_path / folder).mkdir()
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(tmp_path),
+        XDG_CACHE_HOME=str(tmp_path / "cache"),
+        PATH=str(tmp_path / "bin"),
+    )
+    env.pop("DARYGROW_PURE_PYTHON", None)
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+
+    out = run("-c", MISSING_CORE)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["refused"]
+    grow = ["grow", "--d", "2", "--n", "3", "--seed", "0"]
+    out = run("-m", "darygrow.cli", *grow)
+    assert out.returncode == 0, out.stderr
+    assert len(out.stdout.split()) == 7
+    uniform = ["uniform", "--d", "2", "--n", "3", "--samples", "100", "--seed", "0"]
+    for argv in (grow, uniform):
+        out = run("-m", "darygrow.cli", *argv, "--kernel", "c")
+        assert out.returncode == 2, out.stderr
+        assert out.stdout == ""
+        errors = [line for line in out.stderr.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1 and "Traceback" not in out.stderr, out.stderr

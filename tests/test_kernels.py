@@ -414,7 +414,12 @@ class TestWideArity:
 
 
 class TestSerializers:
-    @pytest.mark.parametrize("d,n", [(2, 0), (2, 1), (2, 400), (3, 150), (10, 40), (300, 3)])
+    # one- and two-digit symbols, and arities on both sides of the largest
+    # one that fits in a byte
+    @pytest.mark.parametrize(
+        "d,n",
+        [(2, 0), (2, 1), (2, 400), (3, 150), (9, 40), (10, 40), (255, 3), (256, 3), (300, 3)],
+    )
     def test_text_forms_match(self, d, n):
         py, c = both(d, n)
         py.steps(n)
@@ -422,6 +427,7 @@ class TestSerializers:
         assert py.code_text() == c.code_text()
         assert py.paren_text() == c.paren_text()
         assert c.code_text().split() == [str(s).encode() for s in c.preorder_code()]
+        assert c.tree.code_text().encode() == c.code_text()
 
     def test_histogram_spans_blocks(self):
         # more chain bytes than one C call fills: the blocks must add up

@@ -258,21 +258,29 @@ class TestChiSquare:
         assert report.samples == 2000
         assert report.p_value >= 0.001
 
-    def test_biased_histogram_fails(self):
+    @staticmethod
+    def rig(monkeypatch, observed):
+        """Make the oracle's kernels return ``observed`` as their histogram."""
+
+        class Stub:
+            def histogram(self, n, chains):
+                return observed
+
+        monkeypatch.setattr(oracle, "make_kernel", lambda d, seed, kernel=None: Stub())
+
+    def test_biased_histogram_fails(self, monkeypatch):
         # inject a histogram that piles everything on one class
         classes = oracle.enumerate_trees(3, 3)
         top = shape_key(classes[0].to_preorder_code())
-        report = oracle.chi_square_uniformity(
-            3, 3, samples=2000, seed=5, _histogram=lambda *_: {top: 2000}
-        )
+        self.rig(monkeypatch, {top: 2000})
+        report = oracle.chi_square_uniformity(3, 3, samples=2000, seed=5)
         # finite: the bias was measured, not an unknown shape reported
         assert math.isfinite(report.statistic)
         assert report.p_value < 1e-9
 
-    def test_unknown_shape_is_fatal(self):
-        report = oracle.chi_square_uniformity(
-            3, 3, samples=2000, seed=5, _histogram=lambda *_: {(9, 9): 2000}
-        )
+    def test_unknown_shape_is_fatal(self, monkeypatch):
+        self.rig(monkeypatch, {(9, 9): 2000})
+        report = oracle.chi_square_uniformity(3, 3, samples=2000, seed=5)
         assert report.statistic == math.inf
         assert report.p_value == 0.0
 
