@@ -7,10 +7,13 @@ loop (ns/step and steps/s), the lex phase inside it (`lex_seconds`), and
 the `code` serialization of the grown tree (`code_seconds`: the kernel's
 `code_text()`).  The compiled kernel (the package default) runs the
 full sizes; the Python kernel runs smaller ones, otherwise a run takes
-minutes.  Rows with the same label, kernel, d and n are replaced, others
-kept, so one file can hold rows of two commits measured on one machine:
-run the script with each commit's `src` first on PYTHONPATH and its own
---label.  The cross-kernel check lives in bench/run.py (`crosscheck`).
+minutes, and none at all in the guard cells d = 12, 40 and 1000, which
+watch the lex phase's cost at wider arities.  Rows with the same label,
+kernel, d and n are replaced, others kept, so one file can hold rows of
+two commits measured on one machine: run the script with each commit's
+`src` first on PYTHONPATH and its own --label.  --out names another file
+to write (a quick check can leave BENCH_growth.json alone).  The
+cross-kernel check lives in bench/run.py (`crosscheck`).
 
 The reference layer gets rows of its own (`reference` in the JSON):
 the seconds of criterion 3's exhaustive bijection suite (median of three
@@ -20,7 +23,7 @@ over ten random mark sets; `make_ms` is building the edge-marked tree from
 the grown tree, outside the trip), and `from_code_ms`, the median of ten
 `DaryTree.from_preorder_code` calls on the grown tree's code.
 
-Usage: python benchmarks/bench_growth.py [--label L] [--seed N] [--quick]
+Usage: python benchmarks/bench_growth.py [--label L] [--seed N] [--quick] [--out FILE]
 """
 
 import argparse
@@ -38,10 +41,13 @@ from darygrow.sampler import SplitMix64, kernel_name, make_kernel, sample_mark_s
 from darygrow.tree import DaryTree
 
 CELLS = [
-    # d, n for the compiled kernel, n for the python kernel
+    # d, n for the compiled kernel, n for the python kernel (None: no row)
     (2, 1_000_000, 20_000),
     (3, 200_000, 20_000),
     (5, 100_000, 10_000),
+    (12, 50_000, None),
+    (40, 10_000, None),
+    (1000, 300, None),
 ]
 OUT = Path(__file__).resolve().parent.parent / "BENCH_growth.json"
 REPEAT = 3
@@ -142,21 +148,22 @@ def main() -> int:
     parser.add_argument("--label", default="current")
     parser.add_argument("--seed", type=int, default=20240)
     parser.add_argument("--quick", action="store_true", help="divide sizes by 10")
+    parser.add_argument("--out", type=Path, default=OUT, help=f"default {OUT.name}")
     args = parser.parse_args()
 
     shrink = 10 if args.quick else 1
     rows = []
     for d, n_compiled, n_python in CELLS:
         rows.append(cell(args.label, None, d, n_compiled // shrink, args.seed))
-        if kernel_name() != "python":
+        if kernel_name() != "python" and n_python:
             rows.append(cell(args.label, "python", d, n_python // shrink, args.seed))
 
-    header = f"{'label':<8} {'kernel':<7} {'d':>2} {'n':>8} {'ns/step':>8} {'steps/s':>10} {'lex s':>7} {'code s':>7}"
+    header = f"{'label':<8} {'kernel':<7} {'d':>4} {'n':>8} {'ns/step':>8} {'steps/s':>10} {'lex s':>7} {'code s':>7}"
     print(header)
     print("-" * len(header))
     for r in rows:
         print(
-            f"{r['label']:<8} {r['kernel']:<7} {r['d']:>2} {r['n']:>8} {r['ns_per_step']:>8} "
+            f"{r['label']:<8} {r['kernel']:<7} {r['d']:>4} {r['n']:>8} {r['ns_per_step']:>8} "
             f"{r['steps_per_s']:>10} {r['lex_seconds']:>7} {r['code_seconds']:>7}"
         )
 
@@ -173,8 +180,8 @@ def main() -> int:
             )
 
     record = {"machine": None, "rows": [], "reference": []}
-    if OUT.exists():
-        record.update(json.loads(OUT.read_text()))
+    if args.out.exists():
+        record.update(json.loads(args.out.read_text()))
     key = lambda r: (r["label"], r["kernel"], r["d"], r["n"])  # noqa: E731
     fresh = {key(r) for r in rows}
     record["rows"] = [r for r in record["rows"] if key(r) not in fresh] + rows
@@ -186,7 +193,7 @@ def main() -> int:
     record["machine"] = (
         f"{os.cpu_count()} cores, {platform.machine()}, Python {platform.python_version()}"
     )
-    OUT.write_text(json.dumps(record, indent=1) + "\n")
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
 

@@ -8,9 +8,16 @@
  * is documented in `_growth_py.py`, the readable spec; the two kernels must
  * stay observably identical.
  *
- * The lex phase is the only per-step cost that is not O(d): it walks each
- * marked edge's path to the root once, two edges side by side, and reads
- * slots only where two paths part.
+ * The lex phase orders a step's marked edges by root word, and it is the
+ * only per-step cost that is not O(d).  It never builds a word.  At d >= 3
+ * every internal node keeps a jump to its 4th ancestor, so an edge's depth
+ * costs a quarter of its parent steps (two edges walk side by side), and
+ * two edges compare by climbing in lockstep to where their paths part,
+ * whose two slots decide.  A merge sort orders the edges, and the letters
+ * the spec's insertion sort compares are replayed from the common prefixes
+ * of neighbours in the result.  A step moves whole subtrees under the new
+ * root, so only jumps of nodes at most 4 deep under it change, and apply
+ * rewrites just those.
  *
  * At d = 2 a step is one random parent/slot read and one dependent child
  * write, so the loop is software-pipelined: steps are drawn 16 ahead and
@@ -25,7 +32,8 @@
  * step's d new ids are d*n + 1 .. d*n + d and apply hands them out by
  * counting, with no allocator and no live-node count.  The internal nodes
  * are the steps' new roots d, 2d, .., d*n; only they have a child row, u's
- * at child[u - d .. u), and u is a leaf when u % d != 0 or u == 0.
+ * at child[u - d .. u), and u is a leaf when u % d != 0 or u == 0.  The
+ * jumps are kept per internal node too, 4 bytes each, at index u / d.
  *
  * Node ids are int32.  The wrapper refuses any growth past INT32_MAX child
  * slots before calling in, so every id and slot below fits; indexes into
@@ -48,15 +56,19 @@ typedef struct {
     int64_t max_step_redirections;
     double lex_seconds;
     uint64_t state;
+    /* 2^64 / d rounded up, for is_leaf and jump_index */
+    uint64_t div_mul;
     /* arena: ids 0 .. d*n live, room for cap ids and cap child slots */
     int64_t cap;
     int32_t *parent, *slot, *child;
+    /* d >= 3: internal node u's 4th ancestor w as jump[u / d] = w / d, -1
+     * when u is less than 4 deep */
+    int32_t *jump;
     /* per-step scratch, d entries each, allocated by the first step */
-    int64_t *rk, *edges, *pos, *woff, *wlen;
-    /* root paths (node ids) of the marked edges, for the lex phase */
-    int32_t *words;
-    int64_t words_cap;
+    int64_t *rk, *edges, *pos, *depth, *leaf, *order, *lcp, *aux, *aux_lcp;
 } dg_kernel;
+
+enum { SCRATCH = 9 }; /* the scratch arrays above, rk first */
 
 static double now(void)
 {
@@ -75,8 +87,8 @@ void dg_free(dg_kernel *k)
     free(k->parent);
     free(k->slot);
     free(k->child);
+    free(k->jump);
     free(k->rk); /* all of the per-step scratch */
-    free(k->words);
     free(k);
 }
 
@@ -87,13 +99,17 @@ static int reserve(dg_kernel *k, int64_t nodes)
     void *p;
     if (nodes <= k->cap)
         return 0;
-    if (nodes > 1 && !k->rk) { /* the first step's five scratch arrays, one block */
-        if (!(k->rk = malloc(5 * k->d * sizeof(int64_t))))
+    if (nodes > 1 && !k->rk) { /* the first step's scratch arrays, one block */
+        if (!(k->rk = malloc(SCRATCH * k->d * sizeof(int64_t))))
             return -1;
         k->edges = k->rk + k->d;
         k->pos = k->edges + k->d;
-        k->woff = k->pos + k->d;
-        k->wlen = k->woff + k->d;
+        k->depth = k->pos + k->d;
+        k->leaf = k->depth + k->d;
+        k->order = k->leaf + k->d;
+        k->lcp = k->order + k->d;
+        k->aux = k->lcp + k->d;
+        k->aux_lcp = k->aux + k->d;
     }
     if (cap < nodes)
         cap = nodes;
@@ -109,19 +125,12 @@ static int reserve(dg_kernel *k, int64_t nodes)
     if (!(p = realloc(k->child, cap * sizeof(int32_t))))
         return -1;
     k->child = p;
+    if (k->d > 2) {
+        if (!(p = realloc(k->jump, (cap / k->d + 1) * sizeof(int32_t))))
+            return -1;
+        k->jump = p;
+    }
     k->cap = cap;
-    return 0;
-}
-
-/* Double the lex phase's path buffer (256 ids at first). */
-static int grow_words(dg_kernel *k)
-{
-    int64_t cap = k->words_cap ? 2 * k->words_cap : 256;
-    int32_t *p = realloc(k->words, cap * sizeof(int32_t));
-    if (!p)
-        return -1;
-    k->words = p;
-    k->words_cap = cap;
     return 0;
 }
 
@@ -145,7 +154,8 @@ dg_kernel *dg_new(int64_t d, uint64_t seed)
         return NULL;
     k->d = d;
     k->state = seed;
-    if (reserve(k, 1) < 0 || grow_words(k) < 0) {
+    k->div_mul = UINT64_MAX / (uint64_t)d + 1;
+    if (reserve(k, 1) < 0) {
         dg_free(k);
         return NULL;
     }
@@ -190,87 +200,246 @@ uint64_t dg_uniform_below(dg_kernel *k, uint64_t m)
 /* ------------------------------------------------------------------ */
 /* lex ordering of marked edges */
 
-/* Node u's path up to, not including, the root, written downward from p so
- * that it reads root first from the result; NULL if it would pass lo. */
-static inline int32_t *climb(const int32_t *parent, int64_t u, int32_t *p, const int32_t *lo)
+/*
+ * Division by d without a divide, for node ids (below 2^32) and m = 2^64 / d
+ * rounded up (Lemire, Kaser and Kurz, "Faster remainder by direct
+ * computation", 2019): the low half of u * m is below m exactly when d
+ * divides u, and its high half is u / d.
+ */
+static inline int is_leaf(int64_t u, uint64_t m)
 {
-    for (; parent[u] >= 0 && p > lo; u = parent[u])
-        *--p = (int32_t)u;
-    return parent[u] >= 0 ? NULL : p;
+    return (uint64_t)u * m >= m || !u;
 }
 
-/* Compare the root words of two paths, counting letters.  Equal ids at equal
- * depth are one node, so the words agree up to the first ids that differ:
- * two siblings, ordered by their slots. */
-static int cmp_paths(dg_kernel *k, int64_t ao, int64_t al, int64_t bo, int64_t bl)
+/* Internal node u's jump index, u / d. */
+static inline int64_t jump_index(int64_t u, uint64_t m)
 {
-    const int32_t *a = k->words + ao, *b = k->words + bo;
-    int64_t limit = al < bl ? al : bl, i;
-    for (i = 0; i < limit; i++) {
-        if (a[i] != b[i]) {
-            k->lex_letters_compared += i + 1;
-            return k->slot[a[i]] < k->slot[b[i]] ? -1 : 1;
+    return (int64_t)(((unsigned __int128)(uint64_t)u * m) >> 64);
+}
+
+/* h plus the depth of the internal node with jump index x: jumps, then at
+ * most three parent steps. */
+static inline int64_t depth_from(const dg_kernel *k, int64_t x, int64_t h)
+{
+    int64_t u;
+    for (; k->jump[x] >= 0; x = k->jump[x])
+        h += 4;
+    for (u = x * k->d; k->parent[u] >= 0; u = k->parent[u])
+        h++;
+    return h;
+}
+
+/* The ancestor up >= 1 levels above u; a leaf has no jump entry. */
+static inline int64_t lift(const dg_kernel *k, int64_t u, int64_t leaf, int64_t up)
+{
+    int64_t x;
+    if (leaf) {
+        u = k->parent[u];
+        up--;
+    }
+    if (up >= 4) {
+        for (x = jump_index(u, k->div_mul); up >= 4; up -= 4)
+            x = k->jump[x];
+        u = x * k->d;
+    }
+    for (; up > 0; up--)
+        u = k->parent[u];
+    return u;
+}
+
+/*
+ * Compare the root words of marked edges i and j (scratch entries): > 0 when
+ * i's is the larger.  *lcp gets the length of their common prefix, which is
+ * the depth of the two nodes' lowest common ancestor.  The deeper node is
+ * lifted to the other's depth; if it lands on the other, that one is its
+ * ancestor and has the shorter word, a prefix.  Otherwise both climb in
+ * lockstep, by jumps while their 4th ancestors differ and then by parent
+ * steps, to the two children of their common ancestor, whose slots decide.
+ */
+static int cmp_edges(const dg_kernel *k, int64_t i, int64_t j, int64_t *lcp)
+{
+    const int32_t *parent = k->parent, *jump = k->jump;
+    int64_t a = k->edges[i], b = k->edges[j], ha = k->depth[i], hb = k->depth[j];
+    int64_t la = k->leaf[i], lb = k->leaf[j], h = ha < hb ? ha : hb, xa, xb;
+    if (ha > hb)
+        a = lift(k, a, la, ha - hb), la = 0;
+    else if (hb > ha)
+        b = lift(k, b, lb, hb - ha), lb = 0;
+    if (a == b) {
+        *lcp = h;
+        return ha > hb ? 1 : -1;
+    }
+    if ((la || lb) && parent[a] != parent[b]) {
+        a = parent[a];
+        b = parent[b];
+        h--;
+        la = lb = 0;
+    }
+    if (!la && !lb) {
+        xa = jump_index(a, k->div_mul);
+        xb = jump_index(b, k->div_mul);
+        if (jump[xa] != jump[xb]) {
+            for (; jump[xa] != jump[xb]; xa = jump[xa], xb = jump[xb])
+                h -= 4;
+            a = xa * k->d;
+            b = xb * k->d;
         }
     }
-    k->lex_letters_compared += i;
-    return al == bl ? 0 : (al < bl ? -1 : 1);
+    for (; parent[a] != parent[b]; a = parent[a], b = parent[b])
+        h--;
+    *lcp = h - 1;
+    return k->slot[a] > k->slot[b] ? 1 : -1;
 }
 
-/* Sort edges[0..ne) by root word, largest first (insertion sort).  Edges walk
- * two at a time, so that their parent chains overlap their cache misses; an
- * odd last edge pairs with the root, whose path is empty (scratch entry ne < d
- * goes unused).  Edge i fills lane words[i*lane, (i+1)*lane); a full lane
- * doubles the buffer and the walk starts again. */
-static int sort_edges_desc(dg_kernel *k, int64_t *edges, int64_t ne)
+/*
+ * Merge the runs in[lo, mid) and in[mid, hi), each largest word first, into
+ * out.  An entry's lcp is its common prefix with the entry before it in its
+ * run.  la and lb are the common prefixes of the two heads with the last
+ * entry out, x, which is larger than both: the head that shares more with x
+ * is the larger one, and only a tie needs a compare (an LCP merge).  Either
+ * way the lcp of every entry out, and of the other head with it, is known.
+ */
+static void merge(const dg_kernel *k, const int64_t *in, const int64_t *in_lcp, int64_t lo,
+                  int64_t mid, int64_t hi, int64_t *out, int64_t *out_lcp)
+{
+    int64_t i = lo, j = mid, o, la = 0, lb = 0, c = 0;
+    int take_a;
+    for (o = lo; o < hi; o++) {
+        if (i == mid || j == hi)
+            take_a = j == hi;
+        else if (la != lb)
+            take_a = la > lb, c = la < lb ? la : lb;
+        else
+            take_a = cmp_edges(k, in[i], in[j], &c) > 0;
+        if (take_a) {
+            out_lcp[o] = la;
+            out[o] = in[i++];
+            la = i < mid ? in_lcp[i] : 0;
+            lb = c;
+        } else {
+            out_lcp[o] = lb;
+            out[o] = in[j++];
+            lb = j < hi ? in_lcp[j] : 0;
+            la = c;
+        }
+    }
+}
+
+/* The letters a word compare reads: one past the common prefix, unless the
+ * prefix is the whole shorter word. */
+static inline int64_t letters(int64_t lcp, int64_t ha, int64_t hb)
+{
+    return lcp + (lcp < (ha < hb ? ha : hb));
+}
+
+/* Letters compared by the spec's insertion sort (`_growth_py`), replayed on
+ * the sorted order: edge i, in its turn, is compared with each earlier edge
+ * whose word is smaller and then with the nearest larger one.  The common
+ * prefix of two ranks is the least lcp between them.  seen[q] is the depth
+ * of the edge at rank q once its turn has come, -1 before. */
+static int64_t letters_compared(const dg_kernel *k, const int64_t *order, const int64_t *lcp,
+                                int64_t ne, int64_t *rank, int64_t *seen)
+{
+    int64_t total = 0, top = -1, i, q, r, m, h;
+    for (i = 0; i < ne; i++) {
+        rank[order[i]] = i;
+        seen[i] = -1;
+    }
+    for (i = 0; i < ne; i++) {
+        r = rank[i];
+        h = k->depth[i];
+        for (q = r + 1, m = INT64_MAX; q <= top; q++) {
+            m = lcp[q] < m ? lcp[q] : m;
+            total += seen[q] < 0 ? 0 : letters(m, seen[q], h);
+        }
+        for (q = r - 1, m = INT64_MAX; q >= 0; q--) {
+            m = lcp[q + 1] < m ? lcp[q + 1] : m;
+            if (seen[q] >= 0) {
+                total += letters(m, seen[q], h);
+                break;
+            }
+        }
+        seen[r] = h;
+        top = r > top ? r : top;
+    }
+    return total;
+}
+
+/* Sort edges[0..ne) by root word, largest first, and count the letters the
+ * spec compares.  Depths come from the jumps, two edges side by side so that
+ * their cache misses overlap; the order from a merge sort of edge indices. */
+static void sort_edges_desc(dg_kernel *k, int64_t ne)
 {
     const int32_t *parent = k->parent;
-    int64_t lane, i, j, a, b;
-    int32_t *lo, *pa, *pb;
-    for (i = 0; i < ne; i++) /* the relink after sorting writes this child row */
+    int64_t *edges = k->edges, *depth = k->depth, *leaf = k->leaf;
+    int64_t *order = k->order, *lcp = k->lcp, *aux = k->aux, *aux_lcp = k->aux_lcp, *t;
+    int64_t i, w, lo, a, b, ha, hb, c;
+    for (i = 0; i < ne; i++) { /* the relink after sorting writes this child row */
         __builtin_prefetch(k->child + parent[edges[i]] - k->d + k->slot[edges[i]] - 1, 1);
-restart:
-    lane = k->words_cap / (ne + 1);
-    for (i = 0; i < ne; i += 2) {
-        lo = k->words + i * lane;
-        a = edges[i];
-        b = i + 1 < ne ? edges[i + 1] : k->d * k->n;
-        /* the lanes fill in step, so one room test covers both */
-        for (pa = lo + lane, pb = pa + lane; parent[a] >= 0 && parent[b] >= 0 && pa > lo;
-             a = parent[a], b = parent[b]) {
-            *--pa = (int32_t)a;
-            *--pb = (int32_t)b;
-        }
-        pb = climb(parent, b, pb, lo + lane);
-        if (!(pa = climb(parent, a, pa, lo)) || !pb) {
-            if (grow_words(k) < 0)
-                return -1;
-            goto restart;
-        }
-        k->woff[i] = pa - k->words;
-        k->wlen[i] = lo + lane - pa;
-        k->woff[i + 1] = pb - k->words;
-        k->wlen[i + 1] = lo + 2 * lane - pb;
+        leaf[i] = is_leaf(edges[i], k->div_mul);
+        order[i] = i;
     }
-    for (i = 1; i < ne; i++) {
-        int64_t eu = edges[i], eo = k->woff[i], el = k->wlen[i];
-        for (j = i - 1; j >= 0 && cmp_paths(k, k->woff[j], k->wlen[j], eo, el) < 0; j--) {
-            edges[j + 1] = edges[j];
-            k->woff[j + 1] = k->woff[j];
-            k->wlen[j + 1] = k->wlen[j];
+    for (i = 0; i < ne; i += 2) { /* an odd last edge walks alone */
+        a = jump_index(leaf[i] ? parent[edges[i]] : edges[i], k->div_mul);
+        ha = leaf[i];
+        if (i + 1 == ne) {
+            depth[i] = depth_from(k, a, ha);
+            break;
         }
-        edges[j + 1] = eu;
-        k->woff[j + 1] = eo;
-        k->wlen[j + 1] = el;
+        b = jump_index(leaf[i + 1] ? parent[edges[i + 1]] : edges[i + 1], k->div_mul);
+        hb = leaf[i + 1];
+        for (; k->jump[a] >= 0 && k->jump[b] >= 0; a = k->jump[a], b = k->jump[b])
+            ha += 4, hb += 4;
+        depth[i] = depth_from(k, a, ha);
+        depth[i + 1] = depth_from(k, b, hb);
     }
-    return 0;
+    if (ne == 2) { /* every step at d = 3: one compare, as the spec makes */
+        if (cmp_edges(k, 0, 1, &c) < 0) {
+            a = edges[0];
+            edges[0] = edges[1];
+            edges[1] = a;
+        }
+        k->lex_letters_compared += letters(c, depth[0], depth[1]);
+        return;
+    }
+    for (w = 1; w < ne; w *= 2) {
+        for (lo = 0; lo < ne; lo += 2 * w)
+            merge(k, order, lcp, lo, lo + w < ne ? lo + w : ne, lo + 2 * w < ne ? lo + 2 * w : ne,
+                  aux, aux_lcp);
+        t = order, order = aux, aux = t;
+        t = lcp, lcp = aux_lcp, aux_lcp = t;
+    }
+    k->lex_letters_compared += letters_compared(k, order, lcp, ne, aux, aux_lcp);
+    for (i = 0; i < ne; i++)
+        aux[i] = edges[order[i]];
+    for (i = 0; i < ne; i++)
+        edges[i] = aux[i];
+}
+
+/* The jump entries of the internal nodes below u, which is h deep under the
+ * new root with jump index top: top at depth 4, none above it. */
+static void set_jumps(dg_kernel *k, int64_t u, int64_t h, int32_t top)
+{
+    int64_t d = k->d, j, c;
+    for (j = u - d; j < u; j++) {
+        c = k->child[j];
+        if (is_leaf(c, k->div_mul))
+            continue;
+        k->jump[jump_index(c, k->div_mul)] = h == 3 ? top : -1;
+        if (h < 3)
+            set_jumps(k, c, h + 1, top);
+    }
 }
 
 /* ------------------------------------------------------------------ */
 /* one growth step; the arena must have room for d more nodes */
 
 /* The allocation order of `_growth_py`.  pos[p] is the subtree hung at
- * position p of the new root; the old root keeps the last free one. */
-static int apply(dg_kernel *k, const int64_t *ranks, int64_t letter)
+ * position p of the new root; the old root keeps the last free one.  Only
+ * nodes at most 4 deep under the new root can have a new 4th ancestor: a
+ * deeper node's 4 nearest ancestors are below the new root, in the subtree
+ * that kept it before the step. */
+static void apply(dg_kernel *k, const int64_t *ranks, int64_t letter)
 {
     int64_t d = k->d, root = d * k->n, v = root, ne = 0, i, p, u, pu, c, redirections;
     int64_t *pos = k->pos;
@@ -283,10 +452,9 @@ static int apply(dg_kernel *k, const int64_t *ranks, int64_t letter)
         else
             k->edges[ne++] = ranks[i];
     }
-    if (ne >= 2) { /* before any write, so a failure leaves the tree as it was */
+    if (ne >= 2) {
         double t0 = now();
-        if (sort_edges_desc(k, k->edges, ne) < 0)
-            return -1;
+        sort_edges_desc(k, ne);
         k->lex_seconds += now() - t0;
     }
 
@@ -314,13 +482,17 @@ static int apply(dg_kernel *k, const int64_t *ranks, int64_t letter)
     k->parent[v] = -1;
     k->slot[v] = 0;
     k->n++;
+    if (k->jump) { /* v's jump index is n */
+        k->jump[k->n] = -1;
+        if (k->n > 4) /* else no internal node is 4 deep */
+            set_jumps(k, v, 0, (int32_t)k->n);
+    }
 
     redirections = 2 * ne + 2 * d;
     k->node_allocations += d;
     k->link_redirections += redirections;
     if (redirections > k->max_step_redirections)
         k->max_step_redirections = redirections;
-    return 0;
 }
 
 /* Draw one step's d - 1 distinct ranks into rk, of a tree with n internal
@@ -347,8 +519,8 @@ enum { AHEAD = 16, LATE = 8 };
  * slot entries prefetched, step i + LATE reads its (by now cached) parent
  * and prefetches the child row its relink writes, and step i is applied.
  * A prefetch reads ids that earlier steps may still move, which costs a
- * wasted fetch at worst; apply reads the arena afresh.  apply cannot fail
- * at d = 2 (no lex phase), so no draw is ever left unapplied.
+ * wasted fetch at worst; apply reads the arena afresh and cannot fail, so
+ * no draw is ever left unapplied.
  */
 static void steps_d2(dg_kernel *k, int64_t count)
 {
@@ -382,8 +554,7 @@ int dg_steps(dg_kernel *k, int64_t count)
     }
     for (i = 0; i < count; i++) {
         draw_step(k, k->n, k->rk, &letter);
-        if (apply(k, k->rk, letter) < 0)
-            return -1;
+        apply(k, k->rk, letter);
     }
     return 0;
 }
@@ -393,11 +564,21 @@ int dg_step_with(dg_kernel *k, const int64_t *ranks, int64_t letter)
 {
     if (reserve(k, k->d * (k->n + 1) + 1) < 0)
         return -1;
-    return apply(k, ranks, letter);
+    apply(k, ranks, letter);
+    return 0;
 }
 
 /* ------------------------------------------------------------------ */
 /* inspection */
+
+/* Node u's path up to, not including, the root, written downward from p so
+ * that it reads root first from the result; NULL if it would pass lo. */
+static inline int32_t *climb(const int32_t *parent, int64_t u, int32_t *p, const int32_t *lo)
+{
+    for (; parent[u] >= 0 && p > lo; u = parent[u])
+        *--p = (int32_t)u;
+    return parent[u] >= 0 ? NULL : p;
+}
 
 /* Root word of node u into the top of out[0 .. cap): returns its length h,
  * the word filling out[cap - h .. cap), or -1 when it does not fit. */
@@ -435,7 +616,7 @@ static int64_t walk(const dg_kernel *k, int mode, char *out)
                 out[at++] = ')';
             continue;
         }
-        if ((uint32_t)u % (uint32_t)d || !u) { /* 32-bit: the cheaper division */
+        if (is_leaf(u, k->div_mul)) {
             if (mode == WALK_SHAPE)
                 out[at++] = 0;
             else if (mode == WALK_PAREN)

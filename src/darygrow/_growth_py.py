@@ -27,9 +27,11 @@ README):
 surgery, 2 per relinked edge and 2 per child of the new root: 2*(marked
 edges) + 2*d per step, at most 4*d - 2.
 ``lex_letters_compared`` counts letter pair comparisons while ordering the
-marked edges; the time spent materializing and ordering edge words is
-accumulated separately in ``lex_seconds`` because it is the only per-step
-cost that is not O(d).
+marked edges, as the insertion sort below makes them; the time spent
+ordering the marked edges (here: building and comparing their words; the
+compiled kernel builds no words and replays this count) is accumulated
+separately in ``lex_seconds`` because it is the only per-step cost that is
+not O(d).
 """
 
 import time

@@ -17,9 +17,6 @@ import sys
 import time
 
 from .errors import DarygrowError, SizeGuardError, UnderpoweredTestError, check_child_slots
-from .marks import edge_marked_from_obj
-from .bijections import enlarge_trace
-from . import oracle
 from .sampler import COUNTERS, make_kernel
 from .tree import DaryTree
 
@@ -183,6 +180,8 @@ def _print_report(report) -> int:
 
 
 def cmd_verify_bijection(args) -> int:
+    from . import oracle
+
     status = 0
     for n in range(args.max_n + 1):
         report = oracle.verify_enlarge_bijection(args.d, n, force=args.force)
@@ -191,6 +190,8 @@ def cmd_verify_bijection(args) -> int:
 
 
 def cmd_verify_rotation(args) -> int:
+    from . import oracle
+
     # the longest walks cost the most: refuse them before any output
     oracle.rotation_guard(args.m, args.max_inc, args.force)
     status = 0
@@ -201,6 +202,8 @@ def cmd_verify_rotation(args) -> int:
 
 
 def cmd_verify_variants(args) -> int:
+    from . import oracle
+
     status = 0
     for n in range(args.max_n + 1):
         report = oracle.verify_binary_variants(n, force=args.force)
@@ -215,6 +218,8 @@ def _log10_comb(a: int, b: int) -> float:
 
 
 def cmd_verify_counts(args) -> int:
+    from . import oracle
+
     # the count prints as an exact decimal, which Python writes up to
     # int_max_str_digits digits; refuse when the identity's left side, the
     # largest number checked, may be longer, so the check also stays quick
@@ -245,6 +250,8 @@ def cmd_verify_counts(args) -> int:
 
 
 def cmd_uniform(args) -> int:
+    from . import oracle
+
     seed = _effective_seed(args)
     report = oracle.chi_square_uniformity(
         args.d, args.n, args.samples, seed, kernel=args.kernel
@@ -257,6 +264,9 @@ def cmd_uniform(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    from .bijections import enlarge_trace
+    from .marks import edge_marked_from_obj
+
     try:
         with open(args.input, "r", encoding="ascii") as fh:
             obj = json.load(fh)

@@ -24,12 +24,14 @@ A kernel is the whole chain state: ``grow_to`` and ``chain`` read its
 from __future__ import annotations
 
 import os
-from typing import Iterator, List, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Tuple
 
 from ._kernel import COUNTERS, OpCounters, SplitMix64, draw_ranks  # COUNTERS: re-exported
 from .errors import KernelUnavailableError
-from .marks import Bud, EdgeMark, MarkTarget
 from .tree import DaryTree
+
+if TYPE_CHECKING:
+    from .marks import MarkTarget
 
 
 def sample_mark_set(rng: SplitMix64, tree: DaryTree) -> List[MarkTarget]:
@@ -39,6 +41,8 @@ def sample_mark_set(rng: SplitMix64, tree: DaryTree) -> List[MarkTarget]:
     at preorder position r + 1; the top d-1 ranks name the buds.  Duplicate
     ranks are rejected and redrawn, so the subset is exactly uniform.
     """
+    from .marks import Bud, EdgeMark
+
     d = tree.d
     marks: List[MarkTarget] = []
     for r in draw_ranks(rng, tree.edge_count + d - 1, d - 1):
@@ -53,14 +57,27 @@ def sample_mark_set(rng: SplitMix64, tree: DaryTree) -> List[MarkTarget]:
 # kernel selection
 
 
+_c_module = None  # the C kernel's module, or the ImportError of its one load
+
+
+def _load_c():
+    """The C kernel's module or its ImportError, tried once per process: a
+    failed import is not cached by Python, and trying again would run the
+    compiler again."""
+    global _c_module
+    if _c_module is None:
+        try:
+            from . import _growth_c as _c_module
+        except ImportError as exc:
+            _c_module = exc
+    return _c_module
+
+
 def _select_kernel_module():
     if not os.environ.get("DARYGROW_PURE_PYTHON"):
-        try:
-            from . import _growth_c
-
-            return _growth_c
-        except ImportError:
-            pass
+        mod = _load_c()
+        if not isinstance(mod, ImportError):
+            return mod
     from . import _growth_py
 
     return _growth_py
@@ -85,10 +102,9 @@ def make_kernel(d: int, seed: int, kernel: str | None = None):
     elif kernel == "python":
         from . import _growth_py as mod
     elif kernel == "c":
-        try:
-            from . import _growth_c as mod  # type: ignore[no-redef]
-        except ImportError as exc:
-            raise KernelUnavailableError(f"kernel 'c' is not available: {exc}") from exc
+        mod = _load_c()
+        if isinstance(mod, ImportError):
+            raise KernelUnavailableError(f"kernel 'c' is not available: {mod}") from mod
     else:
         raise ValueError(f"unknown kernel {kernel!r}")
     return mod.GrowthKernel(d, seed)

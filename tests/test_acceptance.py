@@ -8,6 +8,7 @@ test builds everything it needs.
 
 import math
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -170,31 +171,29 @@ def test_criterion_10_cost_model(criterion):
         )
         t0 = time.perf_counter()
         d, n = 3, 1_000_000
-        # both sizes are read off one chain, at n and at 2n steps: a separate
-        # run to 2n would repeat the first n steps exactly, so measuring them
-        # once leaves one independent noisy sample fewer in the ratio
-        kernel = make_kernel(d, seed=2718, kernel="c")
-        w0 = time.perf_counter()
 
-        def run(steps):
-            kernel.steps(steps - kernel.n)
-            wall = time.perf_counter() - w0
-            return kernel.counters, wall - kernel.lex_seconds
+        def o1_ratio():
+            # both sizes are read off one chain, at n and at 2n steps: a separate
+            # run to 2n would repeat the first n steps exactly, so measuring them
+            # once leaves one independent noisy sample fewer in the ratio
+            kernel = make_kernel(d, seed=2718, kernel="c")
+            w0 = time.perf_counter()
+            o1, letters = [], []
+            for steps in (n, 2 * n):
+                kernel.steps(steps - kernel.n)
+                o1.append(time.perf_counter() - w0 - kernel.lex_seconds)
+                letters.append(kernel.lex_letters_compared)
+                assert kernel.node_allocations == d * steps
+                assert kernel.max_step_redirections <= 4 * d
+                assert kernel.rng_draws / steps <= d + 0.1
+            # lex counters are reported, not asserted linear
+            assert letters[1] > letters[0]
+            return o1[1] / o1[0]
 
-        k1, o1_single = run(n)
-        assert k1.node_allocations == 3 * n
-        assert k1.max_step_redirections <= 4 * d
-        assert k1.rng_draws / n <= d + 0.1
-
-        k2, o1_double = run(2 * n)
-        assert k2.node_allocations == 6 * n
-        assert k2.max_step_redirections <= 4 * d
-        assert k2.rng_draws / (2 * n) <= d + 0.1
-
-        ratio = o1_double / o1_single
-        assert 1.8 <= ratio <= 2.6, (ratio, o1_single, o1_double)
-        # lex counters are reported, not asserted linear
-        assert k2.lex_letters_compared > k1.lex_letters_compared
+        # one ratio is at the mercy of a burst of load on the machine; the
+        # median of three chains' ratios is not
+        ratios = [o1_ratio() for _ in range(3)]
+        assert 1.8 <= statistics.median(ratios) <= 2.6, ratios
         assert elapsed_since(t0) < budget
 
 

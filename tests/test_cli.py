@@ -37,6 +37,46 @@ def run_cli(args, capsys):
 # grow
 
 
+# a fresh interpreter: which darygrow modules a grow run loads
+GROW_MODULES = """
+import sys
+from darygrow import cli
+
+status = cli.main(["grow", "--d", "3", "--n", "50", "--seed", "1", "--format", "paren"])
+print(" ".join(sorted(m for m in sys.modules if m.startswith("darygrow."))), file=sys.stderr)
+sys.exit(status)
+"""
+
+
+def test_grow_imports_only_what_it_runs():
+    out = subprocess.run(
+        [sys.executable, "-c", GROW_MODULES], capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    loaded = set(out.stderr.splitlines()[-1].split())
+    assert "darygrow.cli" in loaded and "darygrow.sampler" in loaded
+    for name in ("oracle", "bijections", "marks", "walks"):
+        assert f"darygrow.{name}" not in loaded
+
+
+def test_every_exported_name_resolves():
+    # the package imports its names lazily: each must still be there
+    import darygrow
+    from darygrow import bijections, oracle
+
+    assert darygrow.__all__ == sorted(set(darygrow.__all__))
+    for name in darygrow.__all__:
+        assert getattr(darygrow, name) is not None, name
+        assert name in dir(darygrow)
+    assert darygrow.enlarge is bijections.enlarge
+    assert darygrow.count_trees is oracle.count_trees
+    with pytest.raises(AttributeError):
+        darygrow.no_such_name
+    namespace = {}
+    exec("from darygrow import *", namespace)
+    assert set(darygrow.__all__) <= set(namespace)
+
+
 def test_grow_n0(capsys):
     code, out, err = run_cli(["grow", "--d", "3", "--n", "0", "--seed", "1"], capsys)
     assert code == 0

@@ -27,12 +27,21 @@ from darygrow import _growth_c
 from darygrow.sampler import make_kernel
 
 assert _growth_c._lib._name == sys.argv[1], _growth_c._lib._name
-# (3, 20000) makes the lex phase regrow its path buffer
-for d, n in ((2, 3000), (3, 20000), (5, 2000), (200, 20)):
+# (3, 20000) walks paths of several hundred nodes by jumps
+for d, n in ((2, 3000), (3, 20000), (5, 2000), (12, 400), (200, 20)):
     py, c = make_kernel(d, n, kernel="python"), make_kernel(d, n, kernel="c")
     for k in (py, c):
         k.steps(n)
         k.step_with(range(d - 1), 1)
+    # the deepest edges on one root path: nested cut subtrees
+    words = [c.edge_word(r) for r in range(c.root)]
+    deep = max(words, key=len)
+    path = sorted((r for r, w in enumerate(words) if deep[: len(w)] == w), key=lambda r: len(words[r]))
+    ranks = path[-(d - 1) :]
+    ranks += range(c.root, c.root + d - 1 - len(ranks))
+    for k in (py, c):
+        k.step_with(ranks, d)
+        k.steps(50)
     assert py.preorder_code() == c.preorder_code()
     assert py.counters == c.counters
     assert py.code_text() == c.code_text()
@@ -41,7 +50,7 @@ for d, n in ((2, 3000), (3, 20000), (5, 2000), (200, 20)):
     assert [py.edge_word(r) for r in range(0, d * n, 7)] == [
         c.edge_word(r) for r in range(0, d * n, 7)
     ]
-    assert py.histogram(4, 50) == c.histogram(4, 50)
+    assert py.histogram(6, 50) == c.histogram(6, 50)
 print("agree")
 """
 
@@ -56,6 +65,21 @@ try:
 except ImportError as exc:
     assert isinstance(exc, DarygrowError)
     print("refused")
+"""
+
+
+# run on a package copy whose every compile fails
+RETRY = """
+from darygrow.sampler import kernel_name, make_kernel
+
+assert kernel_name() == "python"
+for _ in range(3):
+    try:
+        make_kernel(2, 0, kernel="c")
+    except ImportError:
+        continue
+    raise AssertionError("a compiled kernel with no library")
+print("refused")
 """
 
 
@@ -180,3 +204,32 @@ def test_missing_core_is_one_error_line(tmp_path):
         assert out.stdout == ""
         errors = [line for line in out.stderr.splitlines() if line.startswith("error: ")]
         assert len(errors) == 1 and "Traceback" not in out.stderr, out.stderr
+
+
+def test_failed_core_load_is_not_retried(tmp_path):
+    # a compiler on PATH that logs each run and fails: importing the package
+    # tries the C core once, and the three forced kernels after it reuse
+    # that failure instead of compiling again
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
+    if os.path.isabs(cc):
+        pytest.skip(f"the C compiler {cc!r} is not looked up on PATH")
+    package_copy(tmp_path)
+    for folder in ("cache", "bin"):
+        (tmp_path / folder).mkdir()
+    log = tmp_path / "runs.log"
+    fake = tmp_path / "bin" / cc
+    fake.write_text(f"#!/bin/sh\necho run >> '{log}'\nexit 1\n")
+    fake.chmod(0o755)
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(tmp_path),
+        XDG_CACHE_HOME=str(tmp_path / "cache"),
+        PATH=f"{tmp_path / 'bin'}{os.pathsep}{os.environ.get('PATH', '')}",
+    )
+    env.pop("DARYGROW_PURE_PYTHON", None)
+    out = subprocess.run(
+        [sys.executable, "-c", RETRY], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["refused"]
+    assert log.read_text().split() == ["run"]

@@ -375,6 +375,167 @@ class TestLexAccounting:
         assert 0 < k.lex_seconds < 5.0
 
 
+def arena(k):
+    """What a step's edge order decides: the shape, the counters, and the
+    word of every node id (each replacement leaf's id follows the order)."""
+    return k.preorder_code(), counters(k), [k.edge_word(r) for r in range(k.root)]
+
+
+class TestLexPhase:
+    """The C core orders marked edges by jumps to 4th ancestors and replays
+    the spec's letter count; every case must give the spec's order and
+    lex_letters_compared, and the jumps must stay right for later steps."""
+
+    @staticmethod
+    def grown(d, n, seed):
+        py, c = both(d, seed)
+        py.steps(n)
+        c.steps(n)
+        return py, c
+
+    @staticmethod
+    def check_step(py, c, ranks, letter=2, then=20):
+        for k in (py, c):
+            k.step_with(ranks, letter)
+        assert arena(py) == arena(c)
+        for k in (py, c):  # later steps read the jumps this step rewrote
+            k.steps(then)
+        assert arena(py) == arena(c)
+
+    @staticmethod
+    def words(k):
+        return [k.edge_word(r) for r in range(k.root)]
+
+    @staticmethod
+    def path(words):
+        """depth -> rank of the nodes on the deepest root path"""
+        deep = max(words, key=len)
+        return {len(w): r for r, w in enumerate(words) if deep[: len(w)] == w}
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    @pytest.mark.parametrize("gap", [1, 2, 3, 4, 5, 6, 7, 9, 13])
+    def test_ancestor_pairs(self, d, gap):
+        # depth gaps that are not multiples of 4 end the lift with parent
+        # steps; the ancestor's word is a prefix, so it is the smaller
+        py, c = self.grown(d, 1500 // d, 40 + gap)
+        on_path = self.path(self.words(c))
+        h = max(on_path)
+        ranks = [on_path[h], on_path[h - gap]] + [c.root + i for i in range(d - 3)]
+        before = c.lex_letters_compared
+        self.check_step(py, c, ranks, then=0)
+        if d == 3:
+            assert c.lex_letters_compared - before == h - gap
+        self.check_step(py, c, ranks[::-1], then=30)
+
+    @pytest.mark.parametrize("d,gaps", [(4, (0, 3, 9)), (5, (0, 1, 6, 11)), (12, (0, 2, 3, 5, 8))])
+    def test_nested_cut_subtrees(self, d, gaps):
+        # edges on one root path, each cut subtree inside the one above it;
+        # after the step they hang side by side under the new root, and the
+        # next step marks edges inside them again
+        py, c = self.grown(d, 2400 // d, 7)
+        for _ in range(2):
+            on_path = self.path(self.words(c))
+            h = max(on_path)
+            ranks = [on_path[h - g] for g in gaps]
+            ranks += [c.root + i for i in range(d - 1 - len(ranks))]
+            self.check_step(py, c, ranks, letter=d, then=0)
+
+    @pytest.mark.parametrize("d", [3, 5, 12])
+    def test_siblings(self, d):
+        py, c = self.grown(d, 1200 // d, 8)
+        words = self.words(c)
+        rows = {}
+        for r, w in enumerate(words):
+            rows.setdefault(w[:-1], []).append(r)
+        # the deepest parent with at least two marked children
+        row = max((v for v in rows.values() if len(v) >= 2), key=lambda v: len(words[v[0]]))
+        ranks = row[: d - 1] + [c.root + i for i in range(d - 1 - len(row[: d - 1]))]
+        self.check_step(py, c, ranks)
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_lca_at_the_root(self, d):
+        py, c = self.grown(d, 1500 // d, 9)
+        words = self.words(c)
+        deepest = {}
+        for r, w in enumerate(words):
+            if w and len(w) > len(words[deepest.get(w[0], r)]) or w and w[0] not in deepest:
+                deepest[w[0]] = r
+        assert len(deepest) >= 2
+        ranks = sorted(deepest.values(), key=lambda r: -len(words[r]))[: d - 1]
+        ranks += [c.root + i for i in range(d - 1 - len(ranks))]
+        self.check_step(py, c, ranks)
+
+    @pytest.mark.parametrize("gap", [1, 2, 3, 5, 6, 7])
+    def test_depth_gaps_across_branches(self, gap):
+        # two edges in different branches whose depths differ by gap, the
+        # deeper one first and then last
+        py, c = self.grown(3, 600, 10 + gap)
+        for deeper_first in (True, False):
+            words = self.words(c)
+            on_path = self.path(words)
+            h = max(on_path)
+            deep = words[on_path[h]]
+            other = next(
+                r for r, w in enumerate(words) if len(w) == h - gap and deep[: len(w)] != w
+            )
+            ranks = [on_path[h], other]
+            self.check_step(py, c, ranks if deeper_first else ranks[::-1])
+
+    @pytest.mark.parametrize("d,n", [(5, 400), (12, 150), (40, 40)])
+    def test_many_edges(self, d, n):
+        py, c = self.grown(d, n, 11)
+        rng = random.Random(d)
+        for step in range(12):
+            if step % 3 == 0:  # edges only
+                ranks = rng.sample(range(c.root), d - 1)
+            else:
+                ranks = rng.sample(range(c.root + d - 1), d - 1)
+            self.check_step(py, c, ranks, letter=rng.randrange(1, d + 1), then=step)
+
+    @pytest.mark.parametrize("d", [3, 5])
+    @pytest.mark.parametrize("m", [4, 5, 6, 7, 9])
+    def test_paths_cross_depth_4(self, d, m):
+        # steps that mark only buds grow a path: its first root is m - 1
+        # deep, so the jumps first matter at m = 5; two edges at the deep
+        # end, up to 7 apart, make the compare lift and climb by them
+        py, c = both(d, 13)
+        for _ in range(m):
+            for k in (py, c):
+                k.step_with(range(k.root, k.root + d - 1), 1)
+            assert arena(py) == arena(c)
+        for gap in range(8):
+            words = self.words(c)
+            depth = {}
+            for r in sorted(range(c.root), key=lambda r: -len(words[r])):
+                depth.setdefault(len(words[r]), []).append(r)
+            h = max(depth)
+            if h - gap not in depth:
+                continue
+            ranks = [depth[h][0], depth[h - gap][-1]] if gap else depth[h][:2]
+            ranks += [c.root + i for i in range(d - 3)]
+            self.check_step(py, c, ranks, then=0)
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 12])
+    def test_small_trees_and_reset(self, d):
+        # no node is 4 deep before n = 5, so the jumps are first written
+        # there; reset reuses the ids, whose old jumps must not leak
+        py, c = both(d, 12)
+        rng = random.Random(d)
+        for _ in range(3):
+            for _ in range(9):
+                ranks = rng.sample(range(d * c.n + d - 1), d - 1)
+                letter = rng.randrange(1, d + 1)
+                for k in (py, c):
+                    k.step_with(ranks, letter)
+                assert arena(py) == arena(c)
+            for k in (py, c):
+                k.steps(7)
+            assert arena(py) == arena(c)
+            for k in (py, c):
+                k.reset()
+        assert py.histogram(6, 200) == c.histogram(6, 200)
+
+
 class TestWideArity:
     """Child slots are int32 in the C core: every arity agrees.
 
