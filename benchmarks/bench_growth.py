@@ -7,8 +7,8 @@ loop (ns/step and steps/s), the lex phase inside it (`lex_seconds`), and
 the `code` serialization of the grown tree (`code_seconds`: the kernel's
 `code_text()`).  The compiled kernel (the package default) runs the
 full sizes; the Python kernel runs smaller ones, otherwise a run takes
-minutes, and none at all in the guard cells d = 12, 40 and 1000, which
-watch the lex phase's cost at wider arities.  Rows with the same label,
+minutes, and none at all in the guard cells d = 12, 40, 300 and 1000,
+which watch the lex phase's cost at wider arities.  Rows with the same label,
 kernel, d and n are replaced, others kept, so one file can hold rows of
 two commits measured on one machine: run the script with each commit's
 `src` first on PYTHONPATH and its own --label.  --out names another file
@@ -47,6 +47,7 @@ CELLS = [
     (5, 100_000, 10_000),
     (12, 50_000, None),
     (40, 10_000, None),
+    (300, 1000, None),
     (1000, 300, None),
 ]
 OUT = Path(__file__).resolve().parent.parent / "BENCH_growth.json"

@@ -29,7 +29,7 @@ from collections import Counter
 from ctypes import c_char_p, c_double, c_int, c_int32, c_int64, c_uint64, c_void_p
 from operator import attrgetter
 
-from ._kernel import MASK, Kernel
+from ._kernel import COUNTERS, MASK, Kernel
 
 try:  # the builtin module loads in a tenth of hashlib's import time
     from _sha256 import sha256
@@ -119,16 +119,13 @@ except (OSError, AttributeError) as exc:
 
 
 class _Head(ctypes.Structure):
-    """The public head of the C kernel struct; same fields, same order."""
+    """The public head of the C kernel struct; same fields, same order.  The
+    C struct fixes that order, and it lists the counters as COUNTERS does."""
 
     _fields_ = [
         ("d", c_int64),
         ("n", c_int64),
-        ("node_allocations", c_int64),
-        ("link_redirections", c_int64),
-        ("rng_draws", c_int64),
-        ("lex_letters_compared", c_int64),
-        ("max_step_redirections", c_int64),
+        *((name, c_int64) for name in COUNTERS),
         ("lex_seconds", c_double),
         ("state", c_uint64),
     ]

@@ -13,18 +13,18 @@
  * every internal node keeps a jump to its 4th ancestor, so an edge's depth
  * costs a quarter of its parent steps (two edges walk side by side), and
  * two edges compare by climbing in lockstep to where their paths part,
- * whose two slots decide.  A merge sort orders the edges, and the letters
+ * whose two links decide.  A merge sort orders the edges, and the letters
  * the spec's insertion sort compares are replayed from the common prefixes
  * of neighbours in the result.  A step moves whole subtrees under the new
  * root, so only jumps of nodes at most 4 deep under it change, and apply
  * rewrites just those.
  *
- * At d = 2 a step is one random parent/slot read and one dependent child
- * write, so the loop is software-pipelined: steps are drawn 16 ahead and
- * their arena lines prefetched (steps_d2).  This cannot be observed.  A
- * step's ranks and letter depend only on the PRNG state and n, never on the
- * tree, so drawing early gives the same draws in the same order; no draw is
- * made past the last step of a call, and every step is applied exactly as
+ * At d = 2 a step is one random link read and one dependent child write,
+ * so the loop is software-pipelined: steps are drawn 16 ahead and their
+ * arena lines prefetched (steps_d2).  This cannot be observed.  A step's
+ * ranks and letter depend only on the PRNG state and n, never on the tree,
+ * so drawing early gives the same draws in the same order; no draw is made
+ * past the last step of a call, and every step is applied exactly as
  * before.  d >= 3 is not pipelined: there the lex phase's climbs already
  * keep the memory system busy, and prefetching only moved its stalls.
  *
@@ -32,11 +32,15 @@
  * step's d new ids are d*n + 1 .. d*n + d and apply hands them out by
  * counting, with no allocator and no live-node count.  The internal nodes
  * are the steps' new roots d, 2d, .., d*n; only they have a child row, u's
- * at child[u - d .. u), and u is a leaf when u % d != 0 or u == 0.  The
- * jumps are kept per internal node too, 4 bytes each, at index u / d.
+ * at child[u - d .. u), and u is a leaf when u % d != 0 or u == 0.  So one
+ * number per node places it: its link up[u], the index of the child entry
+ * that holds it (-1 at the root).  Its parent is that row's owner,
+ * (up[u] / d + 1) * d, its slot up[u] % d + 1, and two siblings order by
+ * their links.  The jumps are kept per internal node, 4 bytes each, at
+ * index u / d.
  *
  * Node ids are int32.  The wrapper refuses any growth past INT32_MAX child
- * slots before calling in, so every id and slot below fits; indexes into
+ * slots before calling in, so every id and link below fits; indexes into
  * the child array are computed in int64.  Functions that allocate return
  * 0 on success and -1 when memory runs out, leaving the kernel usable.
  */
@@ -46,7 +50,7 @@
 #include <time.h>
 
 typedef struct {
-    /* public head, mirrored field for field by _growth_c.Head */
+    /* public head, mirrored field for field by _growth_c._Head */
     int64_t d;
     int64_t n;
     int64_t node_allocations;
@@ -56,11 +60,11 @@ typedef struct {
     int64_t max_step_redirections;
     double lex_seconds;
     uint64_t state;
-    /* 2^64 / d rounded up, for is_leaf and jump_index */
+    /* 2^64 / d rounded up, for is_leaf, jump_index and parent_index */
     uint64_t div_mul;
     /* arena: ids 0 .. d*n live, room for cap ids and cap child slots */
     int64_t cap;
-    int32_t *parent, *slot, *child;
+    int32_t *up, *child;
     /* d >= 3: internal node u's 4th ancestor w as jump[u / d] = w / d, -1
      * when u is less than 4 deep */
     int32_t *jump;
@@ -84,8 +88,7 @@ void dg_free(dg_kernel *k)
 {
     if (!k)
         return;
-    free(k->parent);
-    free(k->slot);
+    free(k->up);
     free(k->child);
     free(k->jump);
     free(k->rk); /* all of the per-step scratch */
@@ -116,12 +119,9 @@ static int reserve(dg_kernel *k, int64_t nodes)
     if (cap > (int64_t)INT32_MAX + 1 && nodes <= (int64_t)INT32_MAX + 1)
         cap = (int64_t)INT32_MAX + 1;
     /* a failed realloc leaves the old block, and cap, in place */
-    if (!(p = realloc(k->parent, cap * sizeof(int32_t))))
+    if (!(p = realloc(k->up, cap * sizeof(int32_t))))
         return -1;
-    k->parent = p;
-    if (!(p = realloc(k->slot, cap * sizeof(int32_t))))
-        return -1;
-    k->slot = p;
+    k->up = p;
     if (!(p = realloc(k->child, cap * sizeof(int32_t))))
         return -1;
     k->child = p;
@@ -138,8 +138,7 @@ static int reserve(dg_kernel *k, int64_t nodes)
 void dg_reset(dg_kernel *k)
 {
     k->n = 0;
-    k->parent[0] = -1;
-    k->slot[0] = 0;
+    k->up[0] = -1;
     k->node_allocations = 0;
     k->link_redirections = 0;
     k->lex_letters_compared = 0;
@@ -211,40 +210,39 @@ static inline int is_leaf(int64_t u, uint64_t m)
     return (uint64_t)u * m >= m || !u;
 }
 
-/* Internal node u's jump index, u / d. */
+/* u / d for u below 2^32: an internal node's jump index, or the row a link
+ * points into. */
 static inline int64_t jump_index(int64_t u, uint64_t m)
 {
     return (int64_t)(((unsigned __int128)(uint64_t)u * m) >> 64);
+}
+
+/* The jump index of the parent of u, not the root: its row holds child[up[u]]. */
+static inline int64_t parent_index(const dg_kernel *k, int64_t u)
+{
+    return jump_index(k->up[u], k->div_mul) + 1;
 }
 
 /* h plus the depth of the internal node with jump index x: jumps, then at
  * most three parent steps. */
 static inline int64_t depth_from(const dg_kernel *k, int64_t x, int64_t h)
 {
-    int64_t u;
     for (; k->jump[x] >= 0; x = k->jump[x])
         h += 4;
-    for (u = x * k->d; k->parent[u] >= 0; u = k->parent[u])
+    for (; k->up[x * k->d] >= 0; x = parent_index(k, x * k->d))
         h++;
     return h;
 }
 
-/* The ancestor up >= 1 levels above u; a leaf has no jump entry. */
-static inline int64_t lift(const dg_kernel *k, int64_t u, int64_t leaf, int64_t up)
+/* The ancestor by >= 1 levels above u; a leaf has no jump entry. */
+static inline int64_t lift(const dg_kernel *k, int64_t u, int64_t leaf, int64_t by)
 {
-    int64_t x;
-    if (leaf) {
-        u = k->parent[u];
-        up--;
-    }
-    if (up >= 4) {
-        for (x = jump_index(u, k->div_mul); up >= 4; up -= 4)
-            x = k->jump[x];
-        u = x * k->d;
-    }
-    for (; up > 0; up--)
-        u = k->parent[u];
-    return u;
+    int64_t x = leaf ? parent_index(k, u) : jump_index(u, k->div_mul);
+    for (by -= leaf; by >= 4; by -= 4)
+        x = k->jump[x];
+    for (; by > 0; by--)
+        x = parent_index(k, x * k->d);
+    return x * k->d;
 }
 
 /*
@@ -253,14 +251,15 @@ static inline int64_t lift(const dg_kernel *k, int64_t u, int64_t leaf, int64_t 
  * the depth of the two nodes' lowest common ancestor.  The deeper node is
  * lifted to the other's depth; if it lands on the other, that one is its
  * ancestor and has the shorter word, a prefix.  Otherwise both climb in
- * lockstep, by jumps while their 4th ancestors differ and then by parent
- * steps, to the two children of their common ancestor, whose slots decide.
+ * lockstep, kept as jump indices, by jumps while their 4th ancestors differ
+ * and then by parent steps, to the two children of their common ancestor,
+ * whose links decide.
  */
 static int cmp_edges(const dg_kernel *k, int64_t i, int64_t j, int64_t *lcp)
 {
-    const int32_t *parent = k->parent, *jump = k->jump;
-    int64_t a = k->edges[i], b = k->edges[j], ha = k->depth[i], hb = k->depth[j];
-    int64_t la = k->leaf[i], lb = k->leaf[j], h = ha < hb ? ha : hb, xa, xb;
+    const int32_t *jump = k->jump;
+    int64_t d = k->d, a = k->edges[i], b = k->edges[j], ha = k->depth[i], hb = k->depth[j];
+    int64_t la = k->leaf[i], lb = k->leaf[j], h = ha < hb ? ha : hb, xa, xb, pa, pb;
     if (ha > hb)
         a = lift(k, a, la, ha - hb), la = 0;
     else if (hb > ha)
@@ -269,26 +268,24 @@ static int cmp_edges(const dg_kernel *k, int64_t i, int64_t j, int64_t *lcp)
         *lcp = h;
         return ha > hb ? 1 : -1;
     }
-    if ((la || lb) && parent[a] != parent[b]) {
-        a = parent[a];
-        b = parent[b];
+    if (la || lb) { /* a leaf has no jump entry: both step to their parents */
+        xa = parent_index(k, a);
+        xb = parent_index(k, b);
+        if (xa == xb) {
+            *lcp = h - 1;
+            return k->up[a] > k->up[b] ? 1 : -1;
+        }
         h--;
-        la = lb = 0;
-    }
-    if (!la && !lb) {
+    } else {
         xa = jump_index(a, k->div_mul);
         xb = jump_index(b, k->div_mul);
-        if (jump[xa] != jump[xb]) {
-            for (; jump[xa] != jump[xb]; xa = jump[xa], xb = jump[xb])
-                h -= 4;
-            a = xa * k->d;
-            b = xb * k->d;
-        }
     }
-    for (; parent[a] != parent[b]; a = parent[a], b = parent[b])
+    for (; jump[xa] != jump[xb]; xa = jump[xa], xb = jump[xb])
+        h -= 4;
+    for (; (pa = parent_index(k, xa * d)) != (pb = parent_index(k, xb * d)); xa = pa, xb = pb)
         h--;
     *lcp = h - 1;
-    return k->slot[a] > k->slot[b] ? 1 : -1;
+    return k->up[xa * d] > k->up[xb * d] ? 1 : -1;
 }
 
 /*
@@ -370,23 +367,22 @@ static int64_t letters_compared(const dg_kernel *k, const int64_t *order, const 
  * their cache misses overlap; the order from a merge sort of edge indices. */
 static void sort_edges_desc(dg_kernel *k, int64_t ne)
 {
-    const int32_t *parent = k->parent;
     int64_t *edges = k->edges, *depth = k->depth, *leaf = k->leaf;
     int64_t *order = k->order, *lcp = k->lcp, *aux = k->aux, *aux_lcp = k->aux_lcp, *t;
     int64_t i, w, lo, a, b, ha, hb, c;
     for (i = 0; i < ne; i++) { /* the relink after sorting writes this child row */
-        __builtin_prefetch(k->child + parent[edges[i]] - k->d + k->slot[edges[i]] - 1, 1);
+        __builtin_prefetch(k->child + k->up[edges[i]], 1);
         leaf[i] = is_leaf(edges[i], k->div_mul);
         order[i] = i;
     }
     for (i = 0; i < ne; i += 2) { /* an odd last edge walks alone */
-        a = jump_index(leaf[i] ? parent[edges[i]] : edges[i], k->div_mul);
+        a = leaf[i] ? parent_index(k, edges[i]) : jump_index(edges[i], k->div_mul);
         ha = leaf[i];
         if (i + 1 == ne) {
             depth[i] = depth_from(k, a, ha);
             break;
         }
-        b = jump_index(leaf[i + 1] ? parent[edges[i + 1]] : edges[i + 1], k->div_mul);
+        b = leaf[i + 1] ? parent_index(k, edges[i + 1]) : jump_index(edges[i + 1], k->div_mul);
         hb = leaf[i + 1];
         for (; k->jump[a] >= 0 && k->jump[b] >= 0; a = k->jump[a], b = k->jump[b])
             ha += 4, hb += 4;
@@ -441,7 +437,7 @@ static void set_jumps(dg_kernel *k, int64_t u, int64_t h, int32_t top)
  * that kept it before the step. */
 static void apply(dg_kernel *k, const int64_t *ranks, int64_t letter)
 {
-    int64_t d = k->d, root = d * k->n, v = root, ne = 0, i, p, u, pu, c, redirections;
+    int64_t d = k->d, root = d * k->n, v = root, ne = 0, i, p, u, c, redirections;
     int64_t *pos = k->pos;
 
     for (p = 0; p < d; p++)
@@ -465,10 +461,8 @@ static void apply(dg_kernel *k, const int64_t *ranks, int64_t letter)
         if (pos[p] != root)
             continue;
         u = k->edges[i++];
-        pu = k->parent[u];
-        k->child[pu - d + k->slot[u] - 1] = (int32_t)++v;
-        k->parent[v] = (int32_t)pu;
-        k->slot[v] = k->slot[u];
+        k->child[k->up[u]] = (int32_t)++v;
+        k->up[v] = k->up[u];
         pos[p] = u;
     }
 
@@ -476,11 +470,9 @@ static void apply(dg_kernel *k, const int64_t *ranks, int64_t letter)
     for (i = 0; i < d; i++) {
         c = pos[(i + letter) % d];
         k->child[root + i] = (int32_t)c;
-        k->parent[c] = (int32_t)v;
-        k->slot[c] = (int32_t)(i + 1);
+        k->up[c] = (int32_t)(root + i);
     }
-    k->parent[v] = -1;
-    k->slot[v] = 0;
+    k->up[v] = -1;
     k->n++;
     if (k->jump) { /* v's jump index is n */
         k->jump[k->n] = -1;
@@ -515,9 +507,9 @@ static inline void draw_step(dg_kernel *k, int64_t n, int64_t *rk, int64_t *lett
 enum { AHEAD = 16, LATE = 8 };
 
 /*
- * d = 2, software-pipelined: step i + AHEAD - 1 is drawn and its parent and
- * slot entries prefetched, step i + LATE reads its (by now cached) parent
- * and prefetches the child row its relink writes, and step i is applied.
+ * d = 2, software-pipelined: step i + AHEAD - 1 is drawn and its link
+ * prefetched, step i + LATE reads its (by now cached) link and prefetches
+ * the child entry its relink writes, and step i is applied.
  * A prefetch reads ids that earlier steps may still move, which costs a
  * wasted fetch at worst; apply reads the arena afresh and cannot fail, so
  * no draw is ever left unapplied.
@@ -529,13 +521,12 @@ static void steps_d2(dg_kernel *k, int64_t count)
         for (; drawn < count && drawn < i + AHEAD; drawn++) {
             r = drawn & (AHEAD - 1);
             draw_step(k, k->n + drawn - i, &rank[r], &letter[r]);
-            __builtin_prefetch(k->parent + rank[r]);
-            __builtin_prefetch(k->slot + rank[r]);
+            __builtin_prefetch(k->up + rank[r]);
         }
         if (i + LATE < drawn) {
             r = rank[(i + LATE) & (AHEAD - 1)];
-            if (r < 2 * k->n + 1 && (p = k->parent[r]) >= 0)
-                __builtin_prefetch(k->child + p - 2 + k->slot[r] - 1, 1);
+            if (r < 2 * k->n + 1 && (p = k->up[r]) >= 0)
+                __builtin_prefetch(k->child + p, 1);
         }
         apply(k, &rank[i & (AHEAD - 1)], letter[i & (AHEAD - 1)]);
     }
@@ -571,23 +562,21 @@ int dg_step_with(dg_kernel *k, const int64_t *ranks, int64_t letter)
 /* ------------------------------------------------------------------ */
 /* inspection */
 
-/* Node u's path up to, not including, the root, written downward from p so
- * that it reads root first from the result; NULL if it would pass lo. */
-static inline int32_t *climb(const int32_t *parent, int64_t u, int32_t *p, const int32_t *lo)
-{
-    for (; parent[u] >= 0 && p > lo; u = parent[u])
-        *--p = (int32_t)u;
-    return parent[u] >= 0 ? NULL : p;
-}
-
 /* Root word of node u into the top of out[0 .. cap): returns its length h,
- * the word filling out[cap - h .. cap), or -1 when it does not fit. */
+ * the word filling out[cap - h .. cap), or -1 when it does not fit.  It is
+ * written from its last letter down, one link per letter: the slot, and the
+ * row's owner as the next node up. */
 int64_t dg_edge_word(const dg_kernel *k, int64_t u, int32_t *out, int64_t cap)
 {
-    int32_t *p = climb(k->parent, u, out + cap, out), *q;
-    for (q = p; p && q < out + cap; q++)
-        *q = k->slot[*q];
-    return p ? out + cap - p : -1;
+    int32_t *p = out + cap;
+    int64_t j, x;
+    for (; (j = k->up[u]) >= 0; u = (x + 1) * k->d) {
+        if (p == out)
+            return -1;
+        x = jump_index(j, k->div_mul);
+        *--p = (int32_t)(j - x * k->d + 1);
+    }
+    return out + cap - p;
 }
 
 enum { WALK_HEIGHT, WALK_SHAPE, WALK_PAREN };

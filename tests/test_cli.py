@@ -273,6 +273,26 @@ def test_large_arity_arena_is_one_row_per_internal_node(kernel, n):
     assert json.loads(out.stderr.splitlines()[-1])["peak_rss_mb"] < 64
 
 
+def grow_peak_mb(d, n):
+    """``peak_rss_mb`` of one compiled-kernel ``grow --counters`` run in a
+    fresh interpreter, its stdout discarded."""
+    argv = [sys.executable, "-m", "darygrow.cli", "grow", "--d", str(d), "--n", str(n),
+            "--seed", "0", "--counters", "--kernel", "c"]
+    out = subprocess.run(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stderr.splitlines()[-1])["peak_rss_mb"]
+
+
+def test_compiled_arena_is_one_link_and_one_child_entry_per_node():
+    # 2*10^6 + 1 nodes at 8 bytes each, allocated by doubling, plus the code
+    # text: about 20 MB over the empty run.  An arena that stores a parent
+    # and a slot per node reads about 28 MB.
+    pytest.importorskip("darygrow._growth_c", reason="compiled kernel not built",
+                        exc_type=ImportError)
+    assert grow_peak_mb(2, 1_000_000) - grow_peak_mb(2, 0) < 24
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["grow", "--d", "1", "--n", "5"])

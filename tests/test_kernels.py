@@ -112,11 +112,15 @@ class TestAgreement:
             assert py.uniform_below(2**40) == c.uniform_below(2**40)
 
     def test_edge_words_match(self):
-        py, cy = both(4, 13)
-        py.steps(30)
-        cy.steps(30)
-        for rank in range(4 * 30):
-            assert py.edge_word(rank) == cy.edge_word(rank)
+        # the C core reads each letter and parent off one link per node:
+        # arities that are not powers of two, and rows spanning several
+        # cache lines, past n = 4 -> 5, where the jumps are first written
+        for d, n in ((2, 30), (3, 30), (4, 30), (12, 30), (40, 10), (300, 6)):
+            py, cy = both(d, 13)
+            py.steps(n)
+            cy.steps(n)
+            for rank in range(d * n):
+                assert py.edge_word(rank) == cy.edge_word(rank), (d, rank)
 
     def test_histograms_match(self):
         py, cy = both(3, 21)
