@@ -9,13 +9,14 @@ so one Python call does bulk work; the paren text and the height are the
 only views the C core renders itself.
 
 The library is named after the first 16 hex digits of the C source's
-sha256, ``_growth_core-<digest>.so``.  It is looked up beside this file,
-where ``setup.py build_ext`` puts it, then in ``$XDG_CACHE_HOME/darygrow``
-(default ``~/.cache/darygrow``); when neither has it, the source is
-compiled into the cache, written to a temporary file and moved into place
-with ``os.replace``.  Importing this module raises ImportError when the
-library cannot be had (no C compiler, an unwritable cache, a compile
-error), and the package then runs on the Python kernel.
+sha256, ``_growth_core-<digest>.so``, and kept in one place,
+``$XDG_CACHE_HOME/darygrow`` (default ``~/.cache/darygrow``), so a library
+built from another source is never loaded.  The first import compiles the
+source there with ``compile_library``: to a temporary file, moved into
+place with ``os.replace``; later imports hash the source and load the
+library.  Importing this module raises ImportError when the library cannot
+be had (no C compiler, an unwritable cache, a compile error), and the
+package then runs on the Python kernel.
 
 Node ids and child slots are int32, and only internal nodes have child
 slots: growth past ``errors.check_child_slots`` is refused with
@@ -96,13 +97,10 @@ def compile_library(target: str) -> None:
 
 
 def _load():
-    name = library_name()
-    path = os.path.join(os.path.dirname(__file__), name)
+    cache = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
+    path = os.path.join(cache, "darygrow", library_name())
     if not os.path.exists(path):
-        cache = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
-        path = os.path.join(cache, "darygrow", name)
-        if not os.path.exists(path):
-            compile_library(path)
+        compile_library(path)
     # PyDLL: calls keep the interpreter lock, so two threads sharing a
     # kernel cannot race on its arena
     lib = ctypes.PyDLL(path)
@@ -180,13 +178,13 @@ class GrowthKernel(Kernel):
     # inspection
 
     def _edge_word(self, rank):
-        cap = 64
-        while True:
-            word = (c_int32 * cap)()
-            depth = _lib.dg_edge_word(self._k, rank, word, cap)
-            if depth >= 0:
-                return tuple(word[cap - depth :])
-            cap *= 2
+        # a node is at most n deep: each letter of its word needs an
+        # internal ancestor
+        cap = max(self.n, 1)
+        word = (c_int32 * cap)()
+        depth = _lib.dg_edge_word(self._k, rank, word, cap)
+        assert depth >= 0, "a node deeper than the internal node count"
+        return tuple(word[cap - depth :])
 
     def _shape(self):
         shape = bytearray(self.node_count)

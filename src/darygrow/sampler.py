@@ -6,9 +6,9 @@ bijection, and forgets the marks.  Every tree in the resulting chain is
 exactly uniform over the d-ary trees of its size.
 
 The heavy lifting happens in a kernel: the compiled one from
-``darygrow._growth_c`` (a small C core loaded with ctypes, built by
-``setup.py build_ext`` or compiled on first import into a cache keyed by
-its source's sha256) when available, otherwise the pure-Python twin in
+``darygrow._growth_c`` (a small C core loaded with ctypes, compiled on
+first import into a cache keyed by its source's sha256) when available,
+otherwise the pure-Python twin in
 ``darygrow._growth_py``.  Both kernels implement the same observable
 contract, documented in ``_growth_py``, for every arity, and share the
 PRNG, the rank draw, the counter list (``OpCounters``), the argument

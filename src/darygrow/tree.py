@@ -61,15 +61,29 @@ def format_shape(d: int, shape: bytes) -> bytearray:
     ``0`` or ``d`` per node, space separated, in ASCII.  ``translate`` turns
     each byte into ``0`` or the first digit of ``d``, and a strided
     assignment puts the result at every other position of a run of spaces.
-    When ``d`` has more digits, ``replace`` then expands that first digit,
-    which is never ``0`` and so matches no other byte of the text."""
+    When ``d`` has more digits, each block is built that way on its own and
+    ``replace`` expands its first digit, which is never ``0`` and so
+    matches no other byte, before the block is copied into a text allocated
+    at its exact size."""
     sym = b"%d" % d
     table = bytes.maketrans(b"\0\1", b"0" + sym[:1])
-    text = bytearray(b" ") * (2 * len(shape) - 1)
+    # n internal nodes make d * n + 1 nodes, and each adds len(sym) - 1 bytes
+    size = 2 * len(shape) - 1 + (len(shape) - 1) // d * (len(sym) - 1)
+    text = bytearray(b" ") * size
     # block by block, so that no translated copy of the whole shape is held
+    at = 0
     for i in range(0, len(shape), _BLOCK):
-        text[2 * i : 2 * (i + _BLOCK) : 2] = shape[i : i + _BLOCK].translate(table)
-    return text if len(sym) == 1 else text.replace(sym[:1], sym)
+        block = shape[i : i + _BLOCK].translate(table)
+        if len(sym) == 1:
+            text[2 * i : 2 * (i + _BLOCK) : 2] = block
+        else:
+            # the last block has no space after its last symbol
+            part = bytearray(b" ") * (2 * len(block) - (i + _BLOCK >= len(shape)))
+            part[::2] = block
+            part = part.replace(sym[:1], sym)
+            text[at : at + len(part)] = part
+            at += len(part)
+    return text
 
 
 def format_paren(d: int, code: Sequence[int]) -> str:

@@ -1,8 +1,9 @@
 """The C growth core compiles cleanly with the compiler that builds it,
 runs clean under AddressSanitizer and UndefinedBehaviorSanitizer, and its
-ctypes wrapper declares exactly the functions it exports; where the core
-cannot be had, the package runs on the Python kernel and a forced compiled
-kernel is refused with one error."""
+ctypes wrapper declares exactly the functions it exports; the first import
+compiles it once, into the cache, and later imports load it from there;
+where the core cannot be had, the package runs on the Python kernel and a
+forced compiled kernel is refused with one error."""
 
 import ast
 import os
@@ -144,7 +145,8 @@ def test_core_under_sanitizers(tmp_path):
         "darygrow._growth_c", reason="compiled kernel not built", exc_type=ImportError
     )
     copy = package_copy(tmp_path)
-    library = str(copy / _growth_c.library_name())
+    (tmp_path / "cache" / "darygrow").mkdir(parents=True)
+    library = str(tmp_path / "cache" / "darygrow" / _growth_c.library_name())
     flags = ["-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all"]
     built = subprocess.run(
         [*cc, "-shared", "-fPIC", *flags, str(copy / "_growth_core.c"), "-o", library],
@@ -153,7 +155,6 @@ def test_core_under_sanitizers(tmp_path):
         timeout=300,
     )
     assert built.returncode == 0, built.stderr
-    (tmp_path / "cache").mkdir()
     env = dict(
         os.environ,
         PYTHONPATH=str(tmp_path),
@@ -173,7 +174,7 @@ def test_core_under_sanitizers(tmp_path):
 
 
 def test_missing_core_is_one_error_line(tmp_path):
-    # no library beside the sources, an empty cache and no compiler on PATH
+    # an empty cache and no compiler on PATH
     package_copy(tmp_path)
     for folder in ("cache", "bin"):
         (tmp_path / folder).mkdir()
@@ -204,6 +205,58 @@ def test_missing_core_is_one_error_line(tmp_path):
         assert out.stdout == ""
         errors = [line for line in out.stderr.splitlines() if line.startswith("error: ")]
         assert len(errors) == 1 and "Traceback" not in out.stderr, out.stderr
+
+
+def test_first_import_compiles_once_into_the_cache(tmp_path):
+    # a compiler on PATH that logs each run and then runs the real one: the
+    # first import compiles one library into the cache, later imports load
+    # it, and a file named like it beside the sources is never read
+    cc = compiler()[0]
+    if os.path.isabs(cc):
+        pytest.skip(f"the C compiler {cc!r} is not looked up on PATH")
+    _growth_c = pytest.importorskip(
+        "darygrow._growth_c", reason="compiled kernel not built", exc_type=ImportError
+    )
+    copy = package_copy(tmp_path)
+    sources = sorted(os.listdir(copy))
+    for folder in ("cache", "bin"):
+        (tmp_path / folder).mkdir()
+    log = tmp_path / "runs.log"
+    shim = tmp_path / "bin" / cc
+    shim.write_text(f"#!/bin/sh\necho run >> '{log}'\nexec '{shutil.which(cc)}' \"$@\"\n")
+    shim.chmod(0o755)
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(tmp_path),
+        XDG_CACHE_HOME=str(tmp_path / "cache"),
+        PATH=f"{tmp_path / 'bin'}{os.pathsep}{os.environ.get('PATH', '')}",
+    )
+    env.pop("DARYGROW_PURE_PYTHON", None)
+    library = _growth_c.library_name()
+
+    def kernel():
+        out = subprocess.run(
+            [sys.executable, "-c", "import darygrow.sampler as s; print(s.kernel_name())"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert out.returncode == 0, out.stderr
+        return out.stdout.strip()
+
+    assert kernel() == "c"
+    assert log.read_text().split() == ["run"]
+    assert os.listdir(tmp_path / "cache") == ["darygrow"]
+    assert os.listdir(tmp_path / "cache" / "darygrow") == [library]
+    assert sorted(name for name in os.listdir(copy) if name != "__pycache__") == sources
+
+    assert kernel() == "c"
+    assert log.read_text().split() == ["run"]
+
+    (copy / library).write_bytes(b"not a shared library")
+    assert kernel() == "c"
+    assert log.read_text().split() == ["run"]
 
 
 def test_failed_core_load_is_not_retried(tmp_path):

@@ -64,8 +64,8 @@ class TestAgreement:
     @pytest.mark.parametrize(
         "d,n,seed",
         [
-            # paths of several hundred ids: the lex phase's buffer starts at
-            # 256 ids shared by the lanes, so it must grow and walk again
+            # paths of several hundred ids, which the lex phase climbs by
+            # many jumps to 4th ancestors
             (3, 20_000, 5),
             # 3 and 4 marked edges per step: an odd count, whose last edge
             # walks alone, and an even one
@@ -583,7 +583,19 @@ class TestSerializers:
     # one that fits in a byte
     @pytest.mark.parametrize(
         "d,n",
-        [(2, 0), (2, 1), (2, 400), (3, 150), (9, 40), (10, 40), (255, 3), (256, 3), (300, 3)],
+        [
+            (2, 0),
+            (2, 1),
+            (2, 400),
+            (3, 150),
+            (9, 40),
+            (10, 40),
+            # a two-digit shape of 72,001 bytes: two blocks of format_shape
+            (12, 6000),
+            (255, 3),
+            (256, 3),
+            (300, 3),
+        ],
     )
     def test_text_forms_match(self, d, n):
         py, c = both(d, n)
