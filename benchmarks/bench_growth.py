@@ -23,6 +23,15 @@ over ten random mark sets; `make_ms` is building the edge-marked tree from
 the grown tree, outside the trip), and `from_code_ms`, the median of ten
 `DaryTree.from_preorder_code` calls on the grown tree's code.
 
+The process layer gets a `startup` row: the median wall, in ms, of a
+fresh interpreter running `python -c pass` (`bare_ms`), the benchmark's
+set-up probe, which imports `darygrow.cli`, `darygrow.oracle` and
+`darygrow.sampler` and makes a kernel (`probe_ms`), and `darygrow grow
+--d 3 --n 0` (`grow_n0_ms`); the three take turns, eleven rounds (three
+with --quick).  `bytecode_writing` says whether the children could write
+`__pycache__` files; with it off every run compiles the package afresh, as
+the benchmark's operations do when PYTHONDONTWRITEBYTECODE is set.
+
 Usage: python benchmarks/bench_growth.py [--label L] [--seed N] [--quick] [--out FILE]
 """
 
@@ -31,6 +40,8 @@ import json
 import os
 import platform
 import statistics
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -62,6 +73,17 @@ BIJECTION_SUITE = (
 TRIP_DS = (2, 3, 5)
 TRIP_N = 10_000
 TRIPS = 10
+# fresh interpreters timed by the startup row
+PROBE = (
+    "import darygrow.cli, darygrow.oracle, darygrow.sampler as s;"
+    "s.make_kernel(2, 0); print(s.kernel_name())"
+)
+STARTUP = {
+    "bare_ms": ["-c", "pass"],
+    "probe_ms": ["-c", PROBE],
+    "grow_n0_ms": ["-m", "darygrow.cli", "grow", "--d", "3", "--n", "0", "--seed", "1"],
+}
+STARTUP_RUNS = 11
 
 
 def run(kernel, d, n, seed):
@@ -144,6 +166,26 @@ def trip_row(label, d, n, seed):
     }
 
 
+def startup_row(label, runs):
+    """Median fresh-interpreter wall of each STARTUP command, in turns."""
+    python = [sys.executable, "-B"] if sys.dont_write_bytecode else [sys.executable]
+    walls = {name: [] for name in STARTUP}
+    for _ in range(runs):
+        for name, args in STARTUP.items():
+            t0 = time.perf_counter()
+            subprocess.run(
+                [*python, *args],
+                check=True,
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL,
+            )
+            walls[name].append(time.perf_counter() - t0)
+    row = {"label": label, "what": "startup", "runs": runs}
+    row.update((name, round(statistics.median(w) * 1e3, 1)) for name, w in walls.items())
+    row["bytecode_writing"] = not sys.dont_write_bytecode
+    return row
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", default="current")
@@ -180,7 +222,14 @@ def main() -> int:
                 f" (make {r['make_ms']} ms, from code {r['from_code_ms']} ms)"
             )
 
-    record = {"machine": None, "rows": [], "reference": []}
+    startup = startup_row(args.label, 3 if args.quick else STARTUP_RUNS)
+    print(
+        f"{startup['label']:<8} startup: bare {startup['bare_ms']} ms, probe"
+        f" {startup['probe_ms']} ms, grow --n 0 {startup['grow_n0_ms']} ms"
+        f" (bytecode writing {'on' if startup['bytecode_writing'] else 'off'})"
+    )
+
+    record = {"machine": None, "rows": [], "reference": [], "startup": []}
     if args.out.exists():
         record.update(json.loads(args.out.read_text()))
     key = lambda r: (r["label"], r["kernel"], r["d"], r["n"])  # noqa: E731
@@ -191,6 +240,8 @@ def main() -> int:
     record["reference"] = [
         r for r in record["reference"] if ref_key(r) not in fresh
     ] + reference
+    record["startup"] = [r for r in record["startup"] if r["label"] != args.label]
+    record["startup"].append(startup)
     record["machine"] = (
         f"{os.cpu_count()} cores, {platform.machine()}, Python {platform.python_version()}"
     )

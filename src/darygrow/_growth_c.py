@@ -145,6 +145,7 @@ class GrowthKernel(Kernel):
         if not self._k:
             raise MemoryError("the C growth core could not allocate a kernel")
         self._head = _Head.from_address(self._k)
+        self._word = (c_int32 * 1)()  # edge_word's buffer, grown by doubling
 
     def __del__(self, _free=_lib.dg_free):
         if getattr(self, "_k", None):
@@ -179,9 +180,13 @@ class GrowthKernel(Kernel):
 
     def _edge_word(self, rank):
         # a node is at most n deep: each letter of its word needs an
-        # internal ancestor
-        cap = max(self.n, 1)
-        word = (c_int32 * cap)()
+        # internal ancestor.  The C core writes only the word's letters, at
+        # the buffer's end, so a call costs O(depth) once the buffer is big
+        # enough; it doubles when n outgrows it.
+        word = self._word
+        if len(word) < self.n:
+            word = self._word = (c_int32 * max(self.n, 2 * len(word)))()
+        cap = len(word)
         depth = _lib.dg_edge_word(self._k, rank, word, cap)
         assert depth >= 0, "a node deeper than the internal node count"
         return tuple(word[cap - depth :])

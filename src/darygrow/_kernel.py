@@ -4,12 +4,13 @@ kernel API and every view derived from the shape a kernel walks.
 
 A kernel itself keeps only its arena and the growth step; the step
 semantics are documented in ``_growth_py``.  This module imports nothing
-but ``errors`` and ``tree``, so the compiled kernel loads without the
-Python one.
+but ``errors``, ``tree`` and ``_value``, so the compiled kernel loads
+without the Python one.  ``OpCounters`` is a ``_value.Record``, not a
+dataclass: ``dataclasses`` alone would cost a ``grow`` process about 11 ms
+of import (see ``_value``).
 """
 
-from dataclasses import dataclass, fields
-
+from ._value import Record
 from .errors import INT32_MAX, ArityError, SizeGuardError, check_child_slots
 from .tree import DaryTree, format_paren, format_shape
 
@@ -74,21 +75,25 @@ def draw_ranks(rng: SplitMix64, universe: int, count: int) -> list:
     return ranks
 
 
-@dataclass(frozen=True)
-class OpCounters:
+# The counter attributes every kernel exposes.  The C kernel's struct (and
+# ``_growth_c._Head``, which mirrors it) lists them in this order.
+COUNTERS = (
+    "node_allocations",
+    "link_redirections",
+    "rng_draws",
+    "lex_letters_compared",
+    "max_step_redirections",
+)
+
+
+class OpCounters(Record):
     """Cost counters accumulated over a run; all monotone non-decreasing.
 
-    The field names are the counter attributes every kernel exposes.
+    One field per name in ``COUNTERS``, in that order; each defaults to 0.
     """
 
-    node_allocations: int = 0
-    link_redirections: int = 0
-    rng_draws: int = 0
-    lex_letters_compared: int = 0
-    max_step_redirections: int = 0
-
-
-COUNTERS = tuple(f.name for f in fields(OpCounters))
+    __slots__ = COUNTERS
+    _defaults = dict.fromkeys(COUNTERS, 0)
 
 
 class Kernel:

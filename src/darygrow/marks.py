@@ -12,31 +12,36 @@ and each mark as a preorder position (buds stay bud indices).  Lex order on
 words is preorder order, so positions sort and compare as words would.
 A node id of a ``DaryTree`` is its preorder position, so the ids in
 ``.marks`` / ``.marked_leaves`` are the positions themselves.
+
+The values here are plain ``__slots__`` classes on ``_value``'s pattern,
+not dataclasses, which would cost every import of this module about 11 ms
+(see ``_value``).  ``Bud`` and ``EdgeMark`` are records: equal only within
+their type (``Bud(0) != EdgeMark(0)``), hashable, and ``Bud`` ordered by
+its index.  The marked trees and forests compare by ``key()`` and are not
+hashable; ``key()`` is their hashable identity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, List, Sequence, Tuple, Union
 
+from ._value import OrderedRecord, Record, Value
 from .errors import ArityError, MalformedObjectError, MarkCountError
 from .tree import DaryTree, Word, format_word, parse_word
 from .walks import LukWalk
 
 
-@dataclass(frozen=True, order=True)
-class Bud:
+class Bud(OrderedRecord):
     """Virtual extra edge slot b_index, index in [0, d-2]."""
 
-    index: int
+    __slots__ = ("index",)
 
 
-@dataclass(frozen=True)
-class EdgeMark:
+class EdgeMark(Record):
     """A real edge, named by its child node id."""
 
-    child: int
+    __slots__ = ("child",)
 
 
 MarkTarget = Union[Bud, EdgeMark]
@@ -44,18 +49,7 @@ MarkTarget = Union[Bud, EdgeMark]
 Code = Tuple[int, ...]  # a preorder code, or sorted preorder positions
 
 
-class _Value:
-    """Equality by ``key()``, which is also the hashable identity."""
-
-    __slots__ = ()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self.key() == other.key()
-
-
-class _CodeTree(_Value):
+class _CodeTree(Value):
     """The code form shared by both marked trees."""
 
     __slots__ = ("d", "code")
@@ -166,7 +160,7 @@ class LeafMarkedTree(_CodeTree):
         return f"LeafMarkedTree(d={self.d}, n={self.n}, marks={len(self.leaves)})"
 
 
-class MarkedForest(_Value):
+class MarkedForest(Value):
     """Ordered sequence of exactly d leaf-marked trees, positions 0 .. d-1."""
 
     __slots__ = ("trees",)

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import asdict, dataclass
 from itertools import combinations, product
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import bijections
+from ._value import Record
 from .errors import SizeGuardError, UnderpoweredTestError
 from .marks import (
     EdgeMarkedTree,
@@ -427,17 +427,14 @@ def chi_square_p_value(statistic: float, dof: int) -> float:
     return regularized_gamma_q(dof / 2.0, statistic / 2.0)
 
 
-@dataclass(frozen=True)
-class ChiSquareReport:
-    classes: int
-    statistic: float
-    dof: int
-    p_value: float
-    samples: int
-    seed: int
+class ChiSquareReport(Record):
+    """One chi-square run: the class count, the statistic, its degrees of
+    freedom and p value, the sample count and the seed."""
+
+    __slots__ = ("classes", "statistic", "dof", "p_value", "samples", "seed")
 
     def to_obj(self) -> dict:
-        return asdict(self)
+        return dict(zip(self.__slots__, self.key()))
 
 
 def chi_square_uniformity(

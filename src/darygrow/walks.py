@@ -5,6 +5,9 @@ s_m = -1 and every increment at least -1.  An excursion stays nonnegative
 until the final step.  Rotating the increment sequence cyclically permutes
 a rotation class of m distinct walks, exactly one of which is an excursion;
 that representative is located at the first argmin of the values.
+
+``LukWalk`` is a ``_value.Record``, not a dataclass, so importing this
+module does not load ``dataclasses`` (see ``_value``).
 """
 
 from __future__ import annotations
@@ -12,21 +15,20 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterator, Sequence, Tuple
 
-from dataclasses import dataclass
+from ._value import Record
 
 
-@dataclass(frozen=True)
-class LukWalk:
+class LukWalk(Record):
     """Immutable Łukasiewicz walk, stored by its values s_0 .. s_m."""
 
-    values: Tuple[int, ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self):
-        v = self.values
-        if len(v) < 2 or v[0] != 0 or v[-1] != -1:
-            raise ValueError(f"not a Lukasiewicz walk: {v}")
-        if any(b - a < -1 for a, b in zip(v, v[1:])):
-            raise ValueError(f"increment below -1 in {v}")
+    def __init__(self, values: Tuple[int, ...]) -> None:
+        if len(values) < 2 or values[0] != 0 or values[-1] != -1:
+            raise ValueError(f"not a Lukasiewicz walk: {values}")
+        if any(b - a < -1 for a, b in zip(values, values[1:])):
+            raise ValueError(f"increment below -1 in {values}")
+        super().__init__(values)
 
     @classmethod
     def from_increments(cls, increments: Sequence[int]) -> "LukWalk":

@@ -37,26 +37,51 @@ def run_cli(args, capsys):
 # grow
 
 
-# a fresh interpreter: which darygrow modules a grow run loads
-GROW_MODULES = """
-import sys
+# the modules a fresh interpreter holds at the end of a script, printed as
+# the last line of its stderr
+LIST_MODULES = '\nimport sys\nprint(" ".join(sorted(sys.modules)), file=sys.stderr)\n'
+
+
+def modules_loaded_by(code):
+    """The modules a fresh interpreter loads to run ``code``, beyond those a
+    bare one holds (what ``site`` imports does not count)."""
+    loaded = []
+    for script in ("", code):
+        out = subprocess.run(
+            [sys.executable, "-c", script + LIST_MODULES],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        loaded.append(set(out.stderr.splitlines()[-1].split()))
+    bare, run = loaded
+    return run - bare
+
+
+GROW_PAREN = """
 from darygrow import cli
 
 status = cli.main(["grow", "--d", "3", "--n", "50", "--seed", "1", "--format", "paren"])
-print(" ".join(sorted(m for m in sys.modules if m.startswith("darygrow."))), file=sys.stderr)
-sys.exit(status)
+assert status == 0
 """
 
 
 def test_grow_imports_only_what_it_runs():
-    out = subprocess.run(
-        [sys.executable, "-c", GROW_MODULES], capture_output=True, text=True, timeout=120
-    )
-    assert out.returncode == 0, out.stderr
-    loaded = set(out.stderr.splitlines()[-1].split())
+    loaded = modules_loaded_by(GROW_PAREN)
     assert "darygrow.cli" in loaded and "darygrow.sampler" in loaded
     for name in ("oracle", "bijections", "marks", "walks"):
         assert f"darygrow.{name}" not in loaded
+    # grow writes JSON only with --counters, so it loads no json here
+    for name in ("dataclasses", "inspect", "json"):
+        assert name not in loaded
+
+
+def test_library_imports_load_no_dataclasses():
+    loaded = modules_loaded_by("import darygrow.cli, darygrow.oracle, darygrow.sampler")
+    assert "darygrow.oracle" in loaded
+    for name in ("dataclasses", "inspect"):
+        assert name not in loaded
 
 
 def test_every_exported_name_resolves():
