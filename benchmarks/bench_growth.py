@@ -4,16 +4,17 @@ BENCH_growth.json.
 
 One row per (label, kernel, d, n): median over three runs of the step
 loop (ns/step and steps/s), the lex phase inside it (`lex_seconds`), and
-the `code` serialization of the grown tree (`code_seconds`: the kernel's
-`code_text()`).  The compiled kernel (the package default) runs the
-full sizes; the Python kernel runs smaller ones, otherwise a run takes
-minutes, and none at all in the guard cells d = 12, 40, 300 and 1000,
-which watch the lex phase's cost at wider arities.  Rows with the same label,
-kernel, d and n are replaced, others kept, so one file can hold rows of
-two commits measured on one machine: run the script with each commit's
-`src` first on PYTHONPATH and its own --label.  --out names another file
-to write (a quick check can leave BENCH_growth.json alone).  The
-cross-kernel check lives in bench/run.py (`crosscheck`).
+the `code` and `paren` serializations of the grown tree (`code_seconds`:
+the kernel's `code_text()`; `paren_seconds`: its `paren_text()`).  The
+compiled kernel (the package default) runs the full sizes; the Python
+kernel runs smaller ones, otherwise a run takes minutes, and none at all
+in the guard cells d = 12, 40, 300 and 1000, which watch the lex phase's
+cost at wider arities.  Rows with the same label, kernel, d and n are
+replaced, others kept, so one file can hold rows of two commits
+measured on one machine: run the script with each commit's `src` first
+on PYTHONPATH and its own --label.  --out names another file to write (a
+quick check can leave BENCH_growth.json alone).  The cross-kernel check
+lives in bench/run.py (`crosscheck`).
 
 The reference layer gets rows of its own (`reference` in the JSON):
 the seconds of criterion 3's exhaustive bijection suite (median of three
@@ -93,7 +94,9 @@ def run(kernel, d, n, seed):
     t1 = time.perf_counter()
     k.code_text()
     t2 = time.perf_counter()
-    return k.name, t1 - t0, k.lex_seconds, t2 - t1
+    k.paren_text()
+    t3 = time.perf_counter()
+    return k.name, t1 - t0, k.lex_seconds, t2 - t1, t3 - t2
 
 
 def cell(label, kernel, d, n, seed):
@@ -110,6 +113,7 @@ def cell(label, kernel, d, n, seed):
         "steps_per_s": round(n / steps_s),
         "lex_seconds": round(statistics.median(r[2] for r in runs), 4),
         "code_seconds": round(statistics.median(r[3] for r in runs), 4),
+        "paren_seconds": round(statistics.median(r[4] for r in runs), 4),
     }
 
 
@@ -201,13 +205,17 @@ def main() -> int:
         if kernel_name() != "python" and n_python:
             rows.append(cell(args.label, "python", d, n_python // shrink, args.seed))
 
-    header = f"{'label':<8} {'kernel':<7} {'d':>4} {'n':>8} {'ns/step':>8} {'steps/s':>10} {'lex s':>7} {'code s':>7}"
+    header = (
+        f"{'label':<8} {'kernel':<7} {'d':>4} {'n':>8} {'ns/step':>8} {'steps/s':>10}"
+        f" {'lex s':>7} {'code s':>7} {'paren s':>7}"
+    )
     print(header)
     print("-" * len(header))
     for r in rows:
         print(
             f"{r['label']:<8} {r['kernel']:<7} {r['d']:>4} {r['n']:>8} {r['ns_per_step']:>8} "
             f"{r['steps_per_s']:>10} {r['lex_seconds']:>7} {r['code_seconds']:>7}"
+            f" {r['paren_seconds']:>7}"
         )
 
     reference = [suite_row(args.label)]

@@ -6,17 +6,21 @@ observably identical.  The argument checks, the size guard and the views
 read off the shape are the shared ones of ``_kernel.Kernel``.  The step
 loop, the lex phase, the shape walk and whole histogram runs execute in C,
 so one Python call does bulk work; the paren text and the height are the
-only views the C core renders itself.
+only views the C core renders itself.  Its one walk loop does all three;
+above ``WALK_SPLIT`` nodes it walks from both ends at once, the second end
+on a thread of its own that is joined before the call returns, which no
+output shows.  Histogram chains are not timed, so ``lex_seconds`` reads 0
+after ``histogram``.
 
 The library is named after the first 16 hex digits of the C source's
 sha256, ``_growth_core-<digest>.so``, and kept in one place,
 ``$XDG_CACHE_HOME/darygrow`` (default ``~/.cache/darygrow``), so a library
 built from another source is never loaded.  The first import compiles the
-source there with ``compile_library``: to a temporary file, moved into
-place with ``os.replace``; later imports hash the source and load the
-library.  Importing this module raises ImportError when the library cannot
-be had (no C compiler, an unwritable cache, a compile error), and the
-package then runs on the Python kernel.
+source there with ``compile_library`` (``cc -shared -fPIC -O3 -pthread``):
+to a temporary file, moved into place with ``os.replace``; later imports
+hash the source and load the library.  Importing this module raises
+ImportError when the library cannot be had (no C compiler, an unwritable
+cache, a compile error), and the package then runs on the Python kernel.
 
 Node ids and child slots are int32, and only internal nodes have child
 slots: growth past ``errors.check_child_slots`` is refused with
@@ -83,7 +87,7 @@ def compile_library(target: str) -> None:
     os.close(fd)
     try:
         subprocess.run(
-            [*cc, "-shared", "-fPIC", "-O3", SOURCE, "-o", tmp],
+            [*cc, "-shared", "-fPIC", "-O3", "-pthread", SOURCE, "-o", tmp],
             check=True,
             capture_output=True,
             timeout=300,

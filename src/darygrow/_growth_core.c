@@ -1,7 +1,7 @@
 /*
  * Compiled growth core: the arena, the splitmix64 PRNG, the step loop, the
- * lex ordering of marked edges and three preorder walks (the shape, the
- * paren text and the height), in plain C with no Python headers.
+ * lex ordering of marked edges and one walk loop for the shape, the paren
+ * text and the height, in plain C with no Python headers.
  * `_growth_c.py` loads it with ctypes and wraps it in the GrowthKernel API;
  * every other view of the tree is rendered in Python from the shape.  The
  * behaviour contract (draw order, arena layout, allocation order, counters)
@@ -39,12 +39,20 @@
  * their links.  The jumps are kept per internal node, 4 bytes each, at
  * index u / d.
  *
+ * A walk of a big tree runs from both ends at once: preorder from the first
+ * byte on the calling thread, its mirror image from the last byte on one
+ * more thread, joined before the call returns.  The two take the output in
+ * chunks from one atomic count of what is left, so they write disjoint
+ * ranges that cover it exactly and never wait on each other, and the bytes
+ * are those of a preorder walk alone.
+ *
  * Node ids are int32.  The wrapper refuses any growth past INT32_MAX child
  * slots before calling in, so every id and link below fits; indexes into
  * the child array are computed in int64.  Functions that allocate return
  * 0 on success and -1 when memory runs out, leaving the kernel usable.
  */
 
+#include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <time.h>
@@ -434,8 +442,9 @@ static void set_jumps(dg_kernel *k, int64_t u, int64_t h, int32_t top)
  * position p of the new root; the old root keeps the last free one.  Only
  * nodes at most 4 deep under the new root can have a new 4th ancestor: a
  * deeper node's 4 nearest ancestors are below the new root, in the subtree
- * that kept it before the step. */
-static void apply(dg_kernel *k, const int64_t *ranks, int64_t letter)
+ * that kept it before the step.  The lex phase adds its time to
+ * lex_seconds when `timed`. */
+static void apply(dg_kernel *k, const int64_t *ranks, int64_t letter, int timed)
 {
     int64_t d = k->d, root = d * k->n, v = root, ne = 0, i, p, u, c, redirections;
     int64_t *pos = k->pos;
@@ -449,9 +458,10 @@ static void apply(dg_kernel *k, const int64_t *ranks, int64_t letter)
             k->edges[ne++] = ranks[i];
     }
     if (ne >= 2) {
-        double t0 = now();
+        double t0 = timed ? now() : 0.0;
         sort_edges_desc(k, ne);
-        k->lex_seconds += now() - t0;
+        if (timed)
+            k->lex_seconds += now() - t0;
     }
 
     for (p = 0; p < d; p++)
@@ -528,11 +538,12 @@ static void steps_d2(dg_kernel *k, int64_t count)
             if (r < 2 * k->n + 1 && (p = k->up[r]) >= 0)
                 __builtin_prefetch(k->child + p, 1);
         }
-        apply(k, &rank[i & (AHEAD - 1)], letter[i & (AHEAD - 1)]);
+        /* one marked edge at most: no lex phase to time */
+        apply(k, &rank[i & (AHEAD - 1)], letter[i & (AHEAD - 1)], 0);
     }
 }
 
-int dg_steps(dg_kernel *k, int64_t count)
+static int steps(dg_kernel *k, int64_t count, int timed)
 {
     int64_t i, letter;
     if (count <= 0)
@@ -545,9 +556,14 @@ int dg_steps(dg_kernel *k, int64_t count)
     }
     for (i = 0; i < count; i++) {
         draw_step(k, k->n, k->rk, &letter);
-        apply(k, k->rk, letter);
+        apply(k, k->rk, letter, timed);
     }
     return 0;
+}
+
+int dg_steps(dg_kernel *k, int64_t count)
+{
+    return steps(k, count, 1);
 }
 
 /* Apply one step with ranks and letter already validated by the caller. */
@@ -555,7 +571,7 @@ int dg_step_with(dg_kernel *k, const int64_t *ranks, int64_t letter)
 {
     if (reserve(k, k->d * (k->n + 1) + 1) < 0)
         return -1;
-    apply(k, ranks, letter);
+    apply(k, ranks, letter, 1);
     return 0;
 }
 
@@ -581,55 +597,157 @@ int64_t dg_edge_word(const dg_kernel *k, int64_t u, int32_t *out, int64_t cap)
 
 enum { WALK_HEIGHT, WALK_SHAPE, WALK_PAREN };
 
-/*
- * Preorder walk.  Writes one symbol per node to out (WALK_SHAPE: byte 1 or
- * 0; WALK_PAREN: "(" or "o", and ")" when a subtree ends) and returns the
- * bytes written; WALK_HEIGHT writes nothing and returns the height.  -1
- * when the stack cannot be allocated.  The stack holds node ids still to
- * visit and, where the mode needs subtree ends, a -1 pushed below each
- * internal node's children.
- */
-static int64_t walk(const dg_kernel *k, int mode, char *out)
+/* Output units a walk side claims from the shared budget at a time, and the
+ * node count above which a walk runs its reverse side on a second thread. */
+enum { WALK_CHUNK = 1 << 12, WALK_SPLIT = 1 << 15 };
+
+/* One side of a walk.  `out` is where it starts writing: the first byte
+ * forward, one past the last in reverse.  `left` counts the units it may
+ * still write before it claims more from `*budget`, the units neither side
+ * has claimed.  `best` is the deepest leaf seen (WALK_HEIGHT). */
+typedef struct {
+    const dg_kernel *k;
+    int mode, reverse;
+    char *out;
+    int64_t *budget;
+    int32_t *stack;
+    int64_t left, written, best;
+} walk_side;
+
+/* Up to WALK_CHUNK more units for a side; 0 once the budget is spent.  The
+ * claims of the two sides are one atomic count, so they never overlap and
+ * together cover the output exactly, and no side waits on the other. */
+static int64_t claim(int64_t *budget)
 {
-    int64_t d = k->d, top = 0, h = 0, best = 0, at = 0, u, c, j;
-    int ends = mode != WALK_SHAPE;
-    int32_t *stack = malloc((d * k->n + 1 + k->n + 1) * sizeof(int32_t));
-    if (!stack)
-        return -1;
+    int64_t got = __atomic_fetch_sub(budget, WALK_CHUNK, __ATOMIC_RELAXED);
+    return got <= 0 ? 0 : got < WALK_CHUNK ? got : WALK_CHUNK;
+}
+
+/*
+ * The walk loop, for a constant mode and direction.  A unit is one output
+ * byte (WALK_SHAPE: 1 or 0 per node; WALK_PAREN: "(" or "o" per node, and
+ * ")" when a subtree ends) or, for WALK_HEIGHT, one node.  Forward is
+ * preorder, written from the first byte.  Reverse visits children last to
+ * first and writes from the last byte: the mirror image of preorder, so a
+ * node's "1" or "(", or for WALK_HEIGHT its unit, comes at a marker after
+ * its children, and its ")" when it is entered.  The stack holds node ids
+ * still to visit and, where the mode and direction need the other side of a
+ * subtree, a -1 pushed below each internal node's children; the depth h
+ * follows those markers.  The side stops when the budget is spent, its
+ * part of the output written.
+ */
+static inline __attribute__((always_inline)) void walk_loop(walk_side *s, const int mode,
+                                                             const int reverse)
+{
+    const dg_kernel *k = s->k;
+    const int marks = mode != WALK_SHAPE || reverse;
+    int64_t d = k->d, top = 0, h = 0, best = 0, left = s->left, u, c, j;
+    int32_t *stack = s->stack;
+    char *at = s->out;
+
+#define TAKE()                                                                         \
+    if (!left && !(left = claim(s->budget)))                                           \
+        break;                                                                         \
+    left--
+#define PUT(b) (reverse ? (*--at = (b)) : (*at++ = (b)))
+
     stack[top++] = (int32_t)(d * k->n);
     while (top) {
         u = stack[--top];
-        if (u < 0) {
+        if (u < 0) { /* the other side of a subtree */
             h--;
-            if (mode == WALK_PAREN)
-                out[at++] = ')';
+            if (mode == WALK_PAREN || reverse) {
+                TAKE();
+                if (mode != WALK_HEIGHT)
+                    PUT(mode == WALK_SHAPE ? 1 : reverse ? '(' : ')');
+            }
             continue;
         }
         if (is_leaf(u, k->div_mul)) {
-            if (mode == WALK_SHAPE)
-                out[at++] = 0;
-            else if (mode == WALK_PAREN)
-                out[at++] = 'o';
-            else if (h > best)
-                best = h;
+            TAKE();
+            if (mode == WALK_HEIGHT)
+                best = h > best ? h : best;
+            else
+                PUT(mode == WALK_SHAPE ? 0 : 'o');
             continue;
         }
-        if (mode == WALK_SHAPE)
-            out[at++] = 1;
-        else if (mode == WALK_PAREN)
-            out[at++] = '(';
-        if (ends) {
+        if (mode == WALK_PAREN || !reverse) {
+            TAKE();
+            if (mode != WALK_HEIGHT)
+                PUT(mode == WALK_SHAPE ? 1 : reverse ? ')' : '(');
+        }
+        if (marks) {
             stack[top++] = -1;
             h++;
         }
-        /* a row is read from its end, beside child[c] (c <= d*n < cap): fetch it */
-        for (j = u - 1; j >= u - d; j--) {
-            stack[top++] = c = k->child[j];
+        /* a popped internal node c reads its row child[c - d .. c), which
+         * ends beside child[c] (c <= d*n < cap): fetch that */
+        for (j = 0; j < d; j++) {
+            stack[top++] = c = k->child[reverse ? u - d + j : u - 1 - j];
             __builtin_prefetch(k->child + c);
         }
     }
-    free(stack);
-    return mode == WALK_HEIGHT ? best : at;
+#undef TAKE
+#undef PUT
+    if (mode == WALK_HEIGHT)
+        s->best = best;
+    else
+        s->written = reverse ? s->out - at : at - s->out;
+}
+
+/* The reverse side, as a thread's start routine. */
+static void *walk_reverse(void *arg)
+{
+    walk_side *s = arg;
+    if (s->mode == WALK_HEIGHT)
+        walk_loop(s, WALK_HEIGHT, 1);
+    else if (s->mode == WALK_SHAPE)
+        walk_loop(s, WALK_SHAPE, 1);
+    else
+        walk_loop(s, WALK_PAREN, 1);
+    return NULL;
+}
+
+/*
+ * Walk the tree for one mode and return the bytes written, or the height
+ * for WALK_HEIGHT; -1 when the forward side's stack cannot be allocated.
+ * Above WALK_SPLIT nodes the reverse side runs on a second thread, joined
+ * before this returns, and the two share the budget of units; below it, or
+ * when that thread or its stack cannot be had, the forward side takes the
+ * whole budget alone.  Either way the output is the same.  Inlined into
+ * each entry point, so that the forward loop is compiled for its mode: a
+ * histogram chain walks a tree of a few nodes.
+ */
+static inline __attribute__((always_inline)) int64_t walk(const dg_kernel *k, const int mode,
+                                                           char *out)
+{
+    int64_t nodes = k->d * k->n + 1, units = mode == WALK_PAREN ? nodes + k->n : nodes;
+    /* every node once, and a marker per internal node */
+    size_t room = (nodes + k->n) * sizeof(int32_t);
+    walk_side fwd = {k, mode, 0, out, &units, malloc(room), 0, 0, 0}, rev = fwd;
+    pthread_t thread;
+    int split = 0;
+    if (!fwd.stack)
+        return -1;
+    if (nodes > WALK_SPLIT) {
+        rev.reverse = 1;
+        rev.out = out ? out + units : NULL;
+        rev.stack = malloc(room);
+        split = rev.stack && !pthread_create(&thread, NULL, walk_reverse, &rev);
+        if (!split)
+            free(rev.stack);
+    }
+    if (!split)
+        fwd.left = units;
+    walk_loop(&fwd, mode, 0);
+    free(fwd.stack);
+    if (split) {
+        pthread_join(thread, NULL);
+        free(rev.stack);
+        fwd.written += rev.written;
+        fwd.best = rev.best > fwd.best ? rev.best : fwd.best;
+    }
+    return mode == WALK_HEIGHT ? fwd.best : fwd.written;
 }
 
 int64_t dg_height(const dg_kernel *k)
@@ -649,13 +767,14 @@ int64_t dg_paren_text(const dg_kernel *k, char *out)
 }
 
 /* `chains` chains to size n on one PRNG stream, each shape into the next
- * d*n+1 bytes of out. */
+ * d*n+1 bytes of out.  The reset before each chain would clear its lex
+ * time, so the chains are not timed: lex_seconds reads 0 afterwards. */
 int dg_histogram(dg_kernel *k, int64_t n, int64_t chains, char *out)
 {
     int64_t i, len = k->d * n + 1;
     for (i = 0; i < chains; i++) {
         dg_reset(k);
-        if (dg_steps(k, n) < 0 || dg_code(k, out + i * len) < 0)
+        if (steps(k, n, 0) < 0 || dg_code(k, out + i * len) < 0)
             return -1;
     }
     return 0;

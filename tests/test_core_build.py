@@ -28,8 +28,9 @@ from darygrow import _growth_c
 from darygrow.sampler import make_kernel
 
 assert _growth_c._lib._name == sys.argv[1], _growth_c._lib._name
-# (3, 20000) walks paths of several hundred nodes by jumps
-for d, n in ((2, 3000), (3, 20000), (5, 2000), (12, 400), (200, 20)):
+# (3, 20000) walks paths of several hundred nodes by jumps; (2, 40000) is
+# past WALK_SPLIT nodes, so its walks run from both ends on two threads
+for d, n in ((2, 3000), (3, 20000), (5, 2000), (12, 400), (200, 20), (2, 40000)):
     py, c = make_kernel(d, n, kernel="python"), make_kernel(d, n, kernel="c")
     for k in (py, c):
         k.steps(n)
@@ -147,7 +148,7 @@ def test_core_under_sanitizers(tmp_path):
     copy = package_copy(tmp_path)
     (tmp_path / "cache" / "darygrow").mkdir(parents=True)
     library = str(tmp_path / "cache" / "darygrow" / _growth_c.library_name())
-    flags = ["-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all"]
+    flags = ["-O1", "-g", "-pthread", "-fsanitize=address,undefined", "-fno-sanitize-recover=all"]
     built = subprocess.run(
         [*cc, "-shared", "-fPIC", *flags, str(copy / "_growth_core.c"), "-o", library],
         capture_output=True,

@@ -8,8 +8,10 @@ first import when a C compiler is present, so this module is skipped only
 where the compiled kernel cannot be built.
 """
 
+import json
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -378,6 +380,15 @@ class TestLexAccounting:
         k.steps(2000)
         assert 0 < k.lex_seconds < 5.0
 
+    def test_histogram_chains_are_not_timed(self):
+        # each chain starts from a reset, which clears lex_seconds, so the
+        # compiled kernel reads no clock in them and reads 0 afterwards
+        k = make_kernel(3, 2, kernel="c")
+        k.steps(2000)
+        assert k.lex_seconds > 0
+        k.histogram(4, 200)
+        assert k.lex_seconds == 0.0
+
 
 def arena(k):
     """What a step's edge order decides: the shape, the counters, and the
@@ -618,6 +629,108 @@ class TestSerializers:
         py, c = both(3, 1)
         assert py.histogram(2, 0) == c.histogram(2, 0) == {}
         assert py.histogram(-1, 4) == c.histogram(-1, 4) == {b"\x00": 4}
+
+
+def walk_split():
+    """The node count above which the C core walks a tree from both ends,
+    ``WALK_SPLIT`` in its source."""
+    with open(c_kernel.SOURCE, encoding="ascii") as fh:
+        (shift,) = re.findall(r"WALK_SPLIT = 1 << (\d+)", fh.read())
+    return 1 << int(shift)
+
+
+def comb(kernel, n, letter):
+    """Grow ``kernel`` by n steps that mark only buds: each old tree becomes
+    one child of the new root, at the slot ``letter`` puts it in."""
+    d = kernel.d
+    for _ in range(n):
+        kernel.step_with(range(kernel.root, kernel.root + d - 1), letter)
+    return kernel
+
+
+class TestWalkSides:
+    """Above WALK_SPLIT nodes the C core walks the tree from both ends at
+    once, forward on the calling thread and in reverse on a second one, the
+    two taking the output from one shared budget.  Every view must be the
+    spec's on both sides of that size, whatever the tree's shape."""
+
+    SPLIT = walk_split()
+
+    @staticmethod
+    def views(k):
+        return bytes(k._shape()), k.code_text(), k.paren_text(), k.height()
+
+    @pytest.mark.parametrize("d", [2, 3, 12])
+    @pytest.mark.parametrize("nodes", [SPLIT // 3, SPLIT + 1, 2 * SPLIT])
+    def test_random_trees(self, d, nodes):
+        py, c = both(d, nodes)
+        n = -(-(nodes - 1) // d)
+        py.steps(n)
+        c.steps(n)
+        assert (c.node_count > self.SPLIT) == (nodes > self.SPLIT)
+        assert self.views(py) == self.views(c)
+
+    @pytest.mark.parametrize("d", [2, 3, 12])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_combs(self, d, side):
+        # a left comb keeps its internal nodes first in preorder, so the
+        # forward side's stack stays nearly empty and the reverse side's
+        # holds the whole depth; a right comb the other way round
+        n = 2 * self.SPLIT // d
+        letter = d - 1 if side == "left" else d
+        py, c = (comb(k, n, letter) for k in both(d, 0))
+        leaves = b"\0" * (d - 1)
+        spine = b"\1" * n + leaves * n if side == "left" else (b"\1" + leaves) * n
+        assert bytes(c._shape()) == spine + b"\0"
+        assert c.height() == n
+        assert self.views(py) == self.views(c)
+
+    def test_no_thread_to_be_had(self):
+        # an address-space limit with room for both walk stacks but not for a
+        # thread's stack: the forward side walks the whole tree alone, in a
+        # process that has never started a thread whose stack it could reuse
+        if not os.path.exists("/proc/self/status"):
+            pytest.skip("no /proc/self/status")
+        code = (
+            "import resource, sys\n"
+            "from darygrow.sampler import make_kernel\n"
+            "k = make_kernel(2, 4, kernel='c')\n"
+            "k.steps(200_000)\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    kb = next(int(l.split()[1]) for l in fh if l.startswith('VmSize:'))\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_AS, ((kb << 10) + (7 << 20), hard))\n"
+            "sys.stdout.buffer.write(bytes(k._shape()) + k.paren_text() + b'%d' % k.height())\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        k = make_kernel(2, 4, kernel="c")
+        k.steps(200_000)
+        assert out.stdout == bytes(k._shape()) + k.paren_text() + b"%d" % k.height()
+
+    def test_one_cpu_gives_the_same_bytes(self):
+        # pinned to one CPU the two sides share a core; neither waits on the
+        # other, so the output is the same and comes in about the same time
+        if not hasattr(os, "sched_setaffinity"):
+            pytest.skip("no os.sched_setaffinity")
+        cpu = min(os.sched_getaffinity(0))
+        argv = ["grow", "--d", "2", "--n", "200000", "--seed", "5", "--kernel", "c", "--counters"]
+        pinned = (
+            f"import os, sys; os.sched_setaffinity(0, {{{cpu}}});"
+            "from darygrow.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        runs = [
+            subprocess.run(
+                [sys.executable, *how, *argv], capture_output=True, timeout=120
+            )
+            for how in (["-m", "darygrow.cli"], ["-c", pinned])
+        ]
+        for out in runs:
+            assert out.returncode == 0, out.stderr
+        free, one = runs
+        assert one.stdout == free.stdout and len(one.stdout) == 2 * 400_001
+        record = json.loads(one.stderr.splitlines()[-1])
+        assert record["kernel"] == "c" and record["emit_s"] < 1.0, record
 
 
 class TestSizeGuard:
