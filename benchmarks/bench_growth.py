@@ -16,6 +16,11 @@ on PYTHONPATH and its own --label.  --out names another file to write (a
 quick check can leave BENCH_growth.json alone).  The cross-kernel check
 lives in bench/run.py (`crosscheck`).
 
+The short-chain layer gets rows of its own (`histogram` in the JSON):
+ns per chain of `kernel.histogram` on criterion 8's two grids, d = 3,
+n = 4 over 110,000 chains and d = 2, n = 5 over 84,000, median of three
+calls on one kernel; the Python kernel bins a tenth of the chains.
+
 The reference layer gets rows of its own (`reference` in the JSON):
 the seconds of criterion 3's exhaustive bijection suite (median of three
 runs, each enumerating its trees afresh), and the ms per enlarge ->
@@ -71,6 +76,8 @@ BIJECTION_SUITE = (
     + [(4, n) for n in range(3)]
     + [(5, 0), (5, 1)]
 )
+# criterion 8's chi-square grids: d, n, chains
+HISTOGRAMS = [(3, 4, 110_000), (2, 5, 84_000)]
 TRIP_DS = (2, 3, 5)
 TRIP_N = 10_000
 TRIPS = 10
@@ -114,6 +121,26 @@ def cell(label, kernel, d, n, seed):
         "lex_seconds": round(statistics.median(r[2] for r in runs), 4),
         "code_seconds": round(statistics.median(r[3] for r in runs), 4),
         "paren_seconds": round(statistics.median(r[4] for r in runs), 4),
+    }
+
+
+def histogram_row(label, kernel, d, n, chains, seed):
+    k = make_kernel(d, seed, kernel)
+    runs = []
+    for _ in range(REPEAT):
+        t0 = time.perf_counter()
+        k.histogram(n, chains)
+        runs.append(time.perf_counter() - t0)
+    seconds = statistics.median(runs)
+    return {
+        "label": label,
+        "kernel": k.name,
+        "d": d,
+        "n": n,
+        "chains": chains,
+        "repeat": REPEAT,
+        "ns_per_chain": round(seconds / chains * 1e9, 1),
+        "chains_per_s": round(chains / seconds),
     }
 
 
@@ -218,6 +245,20 @@ def main() -> int:
             f" {r['paren_seconds']:>7}"
         )
 
+    histograms = []
+    for d, n, chains in HISTOGRAMS:
+        histograms.append(histogram_row(args.label, None, d, n, chains // shrink, args.seed))
+        if kernel_name() != "python":
+            histograms.append(
+                histogram_row(args.label, "python", d, n, chains // shrink // 10, args.seed)
+            )
+    print()
+    for r in histograms:
+        print(
+            f"{r['label']:<8} {r['kernel']:<7} histogram d={r['d']} n={r['n']}"
+            f" x {r['chains']}: {r['ns_per_chain']} ns/chain"
+        )
+
     reference = [suite_row(args.label)]
     reference.extend(trip_row(args.label, d, TRIP_N // shrink, args.seed) for d in TRIP_DS)
     print()
@@ -237,12 +278,14 @@ def main() -> int:
         f" (bytecode writing {'on' if startup['bytecode_writing'] else 'off'})"
     )
 
-    record = {"machine": None, "rows": [], "reference": [], "startup": []}
+    record = {"machine": None, "rows": [], "histogram": [], "reference": [], "startup": []}
     if args.out.exists():
         record.update(json.loads(args.out.read_text()))
     key = lambda r: (r["label"], r["kernel"], r["d"], r["n"])  # noqa: E731
     fresh = {key(r) for r in rows}
     record["rows"] = [r for r in record["rows"] if key(r) not in fresh] + rows
+    fresh = {key(r) for r in histograms}
+    record["histogram"] = [r for r in record["histogram"] if key(r) not in fresh] + histograms
     ref_key = lambda r: (r["label"], r["what"], r.get("d"), r.get("n"))  # noqa: E731
     fresh = {ref_key(r) for r in reference}
     record["reference"] = [

@@ -9,8 +9,12 @@ so one Python call does bulk work; the paren text and the height are the
 only views the C core renders itself.  Its one walk loop does all three;
 above ``WALK_SPLIT`` nodes it walks from both ends at once, the second end
 on a thread of its own that is joined before the call returns, which no
-output shows.  Histogram chains are not timed, so ``lex_seconds`` reads 0
-after ``histogram``.
+output shows.  A histogram is binned in C as well: ``dg_histogram`` grows
+every chain and counts its shape in a hash table of the distinct shapes,
+and ``dg_histogram_read`` copies them out, in the order first seen, with
+their counts, so Python makes no key per chain and the memory held is that
+of the distinct shapes, not of the chains.  Histogram chains are
+not timed, so ``lex_seconds`` reads 0 after ``histogram``.
 
 The library is named after the first 16 hex digits of the C source's
 sha256, ``_growth_core-<digest>.so``, and kept in one place,
@@ -30,7 +34,6 @@ MemoryError, and nothing proportional to d is allocated before a step.
 
 import ctypes
 import os
-from collections import Counter
 from ctypes import c_char_p, c_double, c_int, c_int32, c_int64, c_uint64, c_void_p
 from operator import attrgetter
 
@@ -45,9 +48,6 @@ KERNEL_NAME = "c"
 
 SOURCE = os.path.join(os.path.dirname(__file__), "_growth_core.c")
 
-# bytes of chain codes per C call in histogram
-_HISTOGRAM_BLOCK = 1 << 16
-
 _SIGNATURES = {
     "dg_new": (c_void_p, [c_int64, c_uint64]),
     "dg_free": (None, [c_void_p]),
@@ -59,7 +59,8 @@ _SIGNATURES = {
     "dg_height": (c_int64, [c_void_p]),
     "dg_code": (c_int64, [c_void_p, c_char_p]),
     "dg_paren_text": (c_int64, [c_void_p, c_char_p]),
-    "dg_histogram": (c_int, [c_void_p, c_int64, c_int64, c_char_p]),
+    "dg_histogram": (c_int64, [c_void_p, c_int64, c_int64]),
+    "dg_histogram_read": (None, [c_void_p, c_char_p, ctypes.POINTER(c_int64)]),
 }
 
 
@@ -210,20 +211,19 @@ class GrowthKernel(Kernel):
         return _checked(_lib.dg_height(self._k))
 
     def _histogram(self, n, chains):
+        # the C core grows and bins every chain; one more call copies out the
+        # distinct shapes, in the order first seen, and their counts
         if chains <= 0:
             return {}
         n = max(n, 0)
-        counts = Counter()
         length = self.d * n + 1
-        block = max(1, _HISTOGRAM_BLOCK // length)
-        buf = ctypes.create_string_buffer(min(block, chains) * length)
-        while chains > 0:
-            m = min(block, chains)
-            _checked(_lib.dg_histogram(self._k, n, m, buf))
-            raw = buf.raw
-            counts.update(raw[i : i + length] for i in range(0, m * length, length))
-            chains -= m
-        return dict(counts)
+        distinct = _checked(_lib.dg_histogram(self._k, n, chains))
+        shapes = ctypes.create_string_buffer(distinct * length)
+        counts = (c_int64 * distinct)()
+        _lib.dg_histogram_read(self._k, shapes, counts)
+        raw = shapes.raw
+        keys = [raw[i : i + length] for i in range(0, distinct * length, length)]
+        return dict(zip(keys, counts))
 
 
 # n and the counters read straight from the C struct

@@ -46,6 +46,12 @@
  * ranges that cover it exactly and never wait on each other, and the bytes
  * are those of a preorder walk alone.
  *
+ * A histogram is binned here too.  Each chain's shape is walked into the
+ * next free place of a store of distinct shapes and looked up in a hash
+ * table over them, equal hashes confirmed byte for byte, so the memory held
+ * grows with the distinct shapes, not with the chains.  The wrapper reads
+ * them out, in the order first seen, with their counts, in one more call.
+ *
  * Node ids are int32.  The wrapper refuses any growth past INT32_MAX child
  * slots before calling in, so every id and link below fits; indexes into
  * the child array are computed in int64.  Functions that allocate return
@@ -55,7 +61,21 @@
 #include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 #include <time.h>
+
+/* The shapes of dg_histogram's chains, held until dg_histogram_read: each
+ * distinct shape once, in the order first seen, len bytes each in `shapes`,
+ * with its count and hash, and an open-addressing table of mask + 1 slots
+ * that holds index + 1 of a shape, 0 when empty, at a load of at most 1/2.
+ * `room` is how many shapes the arrays hold. */
+typedef struct {
+    int64_t len, distinct, room, mask;
+    char *shapes;
+    int64_t *counts;
+    uint64_t *hashes;
+    int64_t *slots;
+} shape_table;
 
 typedef struct {
     /* public head, mirrored field for field by _growth_c._Head */
@@ -78,6 +98,7 @@ typedef struct {
     int32_t *jump;
     /* per-step scratch, d entries each, allocated by the first step */
     int64_t *rk, *edges, *pos, *depth, *leaf, *order, *lcp, *aux, *aux_lcp;
+    shape_table table;
 } dg_kernel;
 
 enum { SCRATCH = 9 }; /* the scratch arrays above, rk first */
@@ -92,10 +113,20 @@ static double now(void)
 /* ------------------------------------------------------------------ */
 /* memory */
 
+static void table_free(shape_table *t)
+{
+    free(t->shapes);
+    free(t->counts);
+    free(t->hashes);
+    free(t->slots);
+    memset(t, 0, sizeof *t);
+}
+
 void dg_free(dg_kernel *k)
 {
     if (!k)
         return;
+    table_free(&k->table);
     free(k->up);
     free(k->child);
     free(k->jump);
@@ -766,16 +797,120 @@ int64_t dg_paren_text(const dg_kernel *k, char *out)
     return walk(k, WALK_PAREN, out);
 }
 
-/* `chains` chains to size n on one PRNG stream, each shape into the next
- * d*n+1 bytes of out.  The reset before each chain would clear its lex
- * time, so the chains are not timed: lex_seconds reads 0 afterwards. */
-int dg_histogram(dg_kernel *k, int64_t n, int64_t chains, char *out)
+/* ------------------------------------------------------------------ */
+/* histogram */
+
+/* A hash of len bytes: 8 at a time, mixed by multiplies, then splitmix64's
+ * finalizer, so that the table's low bits depend on every byte. */
+static uint64_t shape_hash(const char *s, int64_t len)
 {
-    int64_t i, len = k->d * n + 1;
+    uint64_t h = (uint64_t)len, w;
+    int64_t i;
+    for (i = 0; i + 8 <= len; i += 8) {
+        memcpy(&w, s + i, 8);
+        h = (h ^ w) * 0x9E3779B97F4A7C15ULL;
+        h ^= h >> 32;
+    }
+    w = 0;
+    memcpy(&w, s + i, len - i);
+    h ^= w;
+    h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    h = (h ^ (h >> 27)) * 0x94D049BB133111EBULL;
+    return h ^ (h >> 31);
+}
+
+/* Room for one more shape, the next one at shapes + distinct * len, with
+ * the table at a load of at most 1/2 once it is added.  The arrays double up
+ * to `most` shapes, and the table doubles and is refilled from the stored
+ * hashes.  -1 when memory runs out. */
+static int table_reserve(shape_table *t, int64_t most)
+{
+    int64_t room = t->room ? 2 * t->room : 16, size, i, j;
+    int64_t *slots;
+    void *p;
+    if (t->distinct == t->room) {
+        if (room > most)
+            room = most;
+        if (!(p = realloc(t->shapes, room * t->len)))
+            return -1;
+        t->shapes = p;
+        if (!(p = realloc(t->counts, room * sizeof(int64_t))))
+            return -1;
+        t->counts = p;
+        if (!(p = realloc(t->hashes, room * sizeof(uint64_t))))
+            return -1;
+        t->hashes = p;
+        t->room = room;
+    }
+    if (2 * (t->distinct + 1) <= t->mask + 1)
+        return 0;
+    size = t->slots ? 2 * (t->mask + 1) : 32;
+    if (!(slots = calloc(size, sizeof(int64_t))))
+        return -1;
+    for (i = 0; i < t->distinct; i++) {
+        for (j = t->hashes[i] & (size - 1); slots[j]; j = (j + 1) & (size - 1))
+            ;
+        slots[j] = i + 1;
+    }
+    free(t->slots);
+    t->slots = slots;
+    t->mask = size - 1;
+    return 0;
+}
+
+/* Count the shape just written at shapes + distinct * len: one more for an
+ * equal shape already stored (equal hashes, then equal bytes), else it is
+ * kept as the next distinct shape, with count 1. */
+static void table_add(shape_table *t)
+{
+    const char *s = t->shapes + t->distinct * t->len;
+    uint64_t h = shape_hash(s, t->len);
+    int64_t j, x;
+    for (j = h & t->mask; (x = t->slots[j]); j = (j + 1) & t->mask)
+        if (t->hashes[x - 1] == h && !memcmp(t->shapes + (x - 1) * t->len, s, t->len)) {
+            t->counts[x - 1]++;
+            return;
+        }
+    t->slots[j] = t->distinct + 1;
+    t->hashes[t->distinct] = h;
+    t->counts[t->distinct++] = 1;
+}
+
+/* Grow `chains` chains to size n on one PRNG stream, each from a reset, and
+ * bin their shapes in the kernel's table, which dg_histogram_read hands over.
+ * Each shape is walked straight into the store's next free place, so a
+ * chain costs its steps, its walk and one hash lookup, and the memory held
+ * is that of the distinct shapes.  Returns how many there are, or -1 when
+ * memory runs out; the table is then released and the kernel left usable.
+ * The reset before each chain would clear its lex time, so the chains are
+ * not timed: lex_seconds reads 0 afterwards. */
+int64_t dg_histogram(dg_kernel *k, int64_t n, int64_t chains)
+{
+    shape_table *t = &k->table;
+    int64_t i;
+    table_free(t);
+    t->len = k->d * n + 1;
     for (i = 0; i < chains; i++) {
         dg_reset(k);
-        if (steps(k, n, 0) < 0 || dg_code(k, out + i * len) < 0)
+        if (table_reserve(t, chains) < 0 || steps(k, n, 0) < 0 ||
+            dg_code(k, t->shapes + t->distinct * t->len) < 0) {
+            table_free(t);
             return -1;
+        }
+        table_add(t);
     }
-    return 0;
+    return t->distinct;
+}
+
+/* The distinct shapes of the last dg_histogram, in the order first seen,
+ * into out (len bytes each) and their counts into counts; the table is
+ * released. */
+void dg_histogram_read(dg_kernel *k, char *out, int64_t *counts)
+{
+    shape_table *t = &k->table;
+    if (t->distinct) {
+        memcpy(out, t->shapes, t->distinct * t->len);
+        memcpy(counts, t->counts, t->distinct * sizeof(int64_t));
+    }
+    table_free(t);
 }

@@ -157,10 +157,11 @@ class Kernel:
 
     def histogram(self, n: int, chains: int) -> dict:
         """Shape counts over repeated chains to size n (one PRNG stream), keyed
-        by ``tree.shape_key`` as bytes.  Each chain starts from ``reset``,
-        so the kernel is left holding the last chain's tree and counters,
-        and ``lex_seconds`` covers the last chain at most: the compiled
-        kernel does not time its chains and reads 0."""
+        by ``tree.shape_key`` as bytes, the keys in the order their shapes
+        first came up.  Each chain starts from ``reset``, so the kernel is
+        left holding the last chain's tree and counters and the PRNG where
+        the last chain left it, and ``lex_seconds`` covers the last chain at
+        most: the compiled kernel does not time its chains and reads 0."""
         check_child_slots(self.d, n)
         return self._histogram(n, chains)
 

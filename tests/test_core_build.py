@@ -53,6 +53,14 @@ for d, n in ((2, 3000), (3, 20000), (5, 2000), (12, 400), (200, 20), (2, 40000))
         c.edge_word(r) for r in range(0, d * n, 7)
     ]
     assert py.histogram(6, 50) == c.histogram(6, 50)
+# the histogram's shape table and store grow past their first 16 shapes:
+# d = 2, n = 9 has 4,862 classes, and d = 3, n = 200 gives 20 long keys
+for d, n, chains in ((2, 9, 600), (3, 200, 20)):
+    py, c = make_kernel(d, 1, kernel="python"), make_kernel(d, 1, kernel="c")
+    expected, got = py.histogram(n, chains), c.histogram(n, chains)
+    assert got == expected and list(got) == list(expected)
+    assert py.counters == c.counters
+    assert py.preorder_code() == c.preorder_code()
 print("agree")
 """
 

@@ -617,13 +617,32 @@ class TestSerializers:
         assert c.code_text().split() == [str(s).encode() for s in c.preorder_code()]
         assert c.tree.code_text().encode() == c.code_text()
 
-    def test_histogram_spans_blocks(self):
-        # more chain bytes than one C call fills: the blocks must add up
-        py, c = both(2, 8)
-        n = 1000
-        chains = 2 * (c_kernel._HISTOGRAM_BLOCK // (2 * n + 1)) + 3
-        assert py.histogram(n, chains) == c.histogram(n, chains)
+    @pytest.mark.parametrize("d,n,chains", [(2, 9, 3000), (2, 1000, 40), (3, 4, 2000)])
+    def test_histogram_table_grows(self, d, n, chains):
+        # the C core's shape table starts at 16 shapes and 32 slots: d = 2,
+        # n = 9 has 4,862 classes, so most of its chains add a shape, and
+        # n = 1000 gives keys of 2,001 bytes.  Keys come in the order first
+        # seen on both kernels.
+        py, c = both(d, 8)
+        expected, got = py.histogram(n, chains), c.histogram(n, chains)
+        assert got == expected
+        assert list(got) == list(expected)
+        assert len(got) > 16
         assert py.rng_draws == c.rng_draws
+        assert counters(py) == counters(c)
+
+    @pytest.mark.parametrize("n,chains", [(4, 300), (0, 5), (-2, 5), (4, 0)])
+    def test_histogram_leaves_the_last_chain(self, n, chains):
+        # the kernel holds the last chain's tree and counters and the PRNG
+        # is where the last chain left it; no chains leave the kernel alone
+        py, c = both(3, 5)
+        for k in (py, c):
+            k.steps(20)
+            k.histogram(n, chains)
+            assert k.n == (max(n, 0) if chains else 20)
+        assert py.preorder_code() == c.preorder_code()
+        assert counters(py) == counters(c)
+        assert py.uniform_below(10**9) == c.uniform_below(10**9)
 
     def test_empty_histograms(self):
         py, c = both(3, 1)
@@ -783,6 +802,27 @@ class TestSizeGuard:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.split() == ["memory", "error", "10"]
+
+    def test_histogram_allocation_failure_is_memory_error(self):
+        # under a 1 GiB address-space limit the shape table's first 16 keys
+        # of 2^26 + 1 bytes cannot be allocated; MemoryError, and the kernel
+        # still bins the next histogram
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from darygrow.sampler import make_kernel\n"
+            "k = make_kernel(2, 0, kernel='c')\n"
+            "try:\n"
+            "    k.histogram(1 << 25, 16)\n"
+            "except MemoryError:\n"
+            "    h = k.histogram(3, 40)\n"
+            "    print('memory error', sum(h.values()), {len(key) for key in h}, k.n)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["memory", "error", "40", "{7}", "3"]
 
     def test_library_does_not_shadow_wrapper(self):
         assert c_kernel.__file__.endswith("_growth_c.py")
