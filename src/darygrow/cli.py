@@ -277,7 +277,7 @@ def cmd_trace(args) -> int:
         with open(args.input, "r", encoding="ascii") as fh:
             obj = json.load(fh)
         marked = edge_marked_from_obj(obj)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, RecursionError) as exc:  # deep nesting
         print(f"cannot read marked tree: {exc}", file=sys.stderr)
         return 2
     if args.d is not None and args.d != marked.d:

@@ -12,11 +12,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from itertools import combinations, product
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NoReturn, Optional, Tuple
 
 from . import bijections
 from ._value import Record
-from .errors import SizeGuardError, UnderpoweredTestError
+from .errors import DarygrowError, SizeGuardError, UnderpoweredTestError
 from .marks import (
     EdgeMarkedTree,
     LeafMarkedTree,
@@ -26,7 +26,7 @@ from .marks import (
     leaf_sequence,
 )
 from .sampler import make_kernel
-from .tree import DaryTree, _end, _walk, shape_key
+from .tree import DaryTree, shape_key
 from .walks import enumerate_walks
 
 # each exhaustive run multiplies trees, mark sets and letters; refuse
@@ -36,10 +36,17 @@ MAX_OBJECTS = 10_000_000
 
 def _guard(objects: int, force: bool) -> None:
     if objects > MAX_OBJECTS and not force:
-        raise SizeGuardError(
-            f"enumeration of {objects} objects exceeds the {MAX_OBJECTS} budget; "
-            "pass force=True to override"
-        )
+        # str() refuses a count past 4,300 digits: past 64 bits, write the
+        # count as the power of ten its bit length gives
+        bits = objects.bit_length()
+        _refuse(objects if bits <= 64 else f"~10^{int(bits * math.log10(2))}")
+
+
+def _refuse(count) -> NoReturn:
+    raise SizeGuardError(
+        f"enumeration of {count} objects exceeds the {MAX_OBJECTS} budget; "
+        "pass force=True to override"
+    )
 
 
 def count_trees(d: int, n: int) -> int:
@@ -130,10 +137,6 @@ def enumerate_inputs(
     return [(x, a) for x in marked for a in range(1, d + 1)]
 
 
-def _leaf_positions(code: Sequence[int]) -> List[int]:
-    return [p for p, sym in enumerate(code) if not sym]
-
-
 def enumerate_leaf_marked(
     d: int, n: int, m: int, force: bool = False
 ) -> Iterator[LeafMarkedTree]:
@@ -141,7 +144,7 @@ def enumerate_leaf_marked(
     leaves = (d - 1) * n + 1
     _guard(count_trees(d, n) * math.comb(leaves, m), force)
     for code in enumerate_codes(d, n, force):
-        for chosen in combinations(_leaf_positions(code), m):
+        for chosen in combinations([p for p, sym in enumerate(code) if not sym], m):
             yield LeafMarkedTree.from_code(d, code, chosen)
 
 
@@ -149,22 +152,7 @@ def enumerate_forests(d: int, n: int, force: bool = False) -> Iterator[MarkedFor
     """All d-tuples of trees with n internal nodes and d-1 marks in total:
     the root splits of the size-(n+1) trees with d-1 marked leaves, in the
     order of :func:`enumerate_leaf_marked`."""
-    # exact: the growth identity equates it with those marked trees' count
-    _guard(d * math.comb(d * n + d - 1, d - 1) * count_trees(d, n), force)
-    of_code = LeafMarkedTree.from_code
-    for code in enumerate_codes(d, n + 1, force):
-        walk = _walk(d, code)
-        bounds = [1]
-        for _ in range(d):
-            bounds.append(_end(walk, bounds[-1]))
-        slices = [(s, e, code[s:e]) for s, e in zip(bounds, bounds[1:])]
-        for chosen in combinations(_leaf_positions(code), d - 1):
-            trees, lo = [], 0
-            for s, e, piece in slices:
-                hi = bisect_left(chosen, e, lo)
-                trees.append(of_code(d, piece, tuple(p - s for p in chosen[lo:hi])))
-                lo = hi
-            yield MarkedForest(trees)
+    return map(bijections.add_root_inv, enumerate_leaf_marked(d, n + 1, d - 1, force))
 
 
 # ----------------------------------------------------------------------
@@ -177,10 +165,14 @@ def verify_enlarge_bijection(d: int, n: int, force: bool = False) -> dict:
     Checks, over every (edge-marked tree, letter) input of size n:
 
     * the intermediate forest out of the cut stage is excursion type,
-    * all images are pairwise distinct,
+    * reducing the image returns the exact input,
     * the image count and the per-tree image multiplicity match the counts
-      the marking argument predicts,
-    * reducing the image returns the exact input.
+      the marking argument predicts.
+
+    The images are pairwise distinct because ``reduce`` is a left inverse,
+    so none is kept: only a count per tree of size n+1.  Where a round trip
+    fails and the input ``reduce`` returned enlarges to the same image, the
+    failure is reported as a collision of the two inputs.
 
     ``cut`` does not read the letter, so each marked tree is cut once and
     its forest rotated by every letter.  ``inputs`` counts the inputs
@@ -197,7 +189,6 @@ def verify_enlarge_bijection(d: int, n: int, force: bool = False) -> dict:
         "expected_multiplicity": expected_mult,
         "counterexample": None,
     }
-    images = {}
     per_tree: Dict[Tuple[int, ...], int] = {}
     for x in enumerate_marked_trees(d, n, force=force):
         forest, _ = bijections.cut(x, 1)
@@ -212,28 +203,23 @@ def verify_enlarge_bijection(d: int, n: int, force: bool = False) -> dict:
         for a in range(1, d + 1):
             report["inputs"] += 1
             image = bijections.add_root(bijections.rotate(forest, a))
-            key = image.key()
-            if key in images:
-                report["counterexample"] = {
-                    "kind": "collision",
-                    "input": _input_obj(x, a),
-                    "other_input": _input_obj(*images[key]),
-                }
-                return report
-            images[key] = (x, a)
             per_tree[image.code] = per_tree.get(image.code, 0) + 1
             back, back_a = bijections.reduce(image)
             if back_a != a or back != x:
+                try:
+                    collision = bijections.enlarge(back, back_a) == image
+                except DarygrowError:  # reduce returned no input at all
+                    collision = False
                 report["counterexample"] = {
-                    "kind": "round_trip",
+                    "kind": "collision" if collision else "round_trip",
                     "input": _input_obj(x, a),
-                    "returned": _input_obj(back, back_a),
+                    "other_input" if collision else "returned": _input_obj(back, back_a),
                 }
                 return report
     expected_images = expected_mult * count_trees(d, n + 1)
-    report["images"] = len(images)
+    report["images"] = report["inputs"]
     report["expected_images"] = expected_images
-    if len(images) != expected_images:
+    if report["inputs"] != expected_images:
         report["counterexample"] = {"kind": "image_count"}
         return report
     bad = {c: m for c, m in per_tree.items() if m != expected_mult}
@@ -257,7 +243,11 @@ def _input_obj(x: EdgeMarkedTree, a) -> dict:
 def rotation_guard(m: int, max_increment: int, force: bool = False) -> None:
     """Refuse :func:`verify_rotation_lemma` beyond the budget: it enumerates
     (max_increment + 2)^m increment tuples to find the walks of length m."""
-    _guard((max_increment + 2) ** m, force)
+    base = max(max_increment + 2, 0)  # the increments -1 .. max_increment
+    if m < 24 or base < 2:
+        _guard(base ** m, force)
+    elif not force:  # 2^24 passes the budget already: the power is not built
+        _refuse(f"{base}^{m}")
 
 
 def verify_rotation_lemma(m: int, max_increment: int, force: bool = False) -> dict:
@@ -314,55 +304,59 @@ def verify_binary_variants(n: int, force: bool = False) -> dict:
     """Certify both binary growth maps at one size and hunt for a witness.
 
     Each map must be injective over all (tree, mark, side) inputs of size
-    n and hit every single-leaf-marked tree of size n+1 exactly once.  The
-    witness records an input where the three growth maps (the general one
-    and the two variants) give three pairwise different outputs.
+    n and hit every single-leaf-marked tree of size n+1 exactly once.  One
+    byte per such target counts its hits: the rank of its code among the
+    size-(n+1) codes times the code length, plus the marked position.  The
+    inputs are enumerated again only to name the earlier input of a
+    collision.  The witness records an input where the three growth maps
+    (the general one and the two variants) give three pairwise different
+    outputs.
     """
+    # as many inputs as targets: 2 (2n+1) C_n = (n+2) C_{n+1}
+    targets = count_trees(2, n + 1) * (n + 2)
+    _guard(targets, force)
     report = {
         "check": "binary_variants",
         "params": {"n": n},
         "pass": False,
         "counterexample": None,
         "witness": None,
+        "inputs_per_map": targets,
     }
-    expected = {t.key() for t in enumerate_leaf_marked(2, n + 1, 1, force=force)}
-    report["inputs_per_map"] = 2 * (2 * n + 1) * count_trees(2, n)
+    width, sides = 2 * n + 3, (bijections.RIGHT, bijections.LEFT)
+    rank = {code: i for i, code in enumerate(enumerate_codes(2, n + 1, force))}
+
+    def inputs():
+        return ((x, s) for x in enumerate_marked_trees(2, n, force=force) for s in sides)
+
+    def fail(kind: str, name: str, **fields) -> dict:
+        report["counterexample"] = {"kind": kind, "map": name, **fields}
+        return report
+
     for name, fn in (("remy", bijections.remy_enlarge), ("third", bijections.third_enlarge)):
-        seen = {}
-        for marked in enumerate_marked_trees(2, n, force=force):
-            for side in (bijections.RIGHT, bijections.LEFT):
-                out = fn(marked, side)
-                key = out.key()
-                if key in seen:
-                    report["counterexample"] = {
-                        "kind": "collision",
-                        "map": name,
-                        "input": _input_obj(marked, side),
-                        "other_input": _input_obj(*seen[key]),
-                    }
-                    return report
-                seen[key] = (marked, side)
-        if set(seen) != expected:
-            report["counterexample"] = {
-                "kind": "image_mismatch",
-                "map": name,
-                "images": len(seen),
-                "expected": len(expected),
-            }
-            return report
-    for marked in enumerate_marked_trees(2, n, force=force):
-        for a, side in product((1, 2), (bijections.RIGHT, bijections.LEFT)):
-            big = bijections.enlarge(marked, a).key()
-            remy = bijections.remy_enlarge(marked, side).key()
-            third = bijections.third_enlarge(marked, side).key()
-            if big != remy and big != third and remy != third:
-                witness = _input_obj(marked, a)
-                witness["side"] = side
-                report["witness"] = witness
-                break
-        if report["witness"]:
-            break
+        hits = bytearray(len(rank) * width)
+        for x, side in inputs():
+            out = fn(x, side)
+            i, marks = rank.get(out.code), out.leaves
+            if i is None or len(marks) != 1 or not 0 <= marks[0] < width or out.code[marks[0]]:
+                return fail("image_mismatch", name, input=_input_obj(x, side))
+            if hits[i * width + marks[0]]:
+                other = next(y for y in inputs() if fn(*y) == out)
+                return fail(
+                    "collision", name, input=_input_obj(x, side), other_input=_input_obj(*other)
+                )
+            hits[i * width + marks[0]] = 1
+        if sum(hits) != targets:  # fewer inputs than targets
+            return fail("image_mismatch", name, images=sum(hits), expected=targets)
     report["pass"] = True
+    for x in enumerate_marked_trees(2, n, force=force):
+        for a, side in product((1, 2), sides):
+            big = bijections.enlarge(x, a).key()
+            remy = bijections.remy_enlarge(x, side).key()
+            third = bijections.third_enlarge(x, side).key()
+            if big != remy and big != third and remy != third:
+                report["witness"] = dict(_input_obj(x, a), side=side)
+                return report
     return report
 
 

@@ -532,6 +532,26 @@ def test_rotation_size_guard():
     assert out.stderr.startswith("size guard")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["uniform", "--d", "2", "--n", "10000", "--samples", "1000", "--seed", "0"],
+        ["verify", "rotation", "--m", "1000000", "--max-inc", "3"],
+        ["verify", "rotation", "--m", "100000000", "--max-inc", "3"],
+    ],
+    ids=["uniform-classes", "rotation-10^6", "rotation-10^8"],
+)
+def test_guard_count_too_long_to_write_is_one_line(argv, capsys, deadline):
+    # the counts pass 4,300 digits, which str() refuses to write, and the
+    # rotation guard's power would take seconds to build, or run on
+    with deadline(1):
+        code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == "" and "Traceback" not in err
+    lines = [line for line in err.splitlines() if not line.startswith("effective seed")]
+    assert len(lines) == 1 and lines[0].startswith("size guard: ")
+
+
 @pytest.mark.parametrize("args", [["--m", "0"], ["--m", "-2"], ["--m", "4", "--max-inc", "-3"]])
 def test_empty_rotation_check_is_usage_error(args, capsys):
     # these certified nothing and used to report a pass
@@ -748,6 +768,16 @@ def test_trace_rejects_garbage(tmp_path, capsys):
     path = write_marked(tmp_path, {"d": 2, "code": "2 0 0", "marks": []})
     code, _, err = run_cli(["trace", "--input", path, "--letter", "1"], capsys)
     assert code == 2  # wrong mark count surfaces as an input error
+
+
+def test_trace_rejects_deep_nesting(tmp_path, capsys):
+    # json.load recurses once per level: 100,000 levels raise RecursionError
+    f = tmp_path / "deep.json"
+    f.write_text("[" * 100_000)
+    code, out, err = run_cli(["trace", "--input", str(f), "--letter", "1"], capsys)
+    assert code == 2
+    assert out == "" and err.startswith("cannot read marked tree: ")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(

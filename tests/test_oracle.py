@@ -4,13 +4,16 @@ scipy is used here purely as a cross-check for the home-grown incomplete
 gamma; the library itself never imports it.
 """
 
+import itertools
 import math
+import subprocess
+import sys
 
 import pytest
 
 from darygrow import bijections, oracle
 from darygrow.errors import SizeGuardError, UnderpoweredTestError
-from darygrow.marks import EdgeMarkedTree, MarkedForest
+from darygrow.marks import EdgeMarkedTree, LeafMarkedTree, MarkedForest
 from darygrow.tree import DaryTree, shape_key
 
 scipy_special = pytest.importorskip("scipy.special")
@@ -154,6 +157,24 @@ class TestBijectionVerifier:
         assert report["counterexample"]["kind"] == kind
         assert 0 < report["inputs"] <= inputs_per_call * len(calls)
 
+    def test_collision_names_the_other_input(self, monkeypatch):
+        # no image is kept: the earlier input is what reduce returns, and it
+        # enlarges to the same image
+        real = bijections.rotate
+        monkeypatch.setattr(bijections, "rotate", lambda f, a: real(f, 1))
+        bad = oracle.verify_enlarge_bijection(3, 2)["counterexample"]
+        assert bad["kind"] == "collision"
+        assert (bad["input"]["letter"], bad["other_input"]["letter"]) == (2, 1)
+        assert dict(bad["other_input"], letter=2) == bad["input"]
+
+    def test_reduce_returning_no_input_is_a_round_trip(self, monkeypatch):
+        # letter 0 names no input: nothing to re-enlarge, and no exception
+        real = bijections.reduce
+        monkeypatch.setattr(bijections, "reduce", lambda t: (real(t)[0], 0))
+        bad = oracle.verify_enlarge_bijection(3, 2)["counterexample"]
+        assert bad["kind"] == "round_trip"
+        assert bad["returned"]["letter"] == 0
+
 
 def _reduce_wrong_letter_once(real, call, t):
     back, a = real(t)
@@ -193,6 +214,15 @@ class TestRotationVerifier:
         with pytest.raises(SizeGuardError):
             oracle.verify_rotation_lemma(11, 3)
 
+    def test_guard_decides_long_walks_without_the_power(self, deadline):
+        # 2^23 tuples fit the budget and 2^24 do not; past that length the
+        # power is never built, so 5^(10^8) is refused at once
+        oracle.rotation_guard(23, 0)
+        with deadline(1):
+            for m, max_inc in ((24, 0), (10**8, 3)):
+                with pytest.raises(SizeGuardError, match=rf"of {max_inc + 2}\^{m} objects"):
+                    oracle.rotation_guard(m, max_inc)
+
 
 class TestBinaryVariantVerifier:
     @pytest.mark.parametrize("n", range(0, 5))
@@ -206,6 +236,74 @@ class TestBinaryVariantVerifier:
     def test_witness_recorded(self):
         report = oracle.verify_binary_variants(2)
         assert report["witness"] is not None
+
+    def test_guard(self):
+        # 742,900 trees of size 13 with one of 14 leaves marked
+        with pytest.raises(SizeGuardError):
+            oracle.verify_binary_variants(12)
+
+    @pytest.mark.parametrize("name,kind", [("remy", "collision"), ("third", "image_mismatch")])
+    def test_broken_map_fails(self, monkeypatch, name, kind):
+        # a verifier that checked nothing must not report pass
+        real = getattr(bijections, f"{name}_enlarge")
+        monkeypatch.setattr(
+            bijections, f"{name}_enlarge", lambda x, side: BROKEN_VARIANTS[name](real, x, side)
+        )
+        report = oracle.verify_binary_variants(2)
+        assert report["pass"] is False
+        bad = report["counterexample"]
+        assert (bad["kind"], bad["map"]) == (kind, name)
+        if kind == "collision":
+            # the same marked tree grown to the other side
+            assert bad["other_input"] == dict(bad["input"], letter=bijections.RIGHT)
+
+    def test_missing_inputs_fail(self, monkeypatch):
+        # every image a target and none hit twice, but two targets unhit
+        real = oracle.enumerate_marked_trees
+        monkeypatch.setattr(
+            oracle,
+            "enumerate_marked_trees",
+            lambda d, n, force=False: itertools.islice(real(d, n, force), 1, None),
+        )
+        report = oracle.verify_binary_variants(2)
+        assert report["counterexample"] == {
+            "kind": "image_mismatch", "map": "remy", "images": 18, "expected": 20
+        }
+
+
+def _variant_ignoring_side(real, x, side):
+    return real(x, bijections.RIGHT)
+
+
+def _variant_marking_the_root(real, x, side):
+    return LeafMarkedTree.from_code(2, real(x, side).code, (0,))
+
+
+BROKEN_VARIANTS = {"remy": _variant_ignoring_side, "third": _variant_marking_the_root}
+
+
+# a fresh interpreter runs the verifier and prints its peak RSS in KiB
+PEAK_RSS = """
+from darygrow import cli, oracle
+
+assert oracle.{call}["pass"]
+print(cli._peak_rss_kib())
+"""
+
+
+@pytest.mark.parametrize("call", ["verify_enlarge_bijection(2, 8)", "verify_binary_variants(8)"])
+def test_verifier_memory_stays_near_the_import(call):
+    # importing takes about 15 MB.  A map from every image to its input
+    # peaks at about 37 MB (bijection) and 47 MB (variants); one count per
+    # tree of size n+1, or one byte per target, stays near the import
+    out = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS.format(call=call)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) / 1024 < 25
 
 
 class TestGammaQ:
