@@ -12,12 +12,17 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import math
 import os
 import sys
 import time
 
-from .errors import DarygrowError, SizeGuardError, UnderpoweredTestError, check_child_slots
+from .errors import (
+    FORCE_HINT,
+    DarygrowError,
+    SizeGuardError,
+    UnderpoweredTestError,
+    check_child_slots,
+)
 from .sampler import COUNTERS, make_kernel
 from .tree import DaryTree
 
@@ -187,6 +192,8 @@ def _print_report(report) -> int:
 def cmd_verify_bijection(args) -> int:
     from . import oracle
 
+    # the largest size costs the most: refuse it before any output
+    oracle.inputs_guard(args.d, args.max_n, args.force)
     status = 0
     for n in range(args.max_n + 1):
         report = oracle.verify_enlarge_bijection(args.d, n, force=args.force)
@@ -209,17 +216,12 @@ def cmd_verify_rotation(args) -> int:
 def cmd_verify_variants(args) -> int:
     from . import oracle
 
+    oracle.variants_guard(args.max_n, args.force)
     status = 0
     for n in range(args.max_n + 1):
         report = oracle.verify_binary_variants(n, force=args.force)
         status |= _print_report(report)
     return status
-
-
-def _log10_comb(a: int, b: int) -> float:
-    """log10 of the binomial C(a, b), from lgamma."""
-    lg = math.lgamma
-    return (lg(a + 1) - lg(b + 1) - lg(a - b + 1)) / math.log(10)
 
 
 def cmd_verify_counts(args) -> int:
@@ -230,7 +232,7 @@ def cmd_verify_counts(args) -> int:
     # largest number checked, may be longer, so the check also stays quick
     limit = sys.get_int_max_str_digits()
     d, m = args.d, args.n + 1
-    digits = 1 + _log10_comb((d - 1) * m + 1, d - 1) + _log10_comb(d * m + 1, m)
+    digits = 1 + oracle.log10_comb((d - 1) * m + 1, d - 1) + oracle.log10_comb(d * m + 1, m)
     if limit and digits > limit:
         raise SizeGuardError(
             f"the counts at d={d}, n={args.n} have about {digits:.0f} digits,"
@@ -387,7 +389,10 @@ def main(argv=None) -> int:
         print(f"underpowered: {exc}", file=sys.stderr)
         return 2
     except SizeGuardError as exc:
-        print(f"size guard: {exc}", file=sys.stderr)
+        # the library's hint names its keyword: a verify command names its
+        # flag instead, and uniform, which has none, names nothing
+        hint = "; pass --force to override" if hasattr(args, "force") else ""
+        print(f"size guard: {str(exc).replace(FORCE_HINT, hint)}", file=sys.stderr)
         return 1
     except MemoryError as exc:
         print(f"out of memory: {exc}", file=sys.stderr)

@@ -45,6 +45,10 @@ class SizeGuardError(DarygrowError, ValueError):
     """An exhaustive enumeration would exceed the configured object budget."""
 
 
+# the end of a refusal that the caller lifts with force=True
+FORCE_HINT = "; pass force=True to override"
+
+
 class UnderpoweredTestError(DarygrowError, ValueError):
     """A statistical test was requested with too few samples per class."""
 

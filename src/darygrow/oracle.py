@@ -16,7 +16,7 @@ from typing import Dict, Iterator, List, NoReturn, Optional, Tuple
 
 from . import bijections
 from ._value import Record
-from .errors import DarygrowError, SizeGuardError, UnderpoweredTestError
+from .errors import FORCE_HINT, DarygrowError, SizeGuardError, UnderpoweredTestError
 from .marks import (
     EdgeMarkedTree,
     LeafMarkedTree,
@@ -34,32 +34,73 @@ from .walks import enumerate_walks
 MAX_OBJECTS = 10_000_000
 
 
-def _guard(objects: int, force: bool) -> None:
-    if objects > MAX_OBJECTS and not force:
-        # str() refuses a count past 4,300 digits: past 64 bits, write the
-        # count as the power of ten its bit length gives
-        bits = objects.bit_length()
-        _refuse(objects if bits <= 64 else f"~10^{int(bits * math.log10(2))}")
+def _guard(
+    d: int, n: int, force: bool, choose: Tuple[int, int] = (0, 0), times: int = 1
+) -> None:
+    """Refuse count_trees(d, n) * C(*choose) * times objects beyond the budget.
+
+    A count more than a decade past the budget by its logarithm is refused
+    unbuilt: count_trees(2, 10**6) alone has 600,000 digits.  The
+    logarithm's rounding is far below a decade, so every count it does not
+    refuse is built and compared exactly, and the sizes admitted are those
+    of the exact comparison.
+    """
+    _check_size(d, n)
+    if force:
+        return
+    top = d * n + 1
+    log10 = log10_comb(top, n) - math.log10(top) + log10_comb(*choose) + math.log10(times)
+    if log10 > math.log10(MAX_OBJECTS) + 1:
+        _refuse(f"~10^{log10:.0f}")
+    objects = count_trees(d, n) * math.comb(*choose) * times
+    if objects > MAX_OBJECTS:
+        _refuse(objects)
 
 
 def _refuse(count) -> NoReturn:
     raise SizeGuardError(
-        f"enumeration of {count} objects exceeds the {MAX_OBJECTS} budget; "
-        "pass force=True to override"
+        f"enumeration of {count} objects exceeds the {MAX_OBJECTS} budget{FORCE_HINT}"
     )
+
+
+def log10_comb(a: int, b: int) -> float:
+    """log10 of the binomial C(a, b), from lgamma; inf past the float range.
+
+    Where b is under a 10^-8 share of a, lgamma(a + 1) - lgamma(a - b + 1)
+    would cancel into rounding noise; b ln a is that difference to within
+    b^2 / a, a 10^-9 share of the result.
+    """
+    b = min(b, a - b)
+    if b <= 0:
+        return 0.0
+    lg = math.lgamma
+    try:
+        falling = lg(a + 1) - lg(a - b + 1) if b * 10**8 > a else b * math.log(a)
+        return (falling - lg(b + 1)) / math.log(10)
+    except OverflowError:
+        return math.inf
+
+
+def _check_size(d: int, n: int) -> None:
+    if d < 2 or n < 0:
+        raise ValueError(f"need d >= 2 and n >= 0, got d={d}, n={n}")
 
 
 def count_trees(d: int, n: int) -> int:
     """Number of d-ary trees with n internal nodes: C(dn+1, n) / (dn+1)."""
-    if d < 2 or n < 0:
-        raise ValueError(f"need d >= 2 and n >= 0, got d={d}, n={n}")
+    _check_size(d, n)
     top = d * n + 1
     return math.comb(top, n) // top
 
 
 def mark_set_count(d: int, n: int) -> int:
     """Number of (d-1)-subsets of the size-(dn+d-1) edge and bud universe."""
-    return math.comb(d * n + d - 1, d - 1)
+    return math.comb(*_marks(d, n))
+
+
+def _marks(d: int, n: int) -> Tuple[int, int]:
+    """The universe size and the marks: their binomial is mark_set_count."""
+    return d * n + d - 1, d - 1
 
 
 def growth_identity_holds(d: int, n: int) -> bool:
@@ -83,7 +124,7 @@ def enumerate_codes(d: int, n: int, force: bool = False) -> Iterator[Tuple[int, 
     another slot stays open, else an internal node.  A completion always
     exists, so nothing backtracks.
     """
-    _guard(count_trees(d, n), force)
+    _guard(d, n, force)
     size = d * n + 1
     block = [d] + [0] * (d - 1)
     code = block * n + [0]
@@ -105,7 +146,7 @@ def enumerate_codes(d: int, n: int, force: bool = False) -> Iterator[Tuple[int, 
 
 def enumerate_trees(d: int, n: int, force: bool = False) -> List[DaryTree]:
     """All d-ary trees with n internal nodes, in preorder-code order."""
-    _guard(count_trees(d, n) * (d * n + 1), force)  # the list's code symbols
+    _guard(d, n, force, times=d * n + 1)  # the list's code symbols
     return [DaryTree.from_preorder_code(d, c) for c in enumerate_codes(d, n, force)]
 
 
@@ -117,7 +158,7 @@ def enumerate_marked_trees(
     Within a tree, mark sets come in lexicographic order over the universe
     b_0 .. b_{d-2}, then the edges in preorder.
     """
-    _guard(count_trees(d, n) * mark_set_count(d, n), force)
+    _guard(d, n, force, _marks(d, n))
     of_code = EdgeMarkedTree.from_code
     for code in enumerate_codes(d, n, force):
         # bud b is the number b - (d - 1) < 0, an edge its position > 0
@@ -132,9 +173,16 @@ def enumerate_inputs(
     d: int, n: int, force: bool = False
 ) -> List[Tuple[EdgeMarkedTree, int]]:
     """Every (edge-marked tree, letter) pair of size n, exactly once."""
-    _guard(count_trees(d, n) * mark_set_count(d, n) * d, force)
+    inputs_guard(d, n, force)
     marked = enumerate_marked_trees(d, n, force=force)
     return [(x, a) for x in marked for a in range(1, d + 1)]
+
+
+def inputs_guard(d: int, n: int, force: bool = False) -> None:
+    """Refuse the (edge-marked tree, letter) inputs of size n beyond the
+    budget: what :func:`enumerate_inputs` lists and
+    :func:`verify_enlarge_bijection` certifies."""
+    _guard(d, n, force, _marks(d, n), d)
 
 
 def enumerate_leaf_marked(
@@ -142,7 +190,7 @@ def enumerate_leaf_marked(
 ) -> Iterator[LeafMarkedTree]:
     """All size-n trees with m marked leaves."""
     leaves = (d - 1) * n + 1
-    _guard(count_trees(d, n) * math.comb(leaves, m), force)
+    _guard(d, n, force, (leaves, m))
     for code in enumerate_codes(d, n, force):
         for chosen in combinations([p for p, sym in enumerate(code) if not sym], m):
             yield LeafMarkedTree.from_code(d, code, chosen)
@@ -178,7 +226,7 @@ def verify_enlarge_bijection(d: int, n: int, force: bool = False) -> dict:
     its forest rotated by every letter.  ``inputs`` counts the inputs
     checked, the failing one included.
     """
-    _guard(count_trees(d, n) * mark_set_count(d, n) * d, force)
+    inputs_guard(d, n, force)
     params = {"d": d, "n": n}
     expected_mult = math.comb((d - 1) * (n + 1) + 1, d - 1)
     report = {
@@ -244,9 +292,8 @@ def rotation_guard(m: int, max_increment: int, force: bool = False) -> None:
     """Refuse :func:`verify_rotation_lemma` beyond the budget: it enumerates
     (max_increment + 2)^m increment tuples to find the walks of length m."""
     base = max(max_increment + 2, 0)  # the increments -1 .. max_increment
-    if m < 24 or base < 2:
-        _guard(base ** m, force)
-    elif not force:  # 2^24 passes the budget already: the power is not built
+    # 2^24 passes the budget already: past m = 23 the power is not built
+    if not force and base >= 2 and (m >= 24 or base**m > MAX_OBJECTS):
         _refuse(f"{base}^{m}")
 
 
@@ -300,6 +347,12 @@ def verify_rotation_lemma(m: int, max_increment: int, force: bool = False) -> di
     return report
 
 
+def variants_guard(n: int, force: bool = False) -> None:
+    """Refuse :func:`verify_binary_variants` beyond the budget: it hits the
+    single-leaf-marked binary trees of size n + 1, one per input of a map."""
+    _guard(2, n + 1, force, times=n + 2)
+
+
 def verify_binary_variants(n: int, force: bool = False) -> dict:
     """Certify both binary growth maps at one size and hunt for a witness.
 
@@ -312,9 +365,9 @@ def verify_binary_variants(n: int, force: bool = False) -> dict:
     (the general one and the two variants) give three pairwise different
     outputs.
     """
+    variants_guard(n, force)
     # as many inputs as targets: 2 (2n+1) C_n = (n+2) C_{n+1}
     targets = count_trees(2, n + 1) * (n + 2)
-    _guard(targets, force)
     report = {
         "check": "binary_variants",
         "params": {"n": n},
@@ -445,8 +498,8 @@ def chi_square_uniformity(
     bins the final shapes by ``tree.shape_key``, and compares against equal
     class masses.  Needs at least 10 samples per class.
     """
+    _guard(d, n, force)
     classes = count_trees(d, n)
-    _guard(classes, force)
     if samples < 10 * classes:
         raise UnderpoweredTestError(
             f"{samples} samples for {classes} classes; need at least {10 * classes}"

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from darygrow import _growth_py, cli, oracle
 from darygrow.bijections import reduce as reduce_map
 from darygrow.marks import edge_marked_to_obj, leaf_marked_from_obj
-from darygrow.sampler import COUNTERS
+from darygrow.sampler import COUNTERS, kernel_name
 from darygrow.tree import DaryTree
 
 
@@ -377,6 +377,117 @@ def test_grow_fuzz(argv, capsys, deadline):
 
 
 # ----------------------------------------------------------------------
+# every command: sizes the guards refuse, sizes that run in well under a
+# second, and malformed input files, each ends in exit 0, 1 or 2
+
+BIG = 10**12
+# one chain per uniform sample: about 0.5 us on the compiled kernel, 50 us
+# on the Python one
+SAMPLES = 10**5 if kernel_name() == "c" else 10**4
+# trace and export inputs: malformed, deeply nested, non-ASCII, a few MB,
+# and a few valid ones
+FILES = [
+    b"[" * 100_000,
+    b'{"d": ' * 50_000,
+    '{"d": 2, "code": "2 0 0", "marks": [{"bud": 0}], "n\u00e9": 1}'.encode(),
+    "2 0 0 \u00e9".encode(),
+    b"2 " * 1_500_000,
+    b"[" + b"0," * 1_500_000 + b"0]",
+    json.dumps({"d": 2, "code": "2 " * 1_000_000, "marks": []}).encode(),
+    json.dumps({"d": 3, "code": "0", "marks": [{"bud": 0}, {"bud": 1}]}).encode(),
+    *(json.dumps(edge_marked_to_obj(x)).encode() for x in oracle.enumerate_marked_trees(2, 2)),
+    b"0",
+    b"3 0 2 0 0 0 0",
+]
+
+
+def sizes(admitted, *refused):
+    """Integer tuples: ``admitted`` runs at once, each of ``refused`` is
+    past a guard."""
+    def box(ranges, runs):
+        return st.tuples(*(st.integers(lo, hi) for lo, hi in ranges)).map(lambda t: (runs, t))
+
+    return st.one_of(box(admitted, True), *(box(r, False) for r in refused))
+
+
+@st.composite
+def any_argv(draw):
+    command = draw(
+        st.sampled_from(
+            ["grow", "bijection", "rotation", "variants", "counts", "uniform", "trace", "export"]
+        )
+    )
+    if command in ("trace", "export"):
+        argv = [command, "--input", "INPUT"]
+        if command == "trace":
+            argv += ["--letter", str(draw(st.one_of(st.integers(1, 3), st.integers(-3, BIG))))]
+        if draw(st.booleans()):
+            argv += ["--d", str(draw(st.integers(-1, BIG)))]
+        return argv, draw(st.one_of(st.sampled_from(FILES), st.binary(max_size=64)))
+    if command == "grow":
+        # d (d n + 1) past int32 is refused: n >= 2^29, or d >= 46341
+        admitted, (d, n) = draw(
+            sizes([(-1, 6), (-1, 10**4)], [(2, BIG), (2**29, BIG)], [(46_341, BIG), (1, BIG)])
+        )
+        argv = ["grow", "--d", str(d), "--n", str(n)]
+        argv += ["--format", draw(st.sampled_from(["code", "paren", "dot", "json"]))]
+    elif command == "bijection":
+        # past the budget: n >= 12 at every d, or more than 10^7 letters
+        admitted, (d, n) = draw(
+            sizes([(-1, 3), (-1, 3)], [(2, BIG), (12, BIG)], [(10**7 + 1, BIG), (0, BIG)])
+        )
+        argv = ["verify", "bijection", "--d", str(d), "--max-n", str(n)]
+    elif command == "rotation":
+        # past the budget: m >= 24 at every cap, or more than 10^7 increments
+        admitted, (m, inc) = draw(
+            sizes([(-1, 6), (-1, 3)], [(24, BIG), (0, BIG)], [(1, BIG), (10**7, BIG)])
+        )
+        argv = ["verify", "rotation", "--m", str(m), "--max-inc", str(inc)]
+    elif command == "variants":
+        # past the budget from n = 12 on
+        admitted, (n,) = draw(sizes([(-1, 5)], [(12, BIG)]))
+        argv = ["verify", "variants", "--max-n", str(n)]
+    elif command == "counts":
+        # n >= 16: more codes than the budget, so the count is not enumerated
+        admitted, (d, n) = draw(sizes([(-1, 4), (-1, 6)], [(2, BIG), (16, BIG)]))
+        argv = ["verify", "counts", "--d", str(d), "--n", str(n)]
+    else:
+        # from n = 5 on, at most 10 samples are too few for the classes
+        admitted, (d, n, samples) = draw(
+            sizes(
+                [(-1, 3), (-1, 4), (-1, SAMPLES)],
+                [(2, BIG), (16, BIG), (0, BIG)],
+                [(2, BIG), (5, 15), (0, 10)],
+            )
+        )
+        argv = ["uniform", "--d", str(d), "--n", str(n), "--samples", str(samples)]
+        argv += ["--seed", str(draw(st.integers(-(2**70), 2**70)))]
+        if draw(st.booleans()):
+            argv += ["--alpha", repr(draw(st.floats()))]
+    if admitted and argv[0] == "verify" and draw(st.booleans()):
+        argv.append("--force")
+    return argv, None
+
+
+@given(case=any_argv())
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+def test_every_command_fuzz(case, tmp_path, capsys, deadline):
+    argv, content = case
+    if content is not None:
+        path = tmp_path / "input"
+        path.write_bytes(content)
+        argv = [str(path) if a == "INPUT" else a for a in argv]
+    with deadline(3):
+        code, _, err = run_cli(argv, capsys)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+# ----------------------------------------------------------------------
 # paren format: parse it back and compare against the code format
 
 
@@ -538,18 +649,51 @@ def test_rotation_size_guard():
         ["uniform", "--d", "2", "--n", "10000", "--samples", "1000", "--seed", "0"],
         ["verify", "rotation", "--m", "1000000", "--max-inc", "3"],
         ["verify", "rotation", "--m", "100000000", "--max-inc", "3"],
+        ["uniform", "--d", "2", "--n", "1000000", "--samples", "1", "--seed", "0"],
+        ["verify", "bijection", "--d", "2", "--max-n", "1000000000000"],
+        ["verify", "variants", "--max-n", "12"],
+        ["verify", "counts", "--d", str(10**400), "--n", "1"],
     ],
-    ids=["uniform-classes", "rotation-10^6", "rotation-10^8"],
+    ids=[
+        "uniform-classes",
+        "rotation-10^6",
+        "rotation-10^8",
+        "uniform-10^6",
+        "bijection-10^12",
+        "variants-12",
+        "counts-d-10^400",
+    ],
 )
 def test_guard_count_too_long_to_write_is_one_line(argv, capsys, deadline):
     # the counts pass 4,300 digits, which str() refuses to write, and the
-    # rotation guard's power would take seconds to build, or run on
+    # rotation guard's power would take seconds to build, or run on.  A
+    # count a decade past the budget is refused from its logarithm, unbuilt,
+    # and a verify command refuses its largest size before any output
     with deadline(1):
         code, out, err = run_cli(argv, capsys)
     assert code == 1
     assert out == "" and "Traceback" not in err
     lines = [line for line in err.splitlines() if not line.startswith("effective seed")]
     assert len(lines) == 1 and lines[0].startswith("size guard: ")
+
+
+@pytest.mark.parametrize(
+    "argv,hint",
+    [
+        (["verify", "rotation", "--m", "30"], "; pass --force to override"),
+        (["verify", "bijection", "--d", "3", "--max-n", "9"], "; pass --force to override"),
+        (["verify", "variants", "--max-n", "20"], "; pass --force to override"),
+        (["uniform", "--d", "3", "--n", "20", "--samples", "10", "--seed", "0"], " budget"),
+    ],
+    ids=["rotation", "bijection", "variants", "uniform"],
+)
+def test_refusal_names_the_command_line_override(argv, hint, capsys):
+    # the library's hint is force=True; verify's flag is --force, and
+    # uniform has no override at all
+    code, _, err = run_cli(argv, capsys)
+    assert code == 1
+    assert err.splitlines()[-1].endswith(hint)
+    assert "force=True" not in err
 
 
 @pytest.mark.parametrize("args", [["--m", "0"], ["--m", "-2"], ["--m", "4", "--max-inc", "-3"]])

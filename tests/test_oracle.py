@@ -86,6 +86,60 @@ class TestEnumeration:
             with pytest.raises(SizeGuardError):
                 oracle.enumerate_trees(3, 10)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: oracle.enumerate_trees(2, 10**6),
+            lambda: oracle.verify_enlarge_bijection(2, 10**6),
+            lambda: next(oracle.enumerate_marked_trees(10**7, 1)),
+            lambda: oracle.chi_square_uniformity(2, 10**6, samples=1, seed=0),
+        ],
+        ids=["trees", "bijection", "mark-sets", "chi-square"],
+    )
+    def test_guard_refuses_before_it_counts(self, call, deadline):
+        # count_trees(2, 10**6) has 600,000 digits, and the mark sets of
+        # d = 10^7 about 6*10^6: their logarithms refuse them unbuilt
+        with deadline(1):
+            with pytest.raises(SizeGuardError, match=r"of ~10\^\d+ objects"):
+                call()
+
+    def test_guard_admits_what_the_exact_count_admits(self):
+        # the logarithm decides only counts a decade past the budget; near
+        # it the exact count does, so the sizes admitted stay the same
+        def refused(*args, **kwargs):
+            try:
+                oracle._guard(*args, **kwargs)
+            except SizeGuardError:
+                return True
+            return False
+
+        budget = oracle.MAX_OBJECTS
+        for d in [*range(2, 13), 40, 300, 1000, 10**6, 10**7, 10**7 + 1]:
+            for n in range(30):
+                trees = oracle.count_trees(d, n)
+                if trees > 10**30:
+                    break
+                assert refused(d, n, False) == (trees > budget), (d, n)
+                symbols = trees * (d * n + 1)
+                assert refused(d, n, False, times=d * n + 1) == (symbols > budget), (d, n)
+                marks = (d * n + d - 1, d - 1)
+                if oracle.log10_comb(*marks) < 30:
+                    inputs = trees * oracle.mark_set_count(d, n) * d
+                    assert refused(d, n, False, marks, d) == (inputs > budget), (d, n)
+                assert not refused(d, n, True, marks, d)
+
+    @pytest.mark.parametrize(
+        "a", [0, 1, 2, 7, 40, 1000, 10**5, 10**9, 10**15, 10**30, 10**200]
+    )
+    def test_log10_comb(self, a):
+        # lgamma where the three terms are comparable; b ln a where b is so
+        # small beside a that their difference would cancel
+        for b in {0, 1, 2, 3, 17, 200, a // 3, a // 2, a - 1, a}:
+            if 0 <= b <= a and min(b, a - b) <= 200:
+                exact = math.log10(math.comb(a, b))
+                assert oracle.log10_comb(a, b) == pytest.approx(exact, rel=1e-6, abs=1e-9)
+        assert oracle.log10_comb(10**400, 10**399) == math.inf  # past the float range
+
     def test_enumerate_inputs_counts(self):
         assert len(oracle.enumerate_inputs(3, 0)) == 3
         assert len(oracle.enumerate_inputs(2, 1)) == 6
@@ -349,6 +403,12 @@ class TestChiSquare:
     def test_underpowered_rejected(self):
         with pytest.raises(UnderpoweredTestError):
             oracle.chi_square_uniformity(3, 4, samples=100, seed=1)
+
+    def test_underpowered_at_the_largest_admitted_class_count(self):
+        # Catalan(15) = 9,694,845 fits the budget: the exact count admits
+        # it, and ten samples are then too few
+        with pytest.raises(UnderpoweredTestError, match="9694845 classes"):
+            oracle.chi_square_uniformity(2, 15, 10, 0)
 
     def test_honest_run_passes(self):
         report = oracle.chi_square_uniformity(3, 3, samples=2000, seed=5)
