@@ -14,9 +14,10 @@ built from three stages:
 * ``add_root`` hangs the d forest positions under a fresh root.
 
 Every map works on preorder codes (see ``marks``) and builds new values.
-The subtree at position p is the slice of the code that ends where the
-Łukasiewicz walk first drops below its value at p, and lex order on words
-is preorder order; detaching, grafting and hanging subtrees are splices.
+The subtree at position p is the shortest slice ``code[p:p+L]`` with
+L = d·k + 1 for its k internal nodes; ``tree._end`` finds it by counting
+a window at a time, with no walk built.  Lex order on words is preorder
+order; detaching, grafting and hanging subtrees are splices.
 For the amortized O(1) growth loop see the kernel modules; this module is
 the reference semantics those kernels are tested against.
 """
@@ -79,8 +80,7 @@ def cut(x: EdgeMarkedTree, a: int, details: Optional[list] = None):
         raise MarkCountError(problems[0])
     d = x.d
     code = x.code
-    walk = _walk(d, code)
-    spans = [(0, len(code))] + [(p, _end(walk, p)) for p in x.edges]
+    spans = [(0, len(code))] + [(p, _end(d, code, p)) for p in x.edges]
     free = [j for j in range(d) if j not in x.buds]  # buds checked above
 
     slots: List[LeafMarkedTree] = [None] * d  # type: ignore[list-item]
@@ -189,13 +189,13 @@ def add_root_inv(t: LeafMarkedTree) -> MarkedForest:
     if len(code) == 1:
         raise RootSurgeryError("single-node tree has no root to remove")
     d = t.d
-    find = _walk(d, code).index
     marks = t.leaves  # sorted: each child's marks follow the previous child's
     parts = []
     s, lo = 1, bisect_left(marks, 1)
-    # child i starts at walk value d - 1 - i and ends at the next d - 2 - i
-    for low in range(d - 2, -2, -1):
-        e = find(low, s + 1)
+    # each child starts where the one before it ends, and the last one
+    # ends with the tree
+    for i in range(1, d + 1):
+        e = _end(d, code, s) if i < d else len(code)
         hi = bisect_left(marks, e, lo)
         leaves = tuple([p - s for p in marks[lo:hi]]) if hi > lo else ()
         parts.append(LeafMarkedTree.from_code(d, code[s:e], leaves))
@@ -275,7 +275,7 @@ def remy_enlarge(x: EdgeMarkedTree, a: str) -> LeafMarkedTree:
         u, e = 0, len(code)  # the bud stands for the edge above the root
     else:
         u = x.edges[0]
-        e = _end(_walk(2, code), u)
+        e = _end(2, code, u)
     if a == RIGHT:
         middle, marked = (2,) + code[u:e] + (0,), e + 1
     else:
@@ -295,12 +295,12 @@ def third_enlarge(x: EdgeMarkedTree, a: str) -> LeafMarkedTree:
     if x.buds:
         return remy_enlarge(x, a)
     code = x.code
-    walk = _walk(2, code)
     u = x.edges[0]
-    e = _end(walk, u)
+    e = _end(2, code, u)
     # the parent is the last node before u whose walk value is not above u's
+    walk = _walk(2, code[:u])
     p = next(i for i in range(u - 1, -1, -1) if walk[i] <= walk[u])
-    p_end = _end(walk, p)
+    p_end = _end(2, code, p)
     sub = code[u:e]
     rest = code[p:u] + (0,) + code[e:p_end]  # p's subtree, u left as a leaf
     if a == RIGHT:

@@ -18,9 +18,12 @@ Edges are identified with their child node throughout the package, so "the
 edge at u" means the edge between ``u`` and its parent; the root names no
 edge.
 
-The subtree at position p is the slice of the code that ends where the
-Łukasiewicz walk (the running sum of symbol - 1) first drops below its
-value at p.
+The subtree at position p is the shortest slice ``code[p:p+L]`` with
+L = d·k + 1, where k counts the internal nodes in the slice; :func:`_end`
+finds it with ``tuple.count``, a window at a time, and no per-symbol
+Python.  Equivalently, it ends where the Łukasiewicz walk (the running sum
+of symbol - 1) first drops below its value at p; :func:`_walk` builds that
+walk, the definition the tests compare :func:`_end` against.
 """
 
 from __future__ import annotations
@@ -135,9 +138,30 @@ def _walk(d: int, code: Sequence[int]) -> List[int]:
     return list(accumulate(map(steps.__getitem__, code), initial=0))
 
 
-def _end(walk: List[int], p: int) -> int:
-    """One past the last position of the subtree at position ``p``."""
-    return walk.index(walk[p] - 1, p + 1)
+def _end(d: int, code: Sequence[int], p: int) -> int:
+    """One past the last position of the subtree at position ``p``.
+
+    Let k(L) count the internal nodes in ``code[p:p+L]`` and f(L) =
+    d·k(L) + 1.  A slice of L nodes with k internal ones leaves f(L) - L
+    nodes owed, so the subtree at p is the shortest slice with f(L) = L,
+    and every shorter one has f(L) > L.  f never decreases as L grows.  So
+    from L = 1 the iteration L <- f(L) climbs while L is short of the end,
+    and cannot pass it: L <= end gives f(L) <= f(end) = end.  It stops at
+    the first fixed point, the end.  Each round counts only the newly
+    covered window, at C speed: its length less its zeros.  Zeros, not
+    ``d`` symbols, because most nodes are leaves and ``0`` is one shared
+    object, which ``tuple.count`` matches by identity before comparing.
+
+    Any symbol other than 0 counts as internal.  Where the code runs out
+    first, the result is d·K + 1 > len(code) past p, with K the nonzero
+    symbols from p on.
+    """
+    k, seen, stop = 0, p, p + 1
+    while seen < stop:
+        window = code[seen:stop]
+        k += len(window) - window.count(0)
+        seen, stop = stop, p + d * k + 1
+    return stop
 
 
 class DaryTree:
@@ -357,25 +381,23 @@ def _check_code(d: int, code: Tuple[int, ...]) -> None:
     """Raise MalformedCodeError unless ``code`` is the preorder code of a
     d-ary tree.  The error names the first position at which reading the
     code symbol by symbol goes wrong."""
-    try:
-        walk, bad = _walk(d, code), len(code)
-    except KeyError:
+    size = len(code)
+    if code.count(d) + code.count(0) == size:
+        bad = size
+    else:
         bad = next(i for i, s in enumerate(code) if s != 0 and s != d)
-        walk = _walk(d, code[:bad])
-    # a step is -1 or d-1 >= 1, so the walk first drops below 0 at -1,
-    # where the tree is complete
-    try:
-        done = walk.index(-1)
-    except ValueError:
-        done = len(code) + 1
-    if done < len(code):
-        raise MalformedCodeError(f"trailing symbol at position {done}")
-    if bad < len(code):
+    # _end reads no further than the end it returns, so an end up to
+    # ``bad`` is the end of the valid prefix, and no prefix before ``bad``
+    # is complete when the end lies past it
+    end = _end(d, code, 0)
+    if end < size and end <= bad:
+        raise MalformedCodeError(f"trailing symbol at position {end}")
+    if bad < size:
         raise MalformedCodeError(
             f"symbol {code[bad]} at position {bad} is neither 0 nor {d}"
         )
-    if done > len(code):
-        raise MalformedCodeError(f"code ended with {walk[-1] + 1} nodes pending")
+    if end > size:
+        raise MalformedCodeError(f"code ended with {end - size} nodes pending")
 
 
 def new_root_tree(d: int) -> DaryTree:

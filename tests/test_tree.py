@@ -185,6 +185,14 @@ class TestPreorderCode:
             (2, [2, 1, 0, 0, 0], "symbol 1 at position 1 is neither 0 nor 2"),
             (2, [2, 0, 5], "symbol 5 at position 2 is neither 0 nor 2"),
             (10**9, [10**9, 0], "code ended with 999999999 nodes pending"),
+            # an unhashable symbol is a bad symbol like any other
+            (2, [[1]], r"symbol \[1\] at position 0 is neither 0 nor 2"),
+            (2, [2, 0, [0]], r"symbol \[0\] at position 2 is neither 0 nor 2"),
+            # a bad symbol after a complete prefix is a trailing symbol
+            (2, [0, 7], "trailing symbol at position 1"),
+            (2, [2, 0, 0, 7], "trailing symbol at position 3"),
+            # read as a node, the bad symbol would close a prefix at 5
+            (2, [2, 0, 1, 0, 0, 0], "symbol 1 at position 2 is neither 0 nor 2"),
         ],
     )
     def test_malformed_code_messages(self, d, code, message):
@@ -201,13 +209,45 @@ class TestPreorderCode:
         assert back.to_preorder_code() == t.to_preorder_code()
 
 
+def comb(d, n, last):
+    """The code of a comb of n internal nodes: each internal node's first
+    (``last`` False) or last (``last`` True) child is internal."""
+    if last:
+        return ([d] + [0] * (d - 1)) * n + [0]
+    return [d] * n + [0] * ((d - 1) * n + 1)
+
+
+def walk_ends(d, code):
+    """Every subtree end by its definition: where the walk first drops
+    below its value at p."""
+    walk = _walk(d, code)
+    return [walk.index(walk[p] - 1, p + 1) for p in range(len(code))]
+
+
+class TestSubtreeEnd:
+    """``_end`` counts internal nodes; the walk defines where a subtree ends."""
+
+    @given(st.sampled_from([2, 3, 5, 12, 300]), st.integers(0, 30), st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_walk_on_random_trees(self, d, n, seed):
+        code = grown(d, n, seed).code
+        assert [_end(d, code, p) for p in range(len(code))] == walk_ends(d, code)
+
+    @pytest.mark.parametrize("last", [False, True], ids=["left", "right"])
+    @pytest.mark.parametrize("d", [2, 3, 5, 12, 300])
+    def test_matches_the_walk_on_combs(self, d, last):
+        code = tuple(comb(d, 40, last))
+        DaryTree(d, code)  # a well-formed code
+        assert [_end(d, code, p) for p in range(len(code))] == walk_ends(d, code)
+
+
 class TestSurgery:
-    """Subtree surgery on codes: the subtree at u is ``code[u:_end(walk, u)]``."""
+    """Subtree surgery on codes: the subtree at u is ``code[u:_end(d, code, u)]``."""
 
     def test_detach_keeps_stub_leaf(self):
         t = grown(2, 5, seed=11)
         u = t.node_at((1,))
-        e = _end(_walk(2, t.code), u)
+        e = _end(2, t.code, u)
         rest = DaryTree(2, t.code[:u] + (0,) + t.code[e:])
         sub = DaryTree(2, t.code[u:e])
         assert rest.is_leaf(u)
@@ -216,7 +256,7 @@ class TestSurgery:
     def test_graft_restores(self):
         t = grown(3, 6, seed=3)
         u = t.node_at((2,))
-        e = _end(_walk(3, t.code), u)
+        e = _end(3, t.code, u)
         rest, sub = t.code[:u] + (0,) + t.code[e:], t.code[u:e]
         assert DaryTree(3, rest[:u] + sub + rest[u + 1 :]) == t
 
