@@ -57,6 +57,7 @@ _SIGNATURES = {
     "dg_step_with": (c_int, [c_void_p, ctypes.POINTER(c_int64), c_int64]),
     "dg_edge_word": (c_int64, [c_void_p, c_int64, ctypes.POINTER(c_int32), c_int64]),
     "dg_height": (c_int64, [c_void_p]),
+    "dg_check_jumps": (c_int64, [c_void_p]),
     "dg_code": (c_int64, [c_void_p, c_char_p]),
     "dg_paren_text": (c_int64, [c_void_p, c_char_p]),
     "dg_histogram": (c_int64, [c_void_p, c_int64, c_int64]),

@@ -10,14 +10,30 @@
  *
  * The lex phase orders a step's marked edges by root word, and it is the
  * only per-step cost that is not O(d).  It never builds a word.  At d >= 3
- * every internal node keeps a jump to its 4th ancestor, so an edge's depth
- * costs a quarter of its parent steps (two edges walk side by side), and
- * two edges compare by climbing in lockstep to where their paths part,
- * whose two links decide.  A merge sort orders the edges, and the letters
- * the spec's insertion sort compares are replayed from the common prefixes
- * of neighbours in the result.  A step moves whole subtrees under the new
- * root, so only jumps of nodes at most 4 deep under it change, and apply
- * rewrites just those.
+ * every internal node keeps a jump to its J-th ancestor, so an edge's depth
+ * costs 1/J of its parent steps (two edges walk side by side), and two
+ * edges compare by climbing in lockstep to where their paths part, whose
+ * two links decide.  A merge sort orders the edges, and the letters the
+ * spec's insertion sort compares are replayed from the common prefixes of
+ * neighbours in the result.
+ *
+ * A node less than J deep has no J-th ancestor yet.  Its jump holds the
+ * jump index its J-th ancestor will have, n + J - depth: the root added
+ * J - depth steps from now.  A step hangs the old tree one level lower
+ * under a new root, so n and the depth of every node it keeps grow by one
+ * and the value stays right; once such a node is J deep, the value is n,
+ * the root's jump index, its J-th ancestor.  A jump is therefore a real
+ * ancestor exactly when it is at most n, and a shallower node's depth is
+ * n + J - jump.  A step writes only the new root and, in each cut subtree,
+ * the internal nodes at most J deep under the new root; below that their
+ * J nearest ancestors are in the subtree, which the step kept whole.  The
+ * old tree is never visited.
+ *
+ * Short chains skip even that.  While n <= J no internal node is J deep (a
+ * node's depth is below the count of internal nodes), so every jump written
+ * at a new root, n + J then, is above n, and none is read as an ancestor.
+ * Those steps write only the new root, and depths are climbed by parent
+ * steps; the step to n = J + 1 writes every jump in one walk of the tree.
  *
  * At d = 2 a step is one random link read and one dependent child write,
  * so the loop is software-pipelined: steps are drawn 16 ahead and their
@@ -93,8 +109,9 @@ typedef struct {
     /* arena: ids 0 .. d*n live, room for cap ids and cap child slots */
     int64_t cap;
     int32_t *up, *child;
-    /* d >= 3: internal node u's 4th ancestor w as jump[u / d] = w / d, -1
-     * when u is less than 4 deep */
+    /* d >= 3: internal node u's J-th ancestor w as jump[u / d] = w / d, or
+     * n + J - depth(u) > n when u is less than J deep; while n <= J, only
+     * known to be above n */
     int32_t *jump;
     /* per-step scratch, d entries each, allocated by the first step */
     int64_t *rk, *edges, *pos, *depth, *leaf, *order, *lcp, *aux, *aux_lcp;
@@ -102,6 +119,9 @@ typedef struct {
 } dg_kernel;
 
 enum { SCRATCH = 9 }; /* the scratch arrays above, rk first */
+
+/* The jump distance: internal nodes keep their J-th ancestor. */
+enum { J = 8 };
 
 static double now(void)
 {
@@ -262,12 +282,15 @@ static inline int64_t parent_index(const dg_kernel *k, int64_t u)
     return jump_index(k->up[u], k->div_mul) + 1;
 }
 
-/* h plus the depth of the internal node with jump index x: jumps, then at
- * most three parent steps. */
+/* h plus the depth of the internal node with jump index x: jumps while they
+ * are ancestors, then the last node's depth read off its jump, or climbed by
+ * parent steps while n <= J. */
 static inline int64_t depth_from(const dg_kernel *k, int64_t x, int64_t h)
 {
-    for (; k->jump[x] >= 0; x = k->jump[x])
-        h += 4;
+    for (; k->jump[x] <= k->n; x = k->jump[x])
+        h += J;
+    if (k->n > J)
+        return h + k->n + J - k->jump[x];
     for (; k->up[x * k->d] >= 0; x = parent_index(k, x * k->d))
         h++;
     return h;
@@ -277,7 +300,7 @@ static inline int64_t depth_from(const dg_kernel *k, int64_t x, int64_t h)
 static inline int64_t lift(const dg_kernel *k, int64_t u, int64_t leaf, int64_t by)
 {
     int64_t x = leaf ? parent_index(k, u) : jump_index(u, k->div_mul);
-    for (by -= leaf; by >= 4; by -= 4)
+    for (by -= leaf; by >= J; by -= J)
         x = k->jump[x];
     for (; by > 0; by--)
         x = parent_index(k, x * k->d);
@@ -290,9 +313,9 @@ static inline int64_t lift(const dg_kernel *k, int64_t u, int64_t leaf, int64_t 
  * the depth of the two nodes' lowest common ancestor.  The deeper node is
  * lifted to the other's depth; if it lands on the other, that one is its
  * ancestor and has the shorter word, a prefix.  Otherwise both climb in
- * lockstep, kept as jump indices, by jumps while their 4th ancestors differ
- * and then by parent steps, to the two children of their common ancestor,
- * whose links decide.
+ * lockstep, kept as jump indices, by jumps while they are at least J deep
+ * and their J-th ancestors differ, and then by parent steps, to the two
+ * children of their common ancestor, whose links decide.
  */
 static int cmp_edges(const dg_kernel *k, int64_t i, int64_t j, int64_t *lcp)
 {
@@ -319,8 +342,8 @@ static int cmp_edges(const dg_kernel *k, int64_t i, int64_t j, int64_t *lcp)
         xa = jump_index(a, k->div_mul);
         xb = jump_index(b, k->div_mul);
     }
-    for (; jump[xa] != jump[xb]; xa = jump[xa], xb = jump[xb])
-        h -= 4;
+    for (; h >= J && jump[xa] != jump[xb]; xa = jump[xa], xb = jump[xb])
+        h -= J;
     for (; (pa = parent_index(k, xa * d)) != (pb = parent_index(k, xb * d)); xa = pa, xb = pb)
         h--;
     *lcp = h - 1;
@@ -423,8 +446,8 @@ static void sort_edges_desc(dg_kernel *k, int64_t ne)
         }
         b = leaf[i + 1] ? parent_index(k, edges[i + 1]) : jump_index(edges[i + 1], k->div_mul);
         hb = leaf[i + 1];
-        for (; k->jump[a] >= 0 && k->jump[b] >= 0; a = k->jump[a], b = k->jump[b])
-            ha += 4, hb += 4;
+        for (; k->jump[a] <= k->n && k->jump[b] <= k->n; a = k->jump[a], b = k->jump[b])
+            ha += J, hb += J;
         depth[i] = depth_from(k, a, ha);
         depth[i + 1] = depth_from(k, b, hb);
     }
@@ -451,18 +474,53 @@ static void sort_edges_desc(dg_kernel *k, int64_t ne)
         edges[i] = aux[i];
 }
 
-/* The jump entries of the internal nodes below u, which is h deep under the
- * new root with jump index top: top at depth 4, none above it. */
-static void set_jumps(dg_kernel *k, int64_t u, int64_t h, int32_t top)
+/* The jump entries of internal node u, h >= 1 deep under the root, and of
+ * the internal nodes below it at most J deep: n + J - depth. */
+static void set_jumps(dg_kernel *k, int64_t u, int64_t h)
 {
     int64_t d = k->d, j, c;
-    for (j = u - d; j < u; j++) {
-        c = k->child[j];
-        if (is_leaf(c, k->div_mul))
-            continue;
-        k->jump[jump_index(c, k->div_mul)] = h == 3 ? top : -1;
-        if (h < 3)
-            set_jumps(k, c, h + 1, top);
+    k->jump[jump_index(u, k->div_mul)] = (int32_t)(k->n + J - h);
+    if (h < J)
+        for (j = u - d; j < u; j++)
+            if (!is_leaf(c = k->child[j], k->div_mul))
+                set_jumps(k, c, h + 1);
+}
+
+/*
+ * One preorder walk over the internal nodes, each with the jump it should
+ * hold: n + J - h when it is h < J deep, else the node J parent steps up.
+ * `fix` writes every jump; otherwise the walk returns the first jump index
+ * whose jump differs, or, while n <= J, is not above n (the jumps read
+ * then), and -1 when there is none.  It keeps no stack: after a node comes
+ * its first internal child, else the next internal sibling of it or of its
+ * nearest ancestor that has one, found through the links.
+ */
+static int64_t walk_jumps(dg_kernel *k, int fix)
+{
+    int64_t d = k->d, n = k->n, root = d * n, u = root, h = 0, x, want, end, j, w, i;
+    for (;;) {
+        x = jump_index(u, k->div_mul);
+        want = n + J - h;
+        if (h >= J) {
+            for (w = u, i = 0; i < J; i++)
+                w = parent_index(k, w) * d;
+            want = jump_index(w, k->div_mul);
+        }
+        if (fix)
+            k->jump[x] = (int32_t)want;
+        else if (n > J ? k->jump[x] != want : k->jump[x] <= n)
+            return x;
+        /* the next internal node: down into u's row, then up through rows */
+        for (j = u - d, end = u, h++;; j = k->up[end] + 1, end = w, h--) {
+            for (; j < end && is_leaf(k->child[j], k->div_mul); j++)
+                ;
+            if (j < end)
+                break;
+            if (end == root)
+                return -1;
+            w = (jump_index(k->up[end], k->div_mul) + 1) * d;
+        }
+        u = k->child[j];
     }
 }
 
@@ -471,10 +529,12 @@ static void set_jumps(dg_kernel *k, int64_t u, int64_t h, int32_t top)
 
 /* The allocation order of `_growth_py`.  pos[p] is the subtree hung at
  * position p of the new root; the old root keeps the last free one.  Only
- * nodes at most 4 deep under the new root can have a new 4th ancestor: a
- * deeper node's 4 nearest ancestors are below the new root, in the subtree
- * that kept it before the step.  The lex phase adds its time to
- * lex_seconds when `timed`. */
+ * the new root and the cut subtrees' nodes at most J deep get new jumps:
+ * the old tree's jumps stay right as it moves one level down (see the top
+ * of this file), and a deeper node's J nearest ancestors are in its cut
+ * subtree.  While n <= J only the new root's is written, and the step to
+ * n = J + 1 writes them all.  The lex phase adds its time to lex_seconds
+ * when `timed`. */
 static void apply(dg_kernel *k, const int64_t *ranks, int64_t letter, int timed)
 {
     int64_t d = k->d, root = d * k->n, v = root, ne = 0, i, p, u, c, redirections;
@@ -516,9 +576,13 @@ static void apply(dg_kernel *k, const int64_t *ranks, int64_t letter, int timed)
     k->up[v] = -1;
     k->n++;
     if (k->jump) { /* v's jump index is n */
-        k->jump[k->n] = -1;
-        if (k->n > 4) /* else no internal node is 4 deep */
-            set_jumps(k, v, 0, (int32_t)k->n);
+        k->jump[k->n] = (int32_t)(k->n + J);
+        if (k->n == J + 1)
+            walk_jumps(k, 1);
+        else if (k->n > J)
+            for (i = 0; i < ne; i++)
+                if (!is_leaf(k->edges[i], k->div_mul))
+                    set_jumps(k, k->edges[i], 1);
     }
 
     redirections = 2 * ne + 2 * d;
@@ -624,6 +688,13 @@ int64_t dg_edge_word(const dg_kernel *k, int64_t u, int32_t *out, int64_t cap)
         *--p = (int32_t)(j - x * k->d + 1);
     }
     return out + cap - p;
+}
+
+/* The first jump index whose jump is wrong, or -1 when all are right
+ * (always at d = 2, which keeps no jumps): see walk_jumps. */
+int64_t dg_check_jumps(dg_kernel *k)
+{
+    return k->jump && k->n ? walk_jumps(k, 0) : -1;
 }
 
 enum { WALK_HEIGHT, WALK_SHAPE, WALK_PAREN };

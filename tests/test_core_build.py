@@ -43,7 +43,12 @@ for d, n in ((2, 3000), (3, 20000), (5, 2000), (12, 400), (200, 20), (2, 40000))
     ranks += range(c.root, c.root + d - 1 - len(ranks))
     for k in (py, c):
         k.step_with(ranks, d)
-        k.steps(50)
+    # the jumps the steps keep equal a recompute after every step
+    assert _growth_c._lib.dg_check_jumps(c._k) == -1
+    for _ in range(50):
+        for k in (py, c):
+            k.steps(1)
+        assert _growth_c._lib.dg_check_jumps(c._k) == -1
     assert py.preorder_code() == c.preorder_code()
     assert py.counters == c.counters
     assert py.code_text() == c.code_text()

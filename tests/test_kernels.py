@@ -8,6 +8,7 @@ first import when a C compiler is present, so this module is skipped only
 where the compiled kernel cannot be built.
 """
 
+import ctypes
 import json
 import os
 import random
@@ -33,6 +34,29 @@ c_kernel = pytest.importorskip(
 
 def both(d, seed):
     return make_kernel(d, seed, kernel="python"), make_kernel(d, seed, kernel="c")
+
+
+with open(c_kernel.SOURCE, encoding="ascii") as _fh:
+    # the C core's jump distance: internal nodes keep their J-th ancestor
+    J = int(re.search(r"enum \{ J = (\d+) \};", _fh.read()).group(1))
+
+
+def bad_jump(k):
+    """The first jump index whose jump is wrong in C kernel k, or -1."""
+    return c_kernel._lib.dg_check_jumps(k._k)
+
+
+class _Arena(ctypes.Structure):
+    """The C kernel struct as far as its jump array, for corrupting one."""
+
+    _fields_ = [
+        ("head", c_kernel._Head),
+        ("div_mul", ctypes.c_uint64),
+        ("cap", ctypes.c_int64),
+        ("up", ctypes.POINTER(ctypes.c_int32)),
+        ("child", ctypes.POINTER(ctypes.c_int32)),
+        ("jump", ctypes.POINTER(ctypes.c_int32)),
+    ]
 
 
 COUNTER_FIELDS = COUNTERS
@@ -67,7 +91,7 @@ class TestAgreement:
         "d,n,seed",
         [
             # paths of several hundred ids, which the lex phase climbs by
-            # many jumps to 4th ancestors
+            # many jumps to J-th ancestors
             (3, 20_000, 5),
             # 3 and 4 marked edges per step: an odd count, whose last edge
             # walks alone, and an even one
@@ -116,7 +140,8 @@ class TestAgreement:
     def test_edge_words_match(self):
         # the C core reads each letter and parent off one link per node:
         # arities that are not powers of two, and rows spanning several
-        # cache lines, past n = 4 -> 5, where the jumps are first written
+        # cache lines, past n = J -> J + 1, where one walk first writes every
+        # jump
         for d, n in ((2, 30), (3, 30), (4, 30), (12, 30), (40, 10), (300, 6)):
             py, cy = both(d, 13)
             py.steps(n)
@@ -397,7 +422,7 @@ def arena(k):
 
 
 class TestLexPhase:
-    """The C core orders marked edges by jumps to 4th ancestors and replays
+    """The C core orders marked edges by jumps to J-th ancestors and replays
     the spec's letter count; every case must give the spec's order and
     lex_letters_compared, and the jumps must stay right for later steps."""
 
@@ -430,7 +455,7 @@ class TestLexPhase:
     @pytest.mark.parametrize("d", [3, 4, 5])
     @pytest.mark.parametrize("gap", [1, 2, 3, 4, 5, 6, 7, 9, 13])
     def test_ancestor_pairs(self, d, gap):
-        # depth gaps that are not multiples of 4 end the lift with parent
+        # depth gaps that are not multiples of J end the lift with parent
         # steps; the ancestor's word is a prefix, so it is the smaller
         py, c = self.grown(d, 1500 // d, 40 + gap)
         on_path = self.path(self.words(c))
@@ -511,8 +536,9 @@ class TestLexPhase:
     @pytest.mark.parametrize("m", [4, 5, 6, 7, 9])
     def test_paths_cross_depth_4(self, d, m):
         # steps that mark only buds grow a path: its first root is m - 1
-        # deep, so the jumps first matter at m = 5; two edges at the deep
-        # end, up to 7 apart, make the compare lift and climb by them
+        # deep; two edges at the deep end, up to 7 apart, make the compare
+        # lift and climb by parent steps below depth J, which
+        # test_paths_cross_the_jump_distance crosses
         py, c = both(d, 13)
         for _ in range(m):
             for k in (py, c):
@@ -530,10 +556,36 @@ class TestLexPhase:
             ranks += [c.root + i for i in range(d - 3)]
             self.check_step(py, c, ranks, then=0)
 
+    @pytest.mark.parametrize("d", [3, 5])
+    @pytest.mark.parametrize("m", [J - 1, J, J + 1, J + 2, J + 5, 2 * J, 2 * J + 1, 2 * J + 5])
+    def test_paths_cross_the_jump_distance(self, d, m):
+        # the same path, grown across depth J and 2J, where a climb first
+        # takes one and then two jumps; gaps up to 2J - 1 lift the deep edge
+        # by up to one jump and J - 1 parent steps
+        py, c = both(d, 14)
+        for _ in range(m):
+            for k in (py, c):
+                k.step_with(range(k.root, k.root + d - 1), 1)
+            assert bad_jump(c) == -1
+        assert arena(py) == arena(c)
+        for gap in range(2 * J):
+            words = self.words(c)
+            depth = {}
+            for r in sorted(range(c.root), key=lambda r: -len(words[r])):
+                depth.setdefault(len(words[r]), []).append(r)
+            h = max(depth)
+            if h - gap not in depth:
+                continue
+            ranks = [depth[h][0], depth[h - gap][-1]] if gap else depth[h][:2]
+            ranks += [c.root + i for i in range(d - 3)]
+            self.check_step(py, c, ranks, then=0)
+            assert bad_jump(c) == -1
+
     @pytest.mark.parametrize("d", [3, 4, 5, 12])
     def test_small_trees_and_reset(self, d):
-        # no node is 4 deep before n = 5, so the jumps are first written
-        # there; reset reuses the ids, whose old jumps must not leak
+        # no internal node is J deep before n = J + 1, where one walk first
+        # writes every jump; reset reuses the ids, whose old jumps must not
+        # leak
         py, c = both(d, 12)
         rng = random.Random(d)
         for _ in range(3):
@@ -549,6 +601,66 @@ class TestLexPhase:
             for k in (py, c):
                 k.reset()
         assert py.histogram(6, 200) == c.histogram(6, 200)
+
+
+class TestJumps:
+    """dg_check_jumps recomputes every jump from the tree; the jumps the
+    steps keep must equal it after every step, whatever the step marks."""
+
+    @staticmethod
+    def deepest_path(c, d):
+        """d - 1 ranks: the deepest edges on one root path, padded with buds,
+        so that each cut subtree holds the next one"""
+        on_path = TestLexPhase.path(TestLexPhase.words(c))
+        ranks = [on_path[h] for h in sorted(on_path)[-(d - 1) :]]
+        return ranks + [c.root + i for i in range(d - 1 - len(ranks))]
+
+    @pytest.mark.parametrize("d", [3, 5, 12])
+    def test_after_every_step(self, d):
+        # drawn steps, bud-only steps that grow a path past depth J, deep
+        # nested cuts and random edges, on chains that continue across reset
+        py, c = both(d, 15)
+        rng = random.Random(d)
+        chain = ["draw"] * 25 + ["bud"] * (J + 3) + ["deep"] + ["draw"] * 10
+        chain += ["edges"] * 5 + ["deep"] + ["draw"] * 10
+        for _ in range(3):
+            for kind in chain:
+                if kind == "draw":
+                    for k in (py, c):
+                        k.step()
+                else:
+                    if kind == "bud":
+                        ranks = range(c.root, c.root + d - 1)
+                    elif kind == "deep":
+                        ranks = self.deepest_path(c, d)
+                    else:
+                        ranks = rng.sample(range(c.root), d - 1)
+                    letter = rng.randrange(1, d + 1)
+                    for k in (py, c):
+                        k.step_with(ranks, letter)
+                assert bad_jump(c) == -1, (kind, c.n)
+            assert arena(py) == arena(c)
+            for k in (py, c):
+                k.reset()
+
+    def test_a_wrong_jump_is_reported(self):
+        c = make_kernel(3, 16, kernel="c")
+        c.steps(J)
+        # while n <= J a jump is only known to be above n
+        jump = _Arena.from_address(c._k).jump
+        jump[1], kept = c.n, jump[1]
+        assert bad_jump(c) == 1
+        jump[1] = kept
+        assert bad_jump(c) == -1
+        c.steps(4 * J)
+        jump = _Arena.from_address(c._k).jump  # the steps may move the array
+        deep = next(x for x in range(1, c.n) if len(c.edge_word(3 * x)) >= J)
+        for x in (c.n, deep):  # the root, and a node at least J deep
+            jump[x] += 1
+            assert bad_jump(c) == x
+            jump[x] -= 1
+        assert bad_jump(c) == -1
+        assert bad_jump(make_kernel(2, 0, kernel="c")) == -1
 
 
 class TestWideArity:
