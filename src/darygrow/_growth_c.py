@@ -6,10 +6,9 @@ observably identical.  The argument checks, the size guard and the views
 read off the shape are the shared ones of ``_kernel.Kernel``.  The step
 loop, the lex phase, the shape walk and whole histogram runs execute in C,
 so one Python call does bulk work; the paren text and the height are the
-only views the C core renders itself.  Its one walk loop does all three;
-above ``WALK_SPLIT`` nodes it walks from both ends at once, the second end
-on a thread of its own that is joined before the call returns, which no
-output shows.  A histogram is binned in C as well: ``dg_histogram`` grows
+only views the C core renders itself.  Its one walk does all three, from
+both ends of the output in turn on the calling thread, which no output
+shows.  A histogram is binned in C as well: ``dg_histogram`` grows
 every chain and counts its shape in a hash table of the distinct shapes,
 and ``dg_histogram_read`` copies them out, in the order first seen, with
 their counts, so Python makes no key per chain and the memory held is that
@@ -20,7 +19,7 @@ The library is named after the first 16 hex digits of the C source's
 sha256, ``_growth_core-<digest>.so``, and kept in one place,
 ``$XDG_CACHE_HOME/darygrow`` (default ``~/.cache/darygrow``), so a library
 built from another source is never loaded.  The first import compiles the
-source there with ``compile_library`` (``cc -shared -fPIC -O3 -pthread``):
+source there with ``compile_library`` (``cc -shared -fPIC -O3``):
 to a temporary file, moved into place with ``os.replace``; later imports
 hash the source and load the library.  Importing this module raises
 ImportError when the library cannot be had (no C compiler, an unwritable
@@ -74,6 +73,9 @@ def library_name() -> str:
 def compile_library(target: str) -> None:
     """Compile the C core to ``target``; OSError when that fails.
 
+    The core is plain single-threaded C, so ``-shared -fPIC -O3`` is the
+    whole build: no Python headers and no thread library.
+
     The library is written to a temporary file beside ``target`` and moved
     into place, so readers never see a partial build.
     """
@@ -89,7 +91,7 @@ def compile_library(target: str) -> None:
     os.close(fd)
     try:
         subprocess.run(
-            [*cc, "-shared", "-fPIC", "-O3", "-pthread", SOURCE, "-o", tmp],
+            [*cc, "-shared", "-fPIC", "-O3", SOURCE, "-o", tmp],
             check=True,
             capture_output=True,
             timeout=300,

@@ -55,12 +55,11 @@
  * their links.  The jumps are kept per internal node, 4 bytes each, at
  * index u / d.
  *
- * A walk of a big tree runs from both ends at once: preorder from the first
- * byte on the calling thread, its mirror image from the last byte on one
- * more thread, joined before the call returns.  The two take the output in
- * chunks from one atomic count of what is left, so they write disjoint
- * ranges that cover it exactly and never wait on each other, and the bytes
- * are those of a preorder walk alone.
+ * A walk runs from both ends on the calling thread: preorder from the first
+ * byte and its mirror image from the last byte, one step of each in turn,
+ * until the two have written every byte between them.  The two ends read
+ * independent paths of the arena, so one's cache misses overlap the other's
+ * work, and the bytes are those of a preorder walk alone.
  *
  * A histogram is binned here too.  Each chain's shape is walked into the
  * next free place of a store of distinct shapes and looked up in a hash
@@ -74,7 +73,6 @@
  * 0 on success and -1 when memory runs out, leaving the kernel usable.
  */
 
-#include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -699,157 +697,107 @@ int64_t dg_check_jumps(dg_kernel *k)
 
 enum { WALK_HEIGHT, WALK_SHAPE, WALK_PAREN };
 
-/* Output units a walk side claims from the shared budget at a time, and the
- * node count above which a walk runs its reverse side on a second thread. */
-enum { WALK_CHUNK = 1 << 12, WALK_SPLIT = 1 << 15 };
-
-/* One side of a walk.  `out` is where it starts writing: the first byte
- * forward, one past the last in reverse.  `left` counts the units it may
- * still write before it claims more from `*budget`, the units neither side
- * has claimed.  `best` is the deepest leaf seen (WALK_HEIGHT). */
+/* The tree a walk reads, copied out of the kernel: the stores of a walk's
+ * bytes may alias any field there, so each would be read again after each
+ * byte. */
 typedef struct {
-    const dg_kernel *k;
-    int mode, reverse;
-    char *out;
-    int64_t *budget;
-    int32_t *stack;
-    int64_t left, written, best;
-} walk_side;
+    const int32_t *child;
+    int64_t d;
+    uint64_t div_mul;
+} walk_tree;
 
-/* Up to WALK_CHUNK more units for a side; 0 once the budget is spent.  The
- * claims of the two sides are one atomic count, so they never overlap and
- * together cover the output exactly, and no side waits on the other. */
-static int64_t claim(int64_t *budget)
-{
-    int64_t got = __atomic_fetch_sub(budget, WALK_CHUNK, __ATOMIC_RELAXED);
-    return got <= 0 ? 0 : got < WALK_CHUNK ? got : WALK_CHUNK;
-}
+/* One end of a walk: the node ids it still has to visit on its stack, the
+ * depth h, and where its next byte goes. */
+typedef struct {
+    int32_t *stack;
+    int64_t top, h;
+    char *at;
+} walk_end;
 
 /*
- * The walk loop, for a constant mode and direction.  A unit is one output
- * byte (WALK_SHAPE: 1 or 0 per node; WALK_PAREN: "(" or "o" per node, and
- * ")" when a subtree ends) or, for WALK_HEIGHT, one node.  Forward is
- * preorder, written from the first byte.  Reverse visits children last to
- * first and writes from the last byte: the mirror image of preorder, so a
- * node's "1" or "(", or for WALK_HEIGHT its unit, comes at a marker after
- * its children, and its ")" when it is entered.  The stack holds node ids
- * still to visit and, where the mode and direction need the other side of a
- * subtree, a -1 pushed below each internal node's children; the depth h
- * follows those markers.  The side stops when the budget is spent, its
- * part of the output written.
+ * Pop one entry of one end of a walk, for a constant mode and direction,
+ * and return the units it wrote: 0 or 1.  A unit is one output byte
+ * (WALK_SHAPE: 1 or 0 per node; WALK_PAREN: "(" or "o" per node, and ")"
+ * when a subtree ends) or, for WALK_HEIGHT, one node; `best` is the
+ * deepest leaf seen.  Forward is preorder, written from the first byte.
+ * Reverse visits children last to first and writes from the last byte: the
+ * mirror image of preorder, so a node's "1" or "(", or for WALK_HEIGHT its
+ * unit, comes at a marker after its children, and its ")" when it is
+ * entered.  Where the mode and direction need the other side of a subtree,
+ * a -1 is pushed below each internal node's children, and h follows those
+ * markers.
  */
-static inline __attribute__((always_inline)) void walk_loop(walk_side *s, const int mode,
-                                                             const int reverse)
+static inline __attribute__((always_inline)) int walk_step(walk_tree t, walk_end *e,
+                                                            int64_t *best, const int mode,
+                                                            const int reverse)
 {
-    const dg_kernel *k = s->k;
-    const int marks = mode != WALK_SHAPE || reverse;
-    int64_t d = k->d, top = 0, h = 0, best = 0, left = s->left, u, c, j;
-    int32_t *stack = s->stack;
-    char *at = s->out;
+    int64_t d = t.d, u = e->stack[--e->top], c, j;
 
-#define TAKE()                                                                         \
-    if (!left && !(left = claim(s->budget)))                                           \
-        break;                                                                         \
-    left--
-#define PUT(b) (reverse ? (*--at = (b)) : (*at++ = (b)))
+#define PUT(b) (reverse ? (*--e->at = (b)) : (*e->at++ = (b)))
 
-    stack[top++] = (int32_t)(d * k->n);
-    while (top) {
-        u = stack[--top];
-        if (u < 0) { /* the other side of a subtree */
-            h--;
-            if (mode == WALK_PAREN || reverse) {
-                TAKE();
-                if (mode != WALK_HEIGHT)
-                    PUT(mode == WALK_SHAPE ? 1 : reverse ? '(' : ')');
-            }
-            continue;
-        }
-        if (is_leaf(u, k->div_mul)) {
-            TAKE();
-            if (mode == WALK_HEIGHT)
-                best = h > best ? h : best;
-            else
-                PUT(mode == WALK_SHAPE ? 0 : 'o');
-            continue;
-        }
-        if (mode == WALK_PAREN || !reverse) {
-            TAKE();
-            if (mode != WALK_HEIGHT)
-                PUT(mode == WALK_SHAPE ? 1 : reverse ? ')' : '(');
-        }
-        if (marks) {
-            stack[top++] = -1;
-            h++;
-        }
-        /* a popped internal node c reads its row child[c - d .. c), which
-         * ends beside child[c] (c <= d*n < cap): fetch that */
-        for (j = 0; j < d; j++) {
-            stack[top++] = c = k->child[reverse ? u - d + j : u - 1 - j];
-            __builtin_prefetch(k->child + c);
-        }
+    if (u < 0) { /* the other side of a subtree */
+        e->h--;
+        if (mode != WALK_PAREN && !reverse)
+            return 0;
+        if (mode != WALK_HEIGHT)
+            PUT(mode == WALK_SHAPE ? 1 : reverse ? '(' : ')');
+        return 1;
     }
-#undef TAKE
+    if (is_leaf(u, t.div_mul)) {
+        if (mode == WALK_HEIGHT)
+            *best = e->h > *best ? e->h : *best;
+        else
+            PUT(mode == WALK_SHAPE ? 0 : 'o');
+        return 1;
+    }
+    if (mode != WALK_SHAPE || reverse) {
+        e->stack[e->top++] = -1;
+        e->h++;
+    }
+    /* a popped internal node c reads its row child[c - d .. c), which ends
+     * beside child[c] (c <= d*n < cap): fetch that */
+    for (j = 0; j < d; j++) {
+        e->stack[e->top++] = c = t.child[reverse ? u - d + j : u - 1 - j];
+        __builtin_prefetch(t.child + c);
+    }
+    if (mode != WALK_PAREN && reverse)
+        return 0;
+    if (mode != WALK_HEIGHT)
+        PUT(mode == WALK_SHAPE ? 1 : reverse ? ')' : '(');
+    return 1;
 #undef PUT
-    if (mode == WALK_HEIGHT)
-        s->best = best;
-    else
-        s->written = reverse ? s->out - at : at - s->out;
-}
-
-/* The reverse side, as a thread's start routine. */
-static void *walk_reverse(void *arg)
-{
-    walk_side *s = arg;
-    if (s->mode == WALK_HEIGHT)
-        walk_loop(s, WALK_HEIGHT, 1);
-    else if (s->mode == WALK_SHAPE)
-        walk_loop(s, WALK_SHAPE, 1);
-    else
-        walk_loop(s, WALK_PAREN, 1);
-    return NULL;
 }
 
 /*
  * Walk the tree for one mode and return the bytes written, or the height
- * for WALK_HEIGHT; -1 when the forward side's stack cannot be allocated.
- * Above WALK_SPLIT nodes the reverse side runs on a second thread, joined
- * before this returns, and the two share the budget of units; below it, or
- * when that thread or its stack cannot be had, the forward side takes the
- * whole budget alone.  Either way the output is the same.  Inlined into
- * each entry point, so that the forward loop is compiled for its mode: a
- * histogram chain walks a tree of a few nodes.
+ * for WALK_HEIGHT; -1 when the stacks cannot be allocated.  The forward end
+ * and the reverse end step in turn on the calling thread.  Each writes one
+ * unit at a time, forward a prefix of the output and reverse a suffix, and
+ * the walk stops once the two together have written every unit: the prefix
+ * and the suffix meet exactly, and the bytes and the height are those of a
+ * preorder walk alone.  Neither end's stack runs empty before: each alone
+ * would write every unit first.  Inlined into each entry point, so that
+ * both ends are compiled for the mode: a histogram chain walks a tree of a
+ * few nodes.
  */
 static inline __attribute__((always_inline)) int64_t walk(const dg_kernel *k, const int mode,
                                                            char *out)
 {
     int64_t nodes = k->d * k->n + 1, units = mode == WALK_PAREN ? nodes + k->n : nodes;
-    /* every node once, and a marker per internal node */
-    size_t room = (nodes + k->n) * sizeof(int32_t);
-    walk_side fwd = {k, mode, 0, out, &units, malloc(room), 0, 0, 0}, rev = fwd;
-    pthread_t thread;
-    int split = 0;
-    if (!fwd.stack)
+    int64_t left = units, best = 0;
+    walk_tree t = {k->child, k->d, k->div_mul};
+    /* per end: every node once, and a marker per internal node */
+    int32_t *stack = malloc(2 * (nodes + k->n) * sizeof(int32_t));
+    if (!stack)
         return -1;
-    if (nodes > WALK_SPLIT) {
-        rev.reverse = 1;
-        rev.out = out ? out + units : NULL;
-        rev.stack = malloc(room);
-        split = rev.stack && !pthread_create(&thread, NULL, walk_reverse, &rev);
-        if (!split)
-            free(rev.stack);
-    }
-    if (!split)
-        fwd.left = units;
-    walk_loop(&fwd, mode, 0);
-    free(fwd.stack);
-    if (split) {
-        pthread_join(thread, NULL);
-        free(rev.stack);
-        fwd.written += rev.written;
-        fwd.best = rev.best > fwd.best ? rev.best : fwd.best;
-    }
-    return mode == WALK_HEIGHT ? fwd.best : fwd.written;
+    walk_end fwd = {stack, 1, 0, out};
+    walk_end rev = {stack + nodes + k->n, 1, 0, out ? out + units : NULL};
+    fwd.stack[0] = rev.stack[0] = (int32_t)(k->d * k->n);
+    while ((left -= walk_step(t, &fwd, &best, mode, 0)) &&
+           (left -= walk_step(t, &rev, &best, mode, 1)))
+        ;
+    free(stack);
+    return mode == WALK_HEIGHT ? best : units;
 }
 
 int64_t dg_height(const dg_kernel *k)

@@ -29,7 +29,7 @@ from darygrow.sampler import make_kernel
 
 assert _growth_c._lib._name == sys.argv[1], _growth_c._lib._name
 # (3, 20000) walks paths of several hundred nodes by jumps; (2, 40000) is
-# past WALK_SPLIT nodes, so its walks run from both ends on two threads
+# the biggest tree, whose walks' two ends meet far from either end
 for d, n in ((2, 3000), (3, 20000), (5, 2000), (12, 400), (200, 20), (2, 40000)):
     py, c = make_kernel(d, n, kernel="python"), make_kernel(d, n, kernel="c")
     for k in (py, c):
@@ -116,10 +116,12 @@ def package_copy(tmp_path):
     return copy
 
 
-def test_core_is_warning_free():
+def test_core_is_warning_free(tmp_path):
+    # compiled at the build's -O3, not only parsed: some warnings, such as a
+    # variable used uninitialized, come from the optimizer
     cc = compiler()
     out = subprocess.run(
-        [*cc, "-Wall", "-Wextra", "-Werror", "-fsyntax-only", SOURCE],
+        [*cc, "-Wall", "-Wextra", "-Werror", "-O3", "-c", SOURCE, "-o", str(tmp_path / "core.o")],
         capture_output=True,
         text=True,
         timeout=120,
@@ -161,7 +163,7 @@ def test_core_under_sanitizers(tmp_path):
     copy = package_copy(tmp_path)
     (tmp_path / "cache" / "darygrow").mkdir(parents=True)
     library = str(tmp_path / "cache" / "darygrow" / _growth_c.library_name())
-    flags = ["-O1", "-g", "-pthread", "-fsanitize=address,undefined", "-fno-sanitize-recover=all"]
+    flags = ["-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all"]
     built = subprocess.run(
         [*cc, "-shared", "-fPIC", *flags, str(copy / "_growth_core.c"), "-o", library],
         capture_output=True,

@@ -762,14 +762,6 @@ class TestSerializers:
         assert py.histogram(-1, 4) == c.histogram(-1, 4) == {b"\x00": 4}
 
 
-def walk_split():
-    """The node count above which the C core walks a tree from both ends,
-    ``WALK_SPLIT`` in its source."""
-    with open(c_kernel.SOURCE, encoding="ascii") as fh:
-        (shift,) = re.findall(r"WALK_SPLIT = 1 << (\d+)", fh.read())
-    return 1 << int(shift)
-
-
 def comb(kernel, n, letter):
     """Grow ``kernel`` by n steps that mark only buds: each old tree becomes
     one child of the new root, at the slot ``letter`` puts it in."""
@@ -780,34 +772,33 @@ def comb(kernel, n, letter):
 
 
 class TestWalkSides:
-    """Above WALK_SPLIT nodes the C core walks the tree from both ends at
-    once, forward on the calling thread and in reverse on a second one, the
-    two taking the output from one shared budget.  Every view must be the
-    spec's on both sides of that size, whatever the tree's shape."""
-
-    SPLIT = walk_split()
+    """The C core walks a tree from both ends in turn on one thread: forward
+    from the first unit, in reverse from the last, one popped entry of each
+    at a time, until the two together have written every unit.  Every view
+    must be the spec's wherever the ends meet, whatever the tree's size and
+    shape."""
 
     @staticmethod
     def views(k):
         return bytes(k._shape()), k.code_text(), k.paren_text(), k.height()
 
     @pytest.mark.parametrize("d", [2, 3, 12])
-    @pytest.mark.parametrize("nodes", [SPLIT // 3, SPLIT + 1, 2 * SPLIT])
+    @pytest.mark.parametrize("nodes", [10922, 32769, 65536])
     def test_random_trees(self, d, nodes):
+        # big trees, whose two walk ends meet far from either end
         py, c = both(d, nodes)
         n = -(-(nodes - 1) // d)
         py.steps(n)
         c.steps(n)
-        assert (c.node_count > self.SPLIT) == (nodes > self.SPLIT)
         assert self.views(py) == self.views(c)
 
     @pytest.mark.parametrize("d", [2, 3, 12])
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_combs(self, d, side):
         # a left comb keeps its internal nodes first in preorder, so the
-        # forward side's stack stays nearly empty and the reverse side's
+        # forward end's stack stays nearly empty and the reverse end's
         # holds the whole depth; a right comb the other way round
-        n = 2 * self.SPLIT // d
+        n = 65536 // d
         letter = d - 1 if side == "left" else d
         py, c = (comb(k, n, letter) for k in both(d, 0))
         leaves = b"\0" * (d - 1)
@@ -816,32 +807,22 @@ class TestWalkSides:
         assert c.height() == n
         assert self.views(py) == self.views(c)
 
-    def test_no_thread_to_be_had(self):
-        # an address-space limit with room for both walk stacks but not for a
-        # thread's stack: the forward side walks the whole tree alone, in a
-        # process that has never started a thread whose stack it could reuse
-        if not os.path.exists("/proc/self/status"):
-            pytest.skip("no /proc/self/status")
-        code = (
-            "import resource, sys\n"
-            "from darygrow.sampler import make_kernel\n"
-            "k = make_kernel(2, 4, kernel='c')\n"
-            "k.steps(200_000)\n"
-            "with open('/proc/self/status') as fh:\n"
-            "    kb = next(int(l.split()[1]) for l in fh if l.startswith('VmSize:'))\n"
-            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
-            "resource.setrlimit(resource.RLIMIT_AS, ((kb << 10) + (7 << 20), hard))\n"
-            "sys.stdout.buffer.write(bytes(k._shape()) + k.paren_text() + b'%d' % k.height())\n"
-        )
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=120)
-        assert out.returncode == 0, out.stderr
-        k = make_kernel(2, 4, kernel="c")
-        k.steps(200_000)
-        assert out.stdout == bytes(k._shape()) + k.paren_text() + b"%d" % k.height()
+    @pytest.mark.parametrize("d", [2, 3, 5, 12])
+    def test_every_small_tree_size(self, d):
+        # tiny trees, the size of histogram chains, meet from both ends
+        # after a few nodes: every size from the single leaf to 40 steps
+        for n in range(41):
+            py, c = both(d, 1000 * d + n)
+            py.steps(n)
+            c.steps(n)
+            assert bytes(c._shape()) == bytes(py._shape()), n
+            assert c.paren_text() == py.paren_text(), n
+            assert c.height() == py.height(), n
 
     def test_one_cpu_gives_the_same_bytes(self):
-        # pinned to one CPU the two sides share a core; neither waits on the
-        # other, so the output is the same and comes in about the same time
+        # pinned to one CPU, a process walks exactly as it does unpinned:
+        # the walks keep to the calling thread, so the bytes are the same
+        # and come in about the same time
         if not hasattr(os, "sched_setaffinity"):
             pytest.skip("no os.sched_setaffinity")
         cpu = min(os.sched_getaffinity(0))
