@@ -180,7 +180,8 @@ class Kernel:
 
     def preorder_code(self) -> list:
         """Depth-first preorder child counts, 0 or ``d`` per node."""
-        return list(map((0, self.d).__getitem__, self._shape()))
+        d = self.d
+        return [d * s for s in self._shape()]
 
     @property
     def tree(self) -> DaryTree:

@@ -13,6 +13,12 @@ built from three stages:
 * ``rotate`` cyclically shifts the forest positions by the letter.
 * ``add_root`` hangs the d forest positions under a fresh root.
 
+``reduce`` undoes them in reverse.  ``rotate_inv`` checks the mark total
+and turns the forest to the first lowest point of its leaf sequence, which
+by the cycle lemma is always excursion type; so ``reduce`` grafts that
+forest straight back, and the excursion check lives in the public
+``cut_inv`` alone, for forests that come from anywhere else.
+
 Every map works on preorder codes (see ``marks``) and builds new values.
 The subtree at position p is the shortest slice ``code[p:p+L]`` with
 L = d·k + 1 for its k internal nodes; ``tree._end`` finds it by counting
@@ -25,7 +31,7 @@ the reference semantics those kernels are tested against.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import accumulate, chain
+from itertools import chain
 from typing import List, Optional, Tuple
 
 from .errors import (
@@ -80,7 +86,9 @@ def cut(x: EdgeMarkedTree, a: int, details: Optional[list] = None):
         raise MarkCountError(problems[0])
     d = x.d
     code = x.code
-    spans = [(0, len(code))] + [(p, _end(d, code, p)) for p in x.edges]
+    spans = [(0, len(code))]
+    # a marked leaf's subtree is the leaf alone
+    spans += [(p, _end(d, code, p) if code[p] else p + 1) for p in x.edges]
     free = [j for j in range(d) if j not in x.buds]  # buds checked above
 
     slots: List[LeafMarkedTree] = [None] * d  # type: ignore[list-item]
@@ -117,11 +125,21 @@ def cut_inv(f: MarkedForest, a: int):
     trees are merged in increasing position order, each grafted at the
     lexicographically first marked leaf of the tree built so far; that
     leaf's edge becomes a mark and the grafted tree's marks replace it.
+
+    Raises ``NotExcursionError`` for a forest that is not excursion type
+    (and ``MarkCountError`` for a wrong mark total) before any graft.
+    ``reduce`` grafts without this check: its forest comes from
+    ``rotate_inv``, which is excursion type by the cycle lemma.
     """
     if not is_excursion_forest(f):  # raises MarkCountError for a wrong total
         raise NotExcursionError(
             f"leaf sequence {leaf_sequence(f).format()} is not an excursion"
         )
+    return _graft(f, a)
+
+
+def _graft(f: MarkedForest, a: int):
+    """``cut_inv`` on a forest already known to be excursion type."""
     buds, rest = [], []
     for j, t in enumerate(f.trees):
         if len(t.code) == 1 and len(t.leaves) == 1:
@@ -129,17 +147,23 @@ def cut_inv(f: MarkedForest, a: int):
         else:
             rest.append(t)
     code = list(rest[0].code)
-    live = list(rest[0].leaves)  # sorted, so live[0] is the lex-first
+    # The marked leaves not yet plugged into, the lex-first on top.  A
+    # graft lands on the top leaf, so it moves every leaf below it by the
+    # symbols it adds: each is kept less the growth ``grown`` when it was
+    # pushed, and read back plus the growth since.
+    live = list(reversed(rest[0].leaves))
+    grown = 0
     edges: List[int] = []
     for t in rest[1:]:
         if not live:
             raise CorruptForestError("no marked leaf left to plug into")
-        u = live[0]
+        u = live.pop() + grown
         if code[u]:
             raise CorruptForestError(f"marked node at position {u} is internal")
         code[u : u + 1] = t.code
-        grown = len(t.code) - 1
-        live = [u + p for p in t.leaves] + [q + grown for q in live[1:]]
+        grown += len(t.code) - 1
+        if t.leaves:
+            live += [u - grown + p for p in reversed(t.leaves)]
         # later grafts land after u, so u keeps its position
         edges.append(u)
     if live:
@@ -164,10 +188,17 @@ def rotate_inv(f: MarkedForest) -> Tuple[MarkedForest, int]:
     that ``rotate_inv(rotate(g, a)) == (g, a)`` for excursion-type g: the
     shift r in [0, d) recovered from the leaf sequence maps to letter d - r.
     """
-    sums = list(accumulate(_increments(f), initial=0))  # the leaf sequence
-    r = sums.index(min(sums)) % f.d  # as ``LukWalk.excursion_shift``
     t = f.trees
-    return MarkedForest.from_trees(t[r:] + t[:r]), f.d - r
+    d = len(t)
+    # the shift is the first lowest point of the leaf sequence, as in
+    # ``LukWalk.excursion_shift``
+    level = low = r = 0
+    for i, step in enumerate(_increments(f), 1):
+        level += step
+        if level < low:
+            low, r = level, i
+    r %= d
+    return MarkedForest.from_trees(t[r:] + t[:r]), d - r
 
 
 def add_root(f: MarkedForest) -> LeafMarkedTree:
@@ -192,14 +223,16 @@ def add_root_inv(t: LeafMarkedTree) -> MarkedForest:
     marks = t.leaves  # sorted: each child's marks follow the previous child's
     parts = []
     s, lo = 1, bisect_left(marks, 1)
-    # each child starts where the one before it ends, and the last one
-    # ends with the tree
-    for i in range(1, d + 1):
-        e = _end(d, code, s) if i < d else len(code)
+    # each child starts where the one before it ends, a leaf ends one
+    # further on, and the last child takes the rest of the tree and marks
+    for _ in range(d - 1):
+        e = _end(d, code, s) if code[s] else s + 1
         hi = bisect_left(marks, e, lo)
         leaves = tuple([p - s for p in marks[lo:hi]]) if hi > lo else ()
         parts.append(LeafMarkedTree.from_code(d, code[s:e], leaves))
         s, lo = e, hi
+    leaves = tuple([p - s for p in marks[lo:]]) if lo < len(marks) else ()
+    parts.append(LeafMarkedTree.from_code(d, code[s:], leaves))
     return MarkedForest.from_trees(tuple(parts))
 
 
@@ -211,10 +244,16 @@ def enlarge(x: EdgeMarkedTree, a: int) -> LeafMarkedTree:
 
 
 def reduce(t: LeafMarkedTree) -> Tuple[EdgeMarkedTree, int]:
-    """Exact inverse of enlarge: cut_inv . rotate_inv . add_root_inv."""
+    """Exact inverse of enlarge: cut_inv . rotate_inv . add_root_inv.
+
+    ``rotate_inv`` checks the mark total and rotates to the first lowest
+    point of the leaf sequence.  By the cycle lemma (Dvoretzky–Motzkin)
+    that rotation of a walk summing to -1 is excursion type, so the forest
+    goes straight to ``cut_inv``'s graft, without its excursion check.
+    """
     f = add_root_inv(t)
     g, a = rotate_inv(f)
-    return cut_inv(g, a)
+    return _graft(g, a)
 
 
 def enlarge_trace(x: EdgeMarkedTree, a: int):

@@ -238,6 +238,8 @@ def verify_enlarge_bijection(d: int, n: int, force: bool = False) -> dict:
         "counterexample": None,
     }
     per_tree: Dict[Tuple[int, ...], int] = {}
+    # read through the module, once per call, so a patched stage is seen
+    rotate, add_root, reduce = bijections.rotate, bijections.add_root, bijections.reduce
     for x in enumerate_marked_trees(d, n, force=force):
         forest, _ = bijections.cut(x, 1)
         if not is_excursion_forest(forest):
@@ -248,12 +250,13 @@ def verify_enlarge_bijection(d: int, n: int, force: bool = False) -> dict:
                 "leaf_sequence": leaf_sequence(forest).format(),
             }
             return report
+        key = x.key()
         for a in range(1, d + 1):
             report["inputs"] += 1
-            image = bijections.add_root(bijections.rotate(forest, a))
+            image = add_root(rotate(forest, a))
             per_tree[image.code] = per_tree.get(image.code, 0) + 1
-            back, back_a = bijections.reduce(image)
-            if back_a != a or back != x:
+            back, back_a = reduce(image)
+            if back_a != a or back.key() != key:
                 try:
                     collision = bijections.enlarge(back, back_a) == image
                 except DarygrowError:  # reduce returned no input at all

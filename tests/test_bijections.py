@@ -28,6 +28,7 @@ from darygrow.bijections import (
 )
 from darygrow.errors import (
     ArityError,
+    CorruptForestError,
     MarkCountError,
     NotExcursionError,
     RootSurgeryError,
@@ -43,7 +44,7 @@ from darygrow.marks import (
     leaf_marked_to_obj,
     leaf_sequence,
 )
-from darygrow.oracle import enumerate_inputs, enumerate_marked_trees
+from darygrow.oracle import enumerate_forests, enumerate_inputs, enumerate_marked_trees
 from darygrow.sampler import SplitMix64, make_kernel, sample_mark_set
 from darygrow.tree import DaryTree, new_root_tree
 from test_acceptance import BIJECTION_SUITE
@@ -133,6 +134,19 @@ class TestCut:
                 assert len(keys) == 1, (d, n, x.key())
 
 
+def random_leaf_marked(d, n, seed):
+    """A grown tree with n internal nodes and d - 1 marked leaves."""
+    k = make_kernel(d, seed + 31)
+    k.steps(n)
+    t = DaryTree.from_preorder_code(d, k.preorder_code())
+    rng = SplitMix64(seed)
+    leaves = sorted(t.leaf_ids())
+    chosen = set()
+    while len(chosen) < d - 1:
+        chosen.add(leaves[rng.uniform_below(len(leaves))])
+    return LeafMarkedTree(t, tuple(chosen))
+
+
 # ----------------------------------------------------------------------
 # rotate
 
@@ -175,6 +189,23 @@ class TestRotate:
         for a in range(1, 6):
             g, back_a = rotate_inv(rotate(f, a))
             assert (g.key(), back_a) == (f.key(), a)
+
+    @pytest.mark.parametrize(
+        "d,n", [(d, n) for d in (2, 3, 4) for n in range(3)] + [(5, 0), (5, 1)]
+    )
+    def test_inv_lands_on_excursion(self, d, n):
+        # the cycle lemma: rotating a sum -1 sequence to its first lowest
+        # point gives excursion type, so reduce's cut_inv needs no check
+        for f in enumerate_forests(d, n):
+            for a in range(1, d + 1):
+                assert is_excursion_forest(rotate_inv(rotate(f, a))[0]), f.key()
+
+    @given(st.integers(2, 5), st.integers(1, 60), st.integers(0, 2**30))
+    @settings(max_examples=40, deadline=None)
+    def test_inv_lands_on_excursion_random(self, d, n, seed):
+        f = add_root_inv(random_leaf_marked(d, n, seed))
+        for a in range(1, d + 1):
+            assert is_excursion_forest(rotate_inv(rotate(f, a))[0])
 
 
 # ----------------------------------------------------------------------
@@ -276,17 +307,37 @@ class TestEnlargeReduce:
     @settings(max_examples=30, deadline=None)
     def test_other_direction_round_trip(self, d, n, seed):
         # reduce then enlarge is also the identity
-        k = make_kernel(d, seed + 31)
-        k.steps(n)
-        t = DaryTree.from_preorder_code(d, k.preorder_code())
-        rng = SplitMix64(seed)
-        leaves = sorted(t.leaf_ids())
-        chosen = set()
-        while len(chosen) < d - 1:
-            chosen.add(leaves[rng.uniform_below(len(leaves))])
-        y = LeafMarkedTree(t, tuple(chosen))
+        y = random_leaf_marked(d, n, seed)
         x, a = reduce(y)
         assert enlarge(x, a).key() == y.key()
+
+
+class TestReduceErrors:
+    """Which error ``reduce`` raises for each kind of bad input."""
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_wrong_mark_count(self, d, extra):
+        code = (d, d) + (0,) * (2 * d - 1)
+        leaves = tuple(p for p, s in enumerate(code) if not s)[: d - 1 + extra]
+        with pytest.raises(MarkCountError):
+            reduce(LeafMarkedTree.from_code(d, code, leaves))
+
+    def test_single_node(self):
+        with pytest.raises(RootSurgeryError):
+            reduce(singleton(3, True))
+
+    @pytest.mark.parametrize(
+        "d,code,leaves",
+        [
+            (2, (2, 2, 0, 0, 0), (1,)),  # the first child, not rotated
+            (2, (2, 0, 2, 0, 0), (2,)),  # the last child, rotated to the front
+            (3, (3, 3, 0, 0, 0, 0, 0), (1, 5)),  # beside a bud
+        ],
+    )
+    def test_marked_internal_node(self, d, code, leaves):
+        with pytest.raises(CorruptForestError):
+            reduce(LeafMarkedTree.from_code(d, code, leaves))
 
 
 # ----------------------------------------------------------------------

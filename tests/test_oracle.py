@@ -4,7 +4,9 @@ scipy is used here purely as a cross-check for the home-grown incomplete
 gamma; the library itself never imports it.
 """
 
+import hashlib
 import itertools
+import json
 import math
 import subprocess
 import sys
@@ -15,6 +17,7 @@ from darygrow import bijections, oracle
 from darygrow.errors import SizeGuardError, UnderpoweredTestError
 from darygrow.marks import EdgeMarkedTree, LeafMarkedTree, MarkedForest
 from darygrow.tree import DaryTree, shape_key
+from test_acceptance import BIJECTION_SUITE
 
 scipy_special = pytest.importorskip("scipy.special")
 
@@ -190,6 +193,18 @@ class TestBijectionVerifier:
     def test_guard(self):
         with pytest.raises(SizeGuardError):
             oracle.verify_enlarge_bijection(4, 6)
+
+    def test_suite_reports_pinned(self):
+        # criterion 3's 15 reports, byte for byte, as they were when reduce
+        # still checked each forest's excursion type again
+        lines = [
+            json.dumps(oracle.verify_enlarge_bijection(d, n), sort_keys=True)
+            for d, n in BIJECTION_SUITE
+        ]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == (
+            "6deb82da56419742aa25613d59ccbf12fb76a0e2ac3af16f4fccb43641a59f60"
+        )
 
     @pytest.mark.parametrize(
         "stage,kind,inputs_per_call",
