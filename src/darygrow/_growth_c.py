@@ -21,7 +21,13 @@ sha256, ``_growth_core-<digest>.so``, and kept in one place,
 built from another source is never loaded.  The first import compiles the
 source there with ``compile_library`` (``cc -shared -fPIC -O3``):
 to a temporary file, moved into place with ``os.replace``; later imports
-hash the source and load the library.  Importing this module raises
+hash the source and load the library.  After a compile, the libraries
+built from other sources that are more than a day old are removed, so the
+cache holds the current library and at most a day's worth of others: two
+checkouts of different sources that share the cache (a benchmark's parent
+and change) keep both libraries instead of taking turns recompiling.  A
+compile's temporary file is never removed there, since its name has no
+``_growth_core-`` prefix.  Importing this module raises
 ImportError when the library cannot be had (no C compiler, an unwritable
 cache, a compile error), and the package then runs on the Python kernel.
 
@@ -33,6 +39,7 @@ MemoryError, and nothing proportional to d is allocated before a step.
 
 import ctypes
 import os
+import time
 from ctypes import c_char_p, c_double, c_int, c_int32, c_int64, c_uint64, c_void_p
 from operator import attrgetter
 
@@ -104,11 +111,34 @@ def compile_library(target: str) -> None:
             os.remove(tmp)
 
 
+# seconds after its last write that a library built from another source
+# may be removed
+STALE_AGE = 86400
+
+
+def remove_stale_libraries(folder: str, keep: str) -> None:
+    """Remove the ``_growth_core-*.so`` in ``folder`` other than ``keep``
+    last written more than ``STALE_AGE`` ago.  A file another process
+    removed first, or one that cannot be removed, is left as it is."""
+    cutoff = time.time() - STALE_AGE
+    for name in os.listdir(folder):
+        if name == keep or not (name.startswith("_growth_core-") and name.endswith(".so")):
+            continue
+        path = os.path.join(folder, name)
+        try:
+            if os.stat(path).st_mtime < cutoff:
+                os.remove(path)
+        except OSError:
+            pass
+
+
 def _load():
     cache = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
-    path = os.path.join(cache, "darygrow", library_name())
+    name = library_name()
+    path = os.path.join(cache, "darygrow", name)
     if not os.path.exists(path):
         compile_library(path)
+        remove_stale_libraries(os.path.dirname(path), name)
     # PyDLL: calls keep the interpreter lock, so two threads sharing a
     # kernel cannot race on its arena
     lib = ctypes.PyDLL(path)

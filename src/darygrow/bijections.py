@@ -13,11 +13,11 @@ built from three stages:
 * ``rotate`` cyclically shifts the forest positions by the letter.
 * ``add_root`` hangs the d forest positions under a fresh root.
 
-``reduce`` undoes them in reverse.  ``rotate_inv`` checks the mark total
-and turns the forest to the first lowest point of its leaf sequence, which
-by the cycle lemma is always excursion type; so ``reduce`` grafts that
-forest straight back, and the excursion check lives in the public
-``cut_inv`` alone, for forests that come from anywhere else.
+``reduce`` undoes them in reverse on the child subtrees' codes and marks,
+with no tree or forest built between: the root split is ``_split``, the
+mark total check and the turn are ``marks.leaf_shift``, and the graft is
+``_graft``; ``add_root_inv``, ``rotate_inv`` and ``cut_inv`` wrap them.
+The excursion check lives in the public ``cut_inv`` alone (see ``reduce``).
 
 Every map works on preorder codes (see ``marks``) and builds new values.
 The subtree at position p is the shortest slice ``code[p:p+L]`` with
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import chain
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
     ArityError,
@@ -42,14 +42,15 @@ from .errors import (
     RootSurgeryError,
 )
 from .marks import (
+    Code,
     EdgeMarkedTree,
     LeafMarkedTree,
     MarkedForest,
-    _increments,
     forest_to_obj,
     is_excursion_forest,
     leaf_marked_to_obj,
     leaf_sequence,
+    leaf_shift,
     mark_problems,
 )
 from .tree import _end, _walk, format_word
@@ -58,7 +59,6 @@ from .tree import _end, _walk, format_word
 # numeric letters 1..d on purpose
 RIGHT = "r"
 LEFT = "l"
-
 
 def _check_letter(d: int, a: int) -> None:
     if not 1 <= a <= d:
@@ -127,50 +127,52 @@ def cut_inv(f: MarkedForest, a: int):
     leaf's edge becomes a mark and the grafted tree's marks replace it.
 
     Raises ``NotExcursionError`` for a forest that is not excursion type
-    (and ``MarkCountError`` for a wrong mark total) before any graft.
-    ``reduce`` grafts without this check: its forest comes from
-    ``rotate_inv``, which is excursion type by the cycle lemma.
+    (and ``MarkCountError`` for a wrong mark total) before any graft;
+    ``reduce``'s turned parts need no such check.
     """
     if not is_excursion_forest(f):  # raises MarkCountError for a wrong total
         raise NotExcursionError(
             f"leaf sequence {leaf_sequence(f).format()} is not an excursion"
         )
-    return _graft(f, a)
+    return _graft(f.d, [(t.code, t.leaves, 0) for t in f.trees], a)
 
 
-def _graft(f: MarkedForest, a: int):
-    """``cut_inv`` on a forest already known to be excursion type."""
-    buds, rest = [], []
-    for j, t in enumerate(f.trees):
-        if len(t.code) == 1 and len(t.leaves) == 1:
+def _graft(d: int, parts: Sequence[tuple], a: int):
+    """``cut_inv`` on the parts of a forest known to be excursion type.
+
+    One pass sorts the buds out and grafts the rest: the first part that
+    is no bud is the base, and each later one lands on its top live leaf.
+    """
+    # ``live`` holds the marked leaves not yet plugged into, the lex-first
+    # on top.  A graft lands on the top leaf, so it moves every leaf below
+    # it by the symbols it adds: each is kept less the growth ``grown`` when
+    # it was pushed, and read back plus the growth since.
+    buds, edges, live, grown, code = [], [], [], 0, None
+    for j, (piece, marks, s) in enumerate(parts):
+        if len(piece) == 1 and len(marks) == 1:
             buds.append(j)
-        else:
-            rest.append(t)
-    code = list(rest[0].code)
-    # The marked leaves not yet plugged into, the lex-first on top.  A
-    # graft lands on the top leaf, so it moves every leaf below it by the
-    # symbols it adds: each is kept less the growth ``grown`` when it was
-    # pushed, and read back plus the growth since.
-    live = list(reversed(rest[0].leaves))
-    grown = 0
-    edges: List[int] = []
-    for t in rest[1:]:
+            continue
+        if code is None:
+            code, live = list(piece), [p - s for p in reversed(marks)]
+            continue
         if not live:
             raise CorruptForestError("no marked leaf left to plug into")
         u = live.pop() + grown
         if code[u]:
             raise CorruptForestError(f"marked node at position {u} is internal")
-        code[u : u + 1] = t.code
-        grown += len(t.code) - 1
-        if t.leaves:
-            live += [u - grown + p for p in reversed(t.leaves)]
+        if len(piece) > 1:  # an unmarked leaf piece is the leaf it lands on
+            code[u : u + 1] = piece
+            grown += len(piece) - 1
+            if marks:
+                at = u - grown - s
+                live += [at + p for p in reversed(marks)]
         # later grafts land after u, so u keeps its position
         edges.append(u)
     if live:
         # counting forces zero leftovers: the grafts consume exactly the
         # marks the non-singleton trees carry beyond the bud marks
         raise CorruptForestError(f"{len(live)} marked leaves left over")
-    return EdgeMarkedTree.from_code(f.d, tuple(code), tuple(buds), tuple(edges)), a
+    return EdgeMarkedTree.from_code(d, tuple(code), tuple(buds), tuple(edges)), a
 
 
 def rotate(f: MarkedForest, a: int) -> MarkedForest:
@@ -189,16 +191,8 @@ def rotate_inv(f: MarkedForest) -> Tuple[MarkedForest, int]:
     shift r in [0, d) recovered from the leaf sequence maps to letter d - r.
     """
     t = f.trees
-    d = len(t)
-    # the shift is the first lowest point of the leaf sequence, as in
-    # ``LukWalk.excursion_shift``
-    level = low = r = 0
-    for i, step in enumerate(_increments(f), 1):
-        level += step
-        if level < low:
-            low, r = level, i
-    r %= d
-    return MarkedForest.from_trees(t[r:] + t[:r]), d - r
+    r = leaf_shift(f.mark_counts())
+    return MarkedForest.from_trees(t[r:] + t[:r]), len(t) - r
 
 
 def add_root(f: MarkedForest) -> LeafMarkedTree:
@@ -215,25 +209,33 @@ def add_root(f: MarkedForest) -> LeafMarkedTree:
 
 
 def add_root_inv(t: LeafMarkedTree) -> MarkedForest:
-    """Split a tree at its root into the ordered forest of child subtrees."""
-    code = t.code
+    """Split a tree at its root into the forest of ``_split``'s parts."""
+    d = t.d
+    parts, _ = _split(d, t.code, t.leaves)
+    trees = [LeafMarkedTree.from_code(d, c, tuple([p - s for p in m])) for c, m, s in parts]
+    return MarkedForest.from_trees(tuple(trees))
+
+
+def _split(d: int, code: Code, marks: Code) -> Tuple[List[tuple], List[int]]:
+    """A tree's d root subtrees as (code, leaves, offset) parts, the leaves
+    as positions in ``code``, and the marks each part carries."""
     if len(code) == 1:
         raise RootSurgeryError("single-node tree has no root to remove")
-    d = t.d
-    marks = t.leaves  # sorted: each child's marks follow the previous child's
-    parts = []
+    parts: List[tuple] = []
+    counts: List[int] = []
     s, lo = 1, bisect_left(marks, 1)
-    # each child starts where the one before it ends, a leaf ends one
-    # further on, and the last child takes the rest of the tree and marks
+    # marks are sorted, so each child's follow the previous child's; each
+    # child starts where the one before it ends, a leaf ends one further
+    # on, and the last child takes the rest of the tree and marks
     for _ in range(d - 1):
         e = _end(d, code, s) if code[s] else s + 1
         hi = bisect_left(marks, e, lo)
-        leaves = tuple([p - s for p in marks[lo:hi]]) if hi > lo else ()
-        parts.append(LeafMarkedTree.from_code(d, code[s:e], leaves))
+        parts.append((code[s:e], marks[lo:hi], s))
+        counts.append(hi - lo)
         s, lo = e, hi
-    leaves = tuple([p - s for p in marks[lo:]]) if lo < len(marks) else ()
-    parts.append(LeafMarkedTree.from_code(d, code[s:], leaves))
-    return MarkedForest.from_trees(tuple(parts))
+    parts.append((code[s:], marks[lo:], s))
+    counts.append(len(marks) - lo)
+    return parts, counts
 
 
 def enlarge(x: EdgeMarkedTree, a: int) -> LeafMarkedTree:
@@ -246,14 +248,16 @@ def enlarge(x: EdgeMarkedTree, a: int) -> LeafMarkedTree:
 def reduce(t: LeafMarkedTree) -> Tuple[EdgeMarkedTree, int]:
     """Exact inverse of enlarge: cut_inv . rotate_inv . add_root_inv.
 
-    ``rotate_inv`` checks the mark total and rotates to the first lowest
-    point of the leaf sequence.  By the cycle lemma (Dvoretzky–Motzkin)
-    that rotation of a walk summing to -1 is excursion type, so the forest
-    goes straight to ``cut_inv``'s graft, without its excursion check.
+    ``_split`` cuts the code at the root into parts and counts their marks,
+    ``leaf_shift`` checks the total and finds the first lowest point of the
+    leaf sequence, and ``_graft`` grafts the parts turned there.  By the
+    cycle lemma (Dvoretzky–Motzkin) that rotation of a walk summing to -1
+    is excursion type, so no tree or forest is built for an excursion check.
     """
-    f = add_root_inv(t)
-    g, a = rotate_inv(f)
-    return _graft(g, a)
+    d = t.d
+    parts, counts = _split(d, t.code, t.leaves)
+    r = leaf_shift(counts)
+    return _graft(d, parts[r:] + parts[:r], d - r)
 
 
 def enlarge_trace(x: EdgeMarkedTree, a: int):
@@ -265,26 +269,17 @@ def enlarge_trace(x: EdgeMarkedTree, a: int):
     _check_letter(x.d, a)
     steps: list = []
     f, a = cut(x, a, details=steps)
-    frames = [
-        {
-            "map": "cut",
-            "forest": forest_to_obj(f),
-            "leaf_sequence": leaf_sequence(f).format(),
-            "details": steps,
-        }
-    ]
     g = rotate(f, a)
-    frames.append(
-        {
-            "map": "rotate",
-            "letter": a,
-            "forest": forest_to_obj(g),
-            "leaf_sequence": leaf_sequence(g).format(),
-        }
-    )
     out = add_root(g)
-    frames.append({"map": "add_root", "tree": leaf_marked_to_obj(out)})
-    return out, frames
+    return out, [
+        {"map": "cut", **_forest_frame(f), "details": steps},
+        {"map": "rotate", "letter": a, **_forest_frame(g)},
+        {"map": "add_root", "tree": leaf_marked_to_obj(out)},
+    ]
+
+
+def _forest_frame(f: MarkedForest) -> dict:
+    return {"forest": forest_to_obj(f), "leaf_sequence": leaf_sequence(f).format()}
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,6 @@ hashable; ``key()`` is their hashable identity.
 
 from __future__ import annotations
 
-from itertools import accumulate
 from typing import Iterable, List, Sequence, Tuple, Union
 
 from ._value import OrderedRecord, Record, Value
@@ -128,9 +127,7 @@ class LeafMarkedTree(_CodeTree):
 
     def __init__(self, tree: DaryTree, marked_leaves: Iterable[int]) -> None:
         self.d, self.code = tree.d, tree.code
-        self.leaves: Tuple[int, ...] = tuple(
-            sorted({tree.check_node(u) for u in marked_leaves})
-        )
+        self.leaves = tuple(sorted({tree.check_node(u) for u in marked_leaves}))
 
     @classmethod
     def from_code(cls, d: int, code: Code, leaves: Code) -> "LeafMarkedTree":
@@ -184,8 +181,8 @@ class MarkedForest(Value):
     def d(self) -> int:
         return len(self.trees)
 
-    def total_marks(self) -> int:
-        return sum([len(t.leaves) for t in self.trees])
+    def mark_counts(self) -> List[int]:
+        return [len(t.leaves) for t in self.trees]
 
     def key(self):
         return tuple(t.key() for t in self.trees)
@@ -194,22 +191,33 @@ class MarkedForest(Value):
         return f"MarkedForest(d={self.d}, sizes={[t.n for t in self.trees]})"
 
 
-def _increments(f: MarkedForest) -> List[int]:
-    """Marks - 1 per forest position, after checking the mark total."""
-    increments = [len(t.leaves) - 1 for t in f.trees]
-    if sum(increments) != -1:
-        raise MarkCountError(f"forest carries {f.total_marks()} marks, need {f.d - 1}")
-    return increments
+def leaf_shift(counts: Sequence[int]) -> int:
+    """The first lowest point, mod d, of the leaf sequence of a forest whose
+    d positions carry these mark counts, after checking their total.  By the
+    cycle lemma the forest turned to start there is excursion type, and the
+    shift is 0 exactly when the forest already is."""
+    d = len(counts)
+    total = sum(counts)
+    if total != d - 1:
+        raise MarkCountError(f"forest carries {total} marks, need {d - 1}")
+    level = low = r = 0
+    for i, c in enumerate(counts, 1):
+        level += c - 1
+        if level < low:
+            low, r = level, i
+    return r % d
 
 
 def leaf_sequence(f: MarkedForest) -> LukWalk:
     """The walk with one increment per forest position: marks - 1."""
-    return LukWalk.from_increments(_increments(f))
+    counts = f.mark_counts()
+    leaf_shift(counts)  # checks the mark total
+    return LukWalk.from_increments([c - 1 for c in counts])
 
 
 def is_excursion_forest(f: MarkedForest) -> bool:
     """True iff the leaf sequence stays nonnegative until its final step."""
-    return min(accumulate(_increments(f)[:-1]), default=0) >= 0
+    return leaf_shift(f.mark_counts()) == 0
 
 
 def mark_problems(x: EdgeMarkedTree) -> List[str]:
@@ -295,11 +303,8 @@ def edge_marked_from_obj(obj: dict) -> EdgeMarkedTree:
 
 
 def leaf_marked_to_obj(x: LeafMarkedTree) -> dict:
-    return {
-        "d": x.d,
-        "code": x.tree.code_text(),
-        "leaves": [format_word(w) for w in x.mark_words()],
-    }
+    leaves = [format_word(w) for w in x.mark_words()]
+    return {"d": x.d, "code": x.tree.code_text(), "leaves": leaves}
 
 
 def leaf_marked_from_obj(obj: dict) -> LeafMarkedTree:

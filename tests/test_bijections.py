@@ -29,6 +29,7 @@ from darygrow.bijections import (
 from darygrow.errors import (
     ArityError,
     CorruptForestError,
+    DarygrowError,
     MarkCountError,
     NotExcursionError,
     RootSurgeryError,
@@ -44,7 +45,12 @@ from darygrow.marks import (
     leaf_marked_to_obj,
     leaf_sequence,
 )
-from darygrow.oracle import enumerate_forests, enumerate_inputs, enumerate_marked_trees
+from darygrow.oracle import (
+    enumerate_forests,
+    enumerate_inputs,
+    enumerate_leaf_marked,
+    enumerate_marked_trees,
+)
 from darygrow.sampler import SplitMix64, make_kernel, sample_mark_set
 from darygrow.tree import DaryTree, new_root_tree
 from test_acceptance import BIJECTION_SUITE
@@ -338,6 +344,43 @@ class TestReduceErrors:
     def test_marked_internal_node(self, d, code, leaves):
         with pytest.raises(CorruptForestError):
             reduce(LeafMarkedTree.from_code(d, code, leaves))
+
+
+class TestReduceIsTheStages:
+    """``reduce`` runs the inverse stages on code parts; it must return and
+    raise exactly what the public stages do, composed."""
+
+    @pytest.mark.parametrize(
+        "d,n", [(d, n) for d in (2, 3, 4) for n in range(3)] + [(5, 0), (5, 1)]
+    )
+    def test_every_image(self, d, n):
+        count = 0
+        for t in enumerate_leaf_marked(d, n + 1, d - 1):
+            x, a = reduce(t)
+            y, b = cut_inv(*rotate_inv(add_root_inv(t)))
+            assert (x.key(), a) == (y.key(), b), t.key()
+            count += 1
+        assert count == len(enumerate_inputs(d, n))
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            singleton(3, True),
+            singleton(2),
+            LeafMarkedTree.from_code(3, (3, 0, 0, 0), (1,)),
+            LeafMarkedTree.from_code(3, (3, 0, 0, 0), (1, 2, 3)),
+            LeafMarkedTree.from_code(2, (2, 2, 0, 0, 0), ()),
+        ],
+        ids=["single-node", "single-node-unmarked", "one-short", "one-over", "none"],
+    )
+    def test_same_error(self, t):
+        with pytest.raises(DarygrowError) as fused:
+            reduce(t)
+        with pytest.raises(DarygrowError) as staged:
+            cut_inv(*rotate_inv(add_root_inv(t)))
+        assert type(fused.value) is type(staged.value)
+        assert str(fused.value) == str(staged.value)
+        assert isinstance(fused.value, (RootSurgeryError, MarkCountError))
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import time
 
 import pytest
 
@@ -114,6 +115,19 @@ def package_copy(tmp_path):
         if name.endswith(".py") or name == "_growth_core.c":
             shutil.copy(os.path.join(PACKAGE, name), copy)
     return copy
+
+
+def kernel_in(env):
+    """The kernel a fresh interpreter with this environment selects."""
+    out = subprocess.run(
+        [sys.executable, "-c", "import darygrow.sampler as s; print(s.kernel_name())"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()
 
 
 def test_core_is_warning_free(tmp_path):
@@ -250,29 +264,67 @@ def test_first_import_compiles_once_into_the_cache(tmp_path):
     env.pop("DARYGROW_PURE_PYTHON", None)
     library = _growth_c.library_name()
 
-    def kernel():
-        out = subprocess.run(
-            [sys.executable, "-c", "import darygrow.sampler as s; print(s.kernel_name())"],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=300,
-        )
-        assert out.returncode == 0, out.stderr
-        return out.stdout.strip()
-
-    assert kernel() == "c"
+    assert kernel_in(env) == "c"
     assert log.read_text().split() == ["run"]
     assert os.listdir(tmp_path / "cache") == ["darygrow"]
     assert os.listdir(tmp_path / "cache" / "darygrow") == [library]
     assert sorted(name for name in os.listdir(copy) if name != "__pycache__") == sources
 
-    assert kernel() == "c"
+    assert kernel_in(env) == "c"
     assert log.read_text().split() == ["run"]
 
     (copy / library).write_bytes(b"not a shared library")
-    assert kernel() == "c"
+    assert kernel_in(env) == "c"
     assert log.read_text().split() == ["run"]
+
+
+def test_compile_removes_stale_libraries(tmp_path):
+    # a library built from another source twice the stale age ago and a
+    # compile's temporary file as old: the first import's compile removes
+    # the library and keeps the temporary file, which has no _growth_core-
+    # prefix; a library another source built recently survives a compile
+    compiler()
+    _growth_c = pytest.importorskip(
+        "darygrow._growth_c", reason="compiled kernel not built", exc_type=ImportError
+    )
+    package_copy(tmp_path)
+    folder = tmp_path / "cache" / "darygrow"
+    folder.mkdir(parents=True)
+    stale = folder / "_growth_core-0123456789abcdef.so"
+    temp = folder / "tmp3k9x_q1a.so"
+    old = time.time() - 2 * _growth_c.STALE_AGE
+    for planted in (stale, temp):
+        planted.write_bytes(b"not a shared library")
+        os.utime(planted, (old, old))
+    env = dict(os.environ, PYTHONPATH=str(tmp_path), XDG_CACHE_HOME=str(tmp_path / "cache"))
+    env.pop("DARYGROW_PURE_PYTHON", None)
+    library = _growth_c.library_name()
+
+    assert kernel_in(env) == "c"
+    assert sorted(os.listdir(folder)) == sorted([library, temp.name])
+
+    recent = folder / "_growth_core-fedcba9876543210.so"
+    recent.write_bytes(b"not a shared library")
+    recently = time.time() - _growth_c.STALE_AGE / 2
+    os.utime(recent, (recently, recently))
+    (folder / library).unlink()
+    assert kernel_in(env) == "c"
+    assert sorted(os.listdir(folder)) == sorted([library, recent.name, temp.name])
+
+
+def test_stale_library_already_gone_is_skipped(tmp_path):
+    # a listed library whose file is gone by the time it is read (a dangling
+    # link stands for one another process removed first) is passed over,
+    # and the others are still removed
+    _growth_c = pytest.importorskip(
+        "darygrow._growth_c", reason="compiled kernel not built", exc_type=ImportError
+    )
+    (tmp_path / "_growth_core-00000000deadbeef.so").symlink_to(tmp_path / "gone")
+    stale = tmp_path / "_growth_core-0123456789abcdef.so"
+    stale.write_bytes(b"")
+    os.utime(stale, (0, 0))
+    _growth_c.remove_stale_libraries(str(tmp_path), "_growth_core-current.so")
+    assert not stale.exists()
 
 
 def test_failed_core_load_is_not_retried(tmp_path):
