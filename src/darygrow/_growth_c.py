@@ -6,10 +6,10 @@ observably identical.  The argument checks, the size guard and the views
 read off the shape are the shared ones of ``_kernel.Kernel``.  The step
 loop, the lex phase, the shape walk and whole histogram runs execute in C,
 so one Python call does bulk work; the paren text and the height are the
-only views the C core renders itself.  Its one walk does all three, from
-both ends of the output in turn on the calling thread, which no output
-shows.  A histogram is binned in C as well: ``dg_histogram`` grows
-every chain and counts its shape in a hash table of the distinct shapes,
+only views the C core renders itself.  Its one walk does all three: a
+preorder loop over a stack of node ids, on the calling thread.  A
+histogram is binned in C as well: ``dg_histogram`` grows every chain and
+counts its shape in a hash table of the distinct shapes,
 and ``dg_histogram_read`` copies them out, in the order first seen, with
 their counts, so Python makes no key per chain and the memory held is that
 of the distinct shapes, not of the chains.  Histogram chains are

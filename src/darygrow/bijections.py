@@ -218,12 +218,15 @@ def add_root_inv(t: LeafMarkedTree) -> MarkedForest:
 
 def _split(d: int, code: Code, marks: Code) -> Tuple[List[tuple], List[int]]:
     """A tree's d root subtrees as (code, leaves, offset) parts, the leaves
-    as positions in ``code``, and the marks each part carries."""
+    as positions in ``code``, and the marks each part carries; a marked
+    root is CorruptForestError."""
     if len(code) == 1:
         raise RootSurgeryError("single-node tree has no root to remove")
+    if marks and not marks[0]:
+        raise CorruptForestError("marked node at position 0 is the root")
     parts: List[tuple] = []
     counts: List[int] = []
-    s, lo = 1, bisect_left(marks, 1)
+    s, lo = 1, 0
     # marks are sorted, so each child's follow the previous child's; each
     # child starts where the one before it ends, a leaf ends one further
     # on, and the last child takes the rest of the tree and marks

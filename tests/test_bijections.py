@@ -339,11 +339,18 @@ class TestReduceErrors:
             (2, (2, 2, 0, 0, 0), (1,)),  # the first child, not rotated
             (2, (2, 0, 2, 0, 0), (2,)),  # the last child, rotated to the front
             (3, (3, 3, 0, 0, 0, 0, 0), (1, 5)),  # beside a bud
+            (2, (2, 0, 0), (0, 1)),  # the root, with a leaf
+            (2, (2, 0, 0), (0,)),  # the root alone
+            (3, (3, 0, 3, 0, 0, 0, 0), (0, 3)),  # the root, with a leaf below
         ],
     )
     def test_marked_internal_node(self, d, code, leaves):
+        t = LeafMarkedTree.from_code(d, code, leaves)
         with pytest.raises(CorruptForestError):
-            reduce(LeafMarkedTree.from_code(d, code, leaves))
+            reduce(t)
+        if 0 in leaves:  # the root mark is refused by the split itself
+            with pytest.raises(CorruptForestError):
+                add_root_inv(t)
 
 
 class TestReduceIsTheStages:

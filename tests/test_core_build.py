@@ -30,7 +30,7 @@ from darygrow.sampler import make_kernel
 
 assert _growth_c._lib._name == sys.argv[1], _growth_c._lib._name
 # (3, 20000) walks paths of several hundred nodes by jumps; (2, 40000) is
-# the biggest tree, whose walks' two ends meet far from either end
+# the biggest random tree
 for d, n in ((2, 3000), (3, 20000), (5, 2000), (12, 400), (200, 20), (2, 40000)):
     py, c = make_kernel(d, n, kernel="python"), make_kernel(d, n, kernel="c")
     for k in (py, c):
@@ -59,6 +59,21 @@ for d, n in ((2, 3000), (3, 20000), (5, 2000), (12, 400), (200, 20), (2, 40000))
         c.edge_word(r) for r in range(0, d * n, 7)
     ]
     assert py.histogram(6, 50) == c.histogram(6, 50)
+# combs of about 65k nodes, grown by marking only buds: a left comb's
+# internal nodes come first in preorder, so its walk holds every leaf and
+# a marker per level pending at once and fills the stack to its last
+# entry; a right comb's holds a marker per level
+for d in (2, 12):
+    for letter in (d - 1, d):
+        py, c = make_kernel(d, 0, kernel="python"), make_kernel(d, 0, kernel="c")
+        for k in (py, c):
+            for _ in range(65536 // d):
+                k.step_with(range(k.root, k.root + d - 1), letter)
+        assert py.preorder_code() == c.preorder_code()
+        assert py.counters == c.counters
+        assert py.code_text() == c.code_text()
+        assert py.paren_text() == c.paren_text()
+        assert py.height() == c.height() == 65536 // d
 # the histogram's shape table and store grow past their first 16 shapes:
 # d = 2, n = 9 has 4,862 classes, and d = 3, n = 200 gives 20 long keys
 for d, n, chains in ((2, 9, 600), (3, 200, 20)):

@@ -772,11 +772,11 @@ def comb(kernel, n, letter):
 
 
 class TestWalkSides:
-    """The C core walks a tree from both ends in turn on one thread: forward
-    from the first unit, in reverse from the last, one popped entry of each
-    at a time, until the two together have written every unit.  Every view
-    must be the spec's wherever the ends meet, whatever the tree's size and
-    shape."""
+    """The C core renders the shape, the paren text and the height in one
+    preorder walk over a stack of node ids, with a marker below each
+    internal node's children in the paren and height modes.  Every view
+    must be the spec's, whatever the tree's size and shape, and however
+    full the stack gets."""
 
     @staticmethod
     def views(k):
@@ -785,7 +785,7 @@ class TestWalkSides:
     @pytest.mark.parametrize("d", [2, 3, 12])
     @pytest.mark.parametrize("nodes", [10922, 32769, 65536])
     def test_random_trees(self, d, nodes):
-        # big trees, whose two walk ends meet far from either end
+        # big random trees
         py, c = both(d, nodes)
         n = -(-(nodes - 1) // d)
         py.steps(n)
@@ -796,8 +796,9 @@ class TestWalkSides:
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_combs(self, d, side):
         # a left comb keeps its internal nodes first in preorder, so the
-        # forward end's stack stays nearly empty and the reverse end's
-        # holds the whole depth; a right comb the other way round
+        # walk's stack fills: (d - 1) * n leaves and n markers are pending
+        # at once; a right comb's internal nodes come last, and its stack
+        # holds at most d entries and a marker per level walked
         n = 65536 // d
         letter = d - 1 if side == "left" else d
         py, c = (comb(k, n, letter) for k in both(d, 0))
@@ -809,8 +810,8 @@ class TestWalkSides:
 
     @pytest.mark.parametrize("d", [2, 3, 5, 12])
     def test_every_small_tree_size(self, d):
-        # tiny trees, the size of histogram chains, meet from both ends
-        # after a few nodes: every size from the single leaf to 40 steps
+        # tiny trees, the size of histogram chains: every size from the
+        # single leaf to 40 steps
         for n in range(41):
             py, c = both(d, 1000 * d + n)
             py.steps(n)
