@@ -21,6 +21,12 @@ ns per chain of `kernel.histogram` on criterion 8's two grids, d = 3,
 n = 4 over 110,000 chains and d = 2, n = 5 over 84,000, median of three
 calls on one kernel; the Python kernel bins a tenth of the chains.
 
+The reference bijections get one row per label (`bijections`): criterion
+3's exhaustive suite (`oracle.verify_enlarge_bijection` over its 15 sizes,
+6,958 inputs) and, over the same inputs, the public stages `cut`,
+`add_root . rotate` and `reduce`, in seconds, each the median of the rounds
+run in one process (15, or 3 with --quick).
+
 Usage: python benchmarks/bench_growth.py [--label L] [--seed N] [--quick] [--out FILE]
 """
 
@@ -48,6 +54,9 @@ OUT = Path(__file__).resolve().parent.parent / "BENCH_growth.json"
 REPEAT = 3
 # criterion 8's chi-square grids: d, n, chains
 HISTOGRAMS = [(3, 4, 110_000), (2, 5, 84_000)]
+# criterion 3's sizes: d, n
+SUITE = [(2, n) for n in range(6)] + [(3, n) for n in range(4)] + [(4, n) for n in range(3)]
+SUITE += [(5, 0), (5, 1)]
 
 
 def run(kernel, d, n, seed):
@@ -100,6 +109,30 @@ def histogram_row(label, kernel, d, n, chains, seed):
     }
 
 
+def bijection_row(label, rounds):
+    from darygrow import bijections as b, oracle
+
+    trees = [x for d, n in SUITE for x in oracle.enumerate_marked_trees(d, n)]
+    forests = [b.cut(x, 1)[0] for x in trees]
+    turned = [(f, a) for f in forests for a in range(1, f.d + 1)]
+    images = [b.add_root(b.rotate(f, a)) for f, a in turned]
+    stages = {
+        "suite_s": lambda: [oracle.verify_enlarge_bijection(d, n) for d, n in SUITE],
+        "cut_s": lambda: [b.cut(x, 1) for x in trees],
+        "rotate_add_root_s": lambda: [b.add_root(b.rotate(f, a)) for f, a in turned],
+        "reduce_s": lambda: [b.reduce(t) for t in images],
+    }
+    runs = {name: [] for name in stages}
+    for _ in range(rounds):
+        for name, stage in stages.items():
+            t0 = time.perf_counter()
+            stage()
+            runs[name].append(time.perf_counter() - t0)
+    row = {"label": label, "inputs": len(images), "repeat": rounds}
+    row.update((name, round(statistics.median(r), 5)) for name, r in runs.items())
+    return row
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", default="current")
@@ -142,7 +175,11 @@ def main() -> int:
             f" x {r['chains']}: {r['ns_per_chain']} ns/chain"
         )
 
-    record = {"machine": None, "rows": [], "histogram": []}
+    bijections = bijection_row(args.label, 3 if args.quick else 15)
+    print()
+    print(" ".join(f"{k} {v}" for k, v in bijections.items()))
+
+    record = {"machine": None, "rows": [], "histogram": [], "bijections": []}
     if args.out.exists():
         old = json.loads(args.out.read_text())
         # only the sections this script writes are kept
@@ -152,6 +189,8 @@ def main() -> int:
     record["rows"] = [r for r in record["rows"] if key(r) not in fresh] + rows
     fresh = {key(r) for r in histograms}
     record["histogram"] = [r for r in record["histogram"] if key(r) not in fresh] + histograms
+    kept = [r for r in record["bijections"] if r["label"] != args.label]
+    record["bijections"] = kept + [bijections]
     record["machine"] = (
         f"{os.cpu_count()} cores, {platform.machine()}, Python {platform.python_version()}"
     )

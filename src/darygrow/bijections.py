@@ -7,17 +7,15 @@ built from three stages:
 * ``cut`` breaks the marked tree into an ordered forest of d leaf-marked
   trees by repeatedly detaching the subtree under the lexicographically
   largest remaining marked edge; bud marks become root-marked singleton
-  positions.  The forest it produces is always excursion type, and the
-  letter, which only ``rotate`` reads, cannot change it: so the exhaustive
-  oracle cuts each marked tree once and rotates that forest by all d letters.
+  positions.  The forest is always excursion type, whatever the letter.
 * ``rotate`` cyclically shifts the forest positions by the letter.
 * ``add_root`` hangs the d forest positions under a fresh root.
 
-``reduce`` undoes them in reverse on the child subtrees' codes and marks,
-with no tree or forest built between: the root split is ``_split``, the
-mark total check and the turn are ``marks.leaf_shift``, and the graft is
-``_graft``; ``add_root_inv``, ``rotate_inv`` and ``cut_inv`` wrap them.
-The excursion check lives in the public ``cut_inv`` alone (see ``reduce``).
+Both directions run on (code, leaves, offset) parts, one per forest
+position, and build only the tree they return: ``enlarge`` is ``_cut``,
+``_turn`` and ``_hang``, and ``reduce`` is ``_split``, ``marks.leaf_shift``
+and ``_graft``.  The six public stages wrap these helpers, so each rule
+has one copy.  The excursion check lives in ``cut_inv`` (see ``reduce``).
 
 Every map works on preorder codes (see ``marks``) and builds new values.
 The subtree at position p is the shortest slice ``code[p:p+L]`` with
@@ -31,27 +29,14 @@ the reference semantics those kernels are tested against.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
-    ArityError,
-    CorruptForestError,
-    MarkCountError,
-    NotExcursionError,
-    RootSurgeryError,
+    ArityError, CorruptForestError, MarkCountError, NotExcursionError, RootSurgeryError
 )
 from .marks import (
-    Code,
-    EdgeMarkedTree,
-    LeafMarkedTree,
-    MarkedForest,
-    forest_to_obj,
-    is_excursion_forest,
-    leaf_marked_to_obj,
-    leaf_sequence,
-    leaf_shift,
-    mark_problems,
+    Code, EdgeMarkedTree, LeafMarkedTree, MarkedForest, forest_to_obj, is_excursion_forest,
+    leaf_marked_to_obj, leaf_sequence, leaf_shift, mark_problems,
 )
 from .tree import _end, _walk, format_word
 
@@ -66,11 +51,10 @@ def _check_letter(d: int, a: int) -> None:
 
 
 def cut(x: EdgeMarkedTree, a: int, details: Optional[list] = None):
-    """Break an edge-marked tree into an excursion-type marked forest.
-
-    The letter ``a`` is not read, so the forest is the same for every
-    letter; it is passed through so the composition with rotate reads
-    naturally.  Returns ``(forest, a)``.
+    """Break an edge-marked tree into an excursion-type marked forest: the
+    forest of ``_cut``'s parts.  The letter ``a`` is not read, so the
+    forest is the same for every letter; it is passed through so the
+    composition with rotate reads naturally.  Returns ``(forest, a)``.
 
     Bud b_j yields a root-marked singleton at position j.  Then, while
     marked edges remain, the subtree under the lexicographically largest
@@ -81,41 +65,47 @@ def cut(x: EdgeMarkedTree, a: int, details: Optional[list] = None):
     of the whole tree) with the marked subtrees inside it cut down to one
     marked leaf each, and the pieces in preorder take the free positions.
     """
+    parts, _ = _cut(x)
+    if details is not None:
+        free = [j for j in range(x.d) if j not in x.buds]
+        words = x.words(x.edges)
+        for i in range(len(x.edges), 0, -1):
+            edge = format_word(words[i - 1])
+            details.append({"position": free[i], "edge": edge, "remaining": free[:i]})
+    return _forest(x.d, parts), a
+
+
+def _cut(x: EdgeMarkedTree) -> Tuple[List[tuple], List[int]]:
+    """``cut``'s forest as parts (see ``_split``), each at offset 0, and the
+    marks each part carries."""
     problems = mark_problems(x)
     if problems:
         raise MarkCountError(problems[0])
-    d = x.d
-    code = x.code
+    d, code = x.d, x.code
     spans = [(0, len(code))]
-    # a marked leaf's subtree is the leaf alone
-    spans += [(p, _end(d, code, p) if code[p] else p + 1) for p in x.edges]
-    free = [j for j in range(d) if j not in x.buds]  # buds checked above
-
-    slots: List[LeafMarkedTree] = [None] * d  # type: ignore[list-item]
-    bud = LeafMarkedTree.from_code(d, (0,), (0,))  # immutable, so shared
-    for j in x.buds:
-        slots[j] = bud
+    # loops, not comprehensions (a call each), over the few marks: here, in _hang and _graft
+    for p in x.edges:
+        spans.append((p, _end(d, code, p) if code[p] else p + 1))  # a marked leaf is alone
+    free = list(range(d))
+    for j in x.buds:  # distinct and in range, checked above
+        free.remove(j)
+    parts, counts = [((0,), (0,), 0)] * d, [1] * d  # a bud: the marked single node
     for i, (s, e) in enumerate(spans):
-        parts, leaves, size, at = [], [], 0, s
+        piece, leaves, at = [], [], s
         for h, h_end in spans[i + 1 :]:
             if h >= e:
                 break
             if h < at:
                 continue  # inside a subtree already cut out of this piece
-            size += h - at
-            leaves.append(size)
-            parts += (code[at:h], (0,))
-            size += 1
+            piece += code[at:h]
+            leaves.append(len(piece))
+            piece.append(0)
             at = h_end
-        piece = tuple(chain(*parts, code[at:e])) if parts else code[s:e]
-        slots[free[i]] = LeafMarkedTree.from_code(d, piece, tuple(leaves))
-
-    if details is not None:
-        words = x.words(x.edges)
-        for i in range(len(x.edges), 0, -1):
-            edge = format_word(words[i - 1])
-            details.append({"position": free[i], "edge": edge, "remaining": free[:i]})
-    return MarkedForest.from_trees(tuple(slots)), a
+        if leaves:
+            piece += code[at:e]
+        parts[free[i]] = (tuple(piece) if leaves else code[s:e], tuple(leaves), 0)
+        counts[free[i]] = len(leaves)
+    return parts, counts
 
 
 def cut_inv(f: MarkedForest, a: int):
@@ -153,7 +143,9 @@ def _graft(d: int, parts: Sequence[tuple], a: int):
             buds.append(j)
             continue
         if code is None:
-            code, live = list(piece), [p - s for p in reversed(marks)]
+            code = list(piece)
+            for p in reversed(marks):
+                live.append(p - s)
             continue
         if not live:
             raise CorruptForestError("no marked leaf left to plug into")
@@ -163,9 +155,9 @@ def _graft(d: int, parts: Sequence[tuple], a: int):
         if len(piece) > 1:  # an unmarked leaf piece is the leaf it lands on
             code[u : u + 1] = piece
             grown += len(piece) - 1
-            if marks:
-                at = u - grown - s
-                live += [at + p for p in reversed(marks)]
+            at = u - grown - s
+            for p in reversed(marks):
+                live.append(at + p)
         # later grafts land after u, so u keeps its position
         edges.append(u)
     if live:
@@ -177,10 +169,14 @@ def _graft(d: int, parts: Sequence[tuple], a: int):
 
 def rotate(f: MarkedForest, a: int) -> MarkedForest:
     """Shift forest positions: output position i holds input position (i+a) mod d."""
-    t = f.trees
-    _check_letter(len(t), a)
-    s = a % len(t)
-    return MarkedForest.from_trees(t[s:] + t[:s])
+    return MarkedForest.from_trees(_turn(f.trees, a))
+
+
+def _turn(parts: Sequence, a: int):
+    """``rotate`` on a forest's d trees or parts."""
+    _check_letter(len(parts), a)
+    s = a % len(parts)
+    return parts[s:] + parts[:s]
 
 
 def rotate_inv(f: MarkedForest) -> Tuple[MarkedForest, int]:
@@ -197,22 +193,30 @@ def rotate_inv(f: MarkedForest) -> Tuple[MarkedForest, int]:
 
 def add_root(f: MarkedForest) -> LeafMarkedTree:
     """Hang the forest under a fresh root; position i becomes child i+1."""
-    d = f.d
-    code = [d]
-    leaves: List[int] = []
-    for t in f.trees:
-        if t.leaves:
-            base = len(code)
-            leaves += [base + p for p in t.leaves]
-        code += t.code
+    return _hang(f.d, [(t.code, t.leaves, 0) for t in f.trees])
+
+
+def _hang(d: int, parts: Sequence[tuple]) -> LeafMarkedTree:
+    """The inverse of ``_split``: the parts in order under a fresh root."""
+    code, leaves = [d], []
+    for piece, marks, s in parts:
+        if marks:
+            at = len(code) - s
+            for p in marks:
+                leaves.append(at + p)
+        code += piece
     return LeafMarkedTree.from_code(d, tuple(code), tuple(leaves))
 
 
 def add_root_inv(t: LeafMarkedTree) -> MarkedForest:
     """Split a tree at its root into the forest of ``_split``'s parts."""
-    d = t.d
-    parts, _ = _split(d, t.code, t.leaves)
-    trees = [LeafMarkedTree.from_code(d, c, tuple([p - s for p in m])) for c, m, s in parts]
+    return _forest(t.d, _split(t.d, t.code, t.leaves)[0])
+
+
+def _forest(d: int, parts: Sequence[tuple]) -> MarkedForest:
+    """The forest of these parts."""
+    of = LeafMarkedTree.from_code
+    trees = [of(d, c, tuple([p - s for p in m]) if s else m) for c, m, s in parts]
     return MarkedForest.from_trees(tuple(trees))
 
 
@@ -242,10 +246,10 @@ def _split(d: int, code: Code, marks: Code) -> Tuple[List[tuple], List[int]]:
 
 
 def enlarge(x: EdgeMarkedTree, a: int) -> LeafMarkedTree:
-    """Grow by one internal node: add_root . rotate . cut."""
+    """Grow by one internal node: add_root . rotate . cut, run as ``_cut``,
+    ``_turn`` and ``_hang`` on the parts, with no forest built between."""
     _check_letter(x.d, a)
-    f, a = cut(x, a)
-    return add_root(rotate(f, a))
+    return _hang(x.d, _turn(_cut(x)[0], a))
 
 
 def reduce(t: LeafMarkedTree) -> Tuple[EdgeMarkedTree, int]:

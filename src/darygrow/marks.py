@@ -230,9 +230,9 @@ def mark_problems(x: EdgeMarkedTree) -> List[str]:
     for kind, found in (("bud", x.buds), ("edge", x.edges)):
         if len(set(found)) != len(found):
             problems.append(f"duplicate {kind} mark")
-    problems.extend(
-        f"bud index {i} outside [0, {d - 2}]" for i in x.buds if not 0 <= i <= d - 2
-    )
+    for i in x.buds:
+        if not 0 <= i <= d - 2:
+            problems.append(f"bud index {i} outside [0, {d - 2}]")
     if 0 in x.edges:
         problems.append("root names no edge")
     return problems

@@ -18,12 +18,7 @@ from . import bijections
 from ._value import Record
 from .errors import FORCE_HINT, DarygrowError, SizeGuardError, UnderpoweredTestError
 from .marks import (
-    EdgeMarkedTree,
-    LeafMarkedTree,
-    MarkedForest,
-    edge_marked_to_obj,
-    is_excursion_forest,
-    leaf_sequence,
+    EdgeMarkedTree, LeafMarkedTree, MarkedForest, edge_marked_to_obj, leaf_sequence, leaf_shift
 )
 from .sampler import make_kernel
 from .tree import DaryTree, shape_key
@@ -222,9 +217,9 @@ def verify_enlarge_bijection(d: int, n: int, force: bool = False) -> dict:
     fails and the input ``reduce`` returned enlarges to the same image, the
     failure is reported as a collision of the two inputs.
 
-    ``cut`` does not read the letter, so each marked tree is cut once and
-    its forest rotated by every letter.  ``inputs`` counts the inputs
-    checked, the failing one included.
+    ``cut`` does not read the letter, so each marked tree is cut to parts
+    once and each image hung from them turned by its letter, with no forest
+    built.  ``inputs`` counts the inputs checked, the failing one included.
     """
     inputs_guard(d, n, force)
     params = {"d": d, "n": n}
@@ -237,26 +232,26 @@ def verify_enlarge_bijection(d: int, n: int, force: bool = False) -> dict:
         "expected_multiplicity": expected_mult,
         "counterexample": None,
     }
-    per_tree: Dict[Tuple[int, ...], int] = {}
+    per_tree: Dict[Tuple[int, ...], List[int]] = {}  # one hash finds a [count]
     # read through the module, once per call, so a patched stage is seen
-    rotate, add_root, reduce = bijections.rotate, bijections.add_root, bijections.reduce
+    cut, turn, hang, reduce = bijections._cut, bijections._turn, bijections._hang, bijections.reduce
     for x in enumerate_marked_trees(d, n, force=force):
-        forest, _ = bijections.cut(x, 1)
-        if not is_excursion_forest(forest):
+        parts, counts = cut(x)
+        if leaf_shift(counts):
             report["inputs"] += 1
             report["counterexample"] = {
                 "kind": "cut_not_excursion",
                 "input": _input_obj(x, 1),
-                "leaf_sequence": leaf_sequence(forest).format(),
+                "leaf_sequence": leaf_sequence(bijections._forest(d, parts)).format(),
             }
             return report
-        key = x.key()
+        code, buds, edges = x.code, x.buds, x.edges
         for a in range(1, d + 1):
             report["inputs"] += 1
-            image = add_root(rotate(forest, a))
-            per_tree[image.code] = per_tree.get(image.code, 0) + 1
+            image = hang(d, turn(parts, a))
+            per_tree.setdefault(image.code, [0])[0] += 1
             back, back_a = reduce(image)
-            if back_a != a or back.key() != key:
+            if back_a != a or back.code != code or back.edges != edges or back.buds != buds:
                 try:
                     collision = bijections.enlarge(back, back_a) == image
                 except DarygrowError:  # reduce returned no input at all
@@ -273,7 +268,7 @@ def verify_enlarge_bijection(d: int, n: int, force: bool = False) -> dict:
     if report["inputs"] != expected_images:
         report["counterexample"] = {"kind": "image_count"}
         return report
-    bad = {c: m for c, m in per_tree.items() if m != expected_mult}
+    bad = {c: m for c, [m] in per_tree.items() if m != expected_mult}
     if len(per_tree) != count_trees(d, n + 1) or bad:
         report["counterexample"] = {
             "kind": "multiplicity",

@@ -353,6 +353,44 @@ class TestReduceErrors:
                 add_root_inv(t)
 
 
+class TestEnlargeIsTheStages:
+    """``enlarge`` runs the forward stages on code parts; it must return and
+    raise exactly what the public stages do, composed."""
+
+    @pytest.mark.parametrize("d,n", BIJECTION_SUITE)
+    def test_every_input(self, d, n):
+        for x, a in enumerate_inputs(d, n):
+            staged = add_root(rotate(*cut(x, a)))
+            assert enlarge(x, a).key() == staged.key(), (x.key(), a)
+
+    @pytest.mark.parametrize("d,n", [(d, n) for d, n in BIJECTION_SUITE if d <= 3])
+    def test_trace_result_is_enlarge(self, d, n):
+        # the trace still runs the public stages one by one
+        for x, a in enumerate_inputs(d, n):
+            out, _ = enlarge_trace(x, a)
+            assert out.key() == enlarge(x, a).key(), (x.key(), a)
+
+    @pytest.mark.parametrize(
+        "x,a,error",
+        [
+            (EdgeMarkedTree.from_code(3, (3, 0, 0, 0), (), (1,)), 1, MarkCountError),
+            (EdgeMarkedTree.from_code(3, (3, 0, 0, 0), (0,), (1, 2)), 2, MarkCountError),
+            (EdgeMarkedTree.from_code(3, (3, 0, 0, 0), (), (2, 2)), 3, MarkCountError),
+            (EdgeMarkedTree.from_code(3, (0,), (1, 1), ()), 1, MarkCountError),
+            (EdgeMarkedTree.from_code(3, (3, 0, 0, 0), (0,), (1,)), 0, ArityError),
+            (EdgeMarkedTree.from_code(3, (3, 0, 0, 0), (), (1, 3)), 4, ArityError),
+        ],
+        ids=["one-short", "one-over", "duplicate-edge", "duplicate-bud", "letter-0", "letter-4"],
+    )
+    def test_same_error(self, x, a, error):
+        with pytest.raises(DarygrowError) as fused:
+            enlarge(x, a)
+        with pytest.raises(DarygrowError) as staged:
+            add_root(rotate(*cut(x, a)))
+        assert type(fused.value) is type(staged.value) is error
+        assert str(fused.value) == str(staged.value)
+
+
 class TestReduceIsTheStages:
     """``reduce`` runs the inverse stages on code parts; it must return and
     raise exactly what the public stages do, composed."""

@@ -15,7 +15,7 @@ import pytest
 
 from darygrow import bijections, oracle
 from darygrow.errors import SizeGuardError, UnderpoweredTestError
-from darygrow.marks import EdgeMarkedTree, LeafMarkedTree, MarkedForest
+from darygrow.marks import EdgeMarkedTree, LeafMarkedTree
 from darygrow.tree import DaryTree, shape_key
 from test_acceptance import BIJECTION_SUITE
 
@@ -208,19 +208,27 @@ class TestBijectionVerifier:
 
     @pytest.mark.parametrize(
         "stage,kind,inputs_per_call",
-        [("reduce", "round_trip", 1), ("rotate", "collision", 1), ("cut", "cut_not_excursion", 3)],
+        [
+            ("reduce", "round_trip", 1),
+            ("rotate", "collision", 1),
+            ("cut", "cut_not_excursion", 3),
+            ("hang", "collision", 1),
+        ],
     )
     def test_broken_stage_fails(self, monkeypatch, stage, kind, inputs_per_call):
-        # a verifier that checked nothing must not report pass; the cut runs
-        # once per marked tree, for its 3 inputs
-        real = getattr(bijections, stage)
+        # a verifier that checked nothing must not report pass.  The names
+        # patched are those the verifier runs: the cut helper runs once per
+        # marked tree, for its 3 inputs, and the turn and the hang once per
+        # input
+        name = STAGE_NAMES[stage]
+        real = getattr(bijections, name)
         calls = []
 
         def broken(*args):
             calls.append(args)
             return BROKEN[stage](real, len(calls), *args)
 
-        monkeypatch.setattr(bijections, stage, broken)
+        monkeypatch.setattr(bijections, name, broken)
         report = oracle.verify_enlarge_bijection(3, 2)
         assert report["pass"] is False
         assert report["counterexample"]["kind"] == kind
@@ -229,12 +237,37 @@ class TestBijectionVerifier:
     def test_collision_names_the_other_input(self, monkeypatch):
         # no image is kept: the earlier input is what reduce returns, and it
         # enlarges to the same image
-        real = bijections.rotate
-        monkeypatch.setattr(bijections, "rotate", lambda f, a: real(f, 1))
+        real = bijections._turn
+        monkeypatch.setattr(bijections, "_turn", lambda parts, a: real(parts, 1))
         bad = oracle.verify_enlarge_bijection(3, 2)["counterexample"]
         assert bad["kind"] == "collision"
         assert (bad["input"]["letter"], bad["other_input"]["letter"]) == (2, 1)
         assert dict(bad["other_input"], letter=2) == bad["input"]
+
+    @pytest.mark.parametrize("field", ["code", "buds", "edges"])
+    def test_reduce_answer_compared_field_by_field(self, monkeypatch, field):
+        # on the 5th input reduce returns its answer with one field changed
+        # and the letter right: a round trip failure, whichever field it is
+        real, calls = bijections.reduce, []
+
+        def broken(t):
+            back, a = real(t)
+            calls.append(t)
+            if len(calls) == 5:
+                other = {
+                    "code": next(c for c in oracle.enumerate_codes(3, 2) if c != back.code),
+                    "buds": back.buds + (1,),
+                    "edges": back.edges + (1,),
+                }
+                fields = dict(code=back.code, buds=back.buds, edges=back.edges)
+                fields[field] = other[field]
+                back = EdgeMarkedTree.from_code(3, **fields)
+            return back, a
+
+        monkeypatch.setattr(bijections, "reduce", broken)
+        report = oracle.verify_enlarge_bijection(3, 2)
+        assert report["counterexample"]["kind"] == "round_trip"
+        assert report["inputs"] == 5
 
     def test_reduce_returning_no_input_is_a_round_trip(self, monkeypatch):
         # letter 0 names no input: nothing to re-enlarge, and no exception
@@ -250,21 +283,33 @@ def _reduce_wrong_letter_once(real, call, t):
     return back, a % 3 + 1 if call == 5 else a
 
 
-def _rotate_ignoring_letter(real, call, f, a):
-    return real(f, 1)
+def _turn_ignoring_letter(real, call, parts, a):
+    return real(parts, 1)
 
 
-def _cut_swapping_ends(real, call, x, a):
-    f, a = real(x, a)
-    t = f.trees
-    return MarkedForest((t[-1],) + t[1:-1] + (t[0],)), a
+def _cut_swapping_ends(real, call, x):
+    parts, counts = real(x)
+    return [parts[-1], *parts[1:-1], parts[0]], [counts[-1], *counts[1:-1], counts[0]]
+
+
+def _hang_moving_a_mark_once(real, call, d, parts):
+    # on the 5th image, the first marked leaf moves to the first unmarked
+    # leaf: still d - 1 marked leaves, so reduce returns another input
+    t = real(d, parts)
+    if call != 5:
+        return t
+    free = next(p for p, sym in enumerate(t.code) if not sym and p not in t.leaves)
+    return LeafMarkedTree.from_code(d, t.code, tuple(sorted(t.leaves[1:] + (free,))))
 
 
 BROKEN = {
     "reduce": _reduce_wrong_letter_once,
-    "rotate": _rotate_ignoring_letter,
+    "rotate": _turn_ignoring_letter,
     "cut": _cut_swapping_ends,
+    "hang": _hang_moving_a_mark_once,
 }
+# the name in ``bijections`` through which the verifier runs each stage
+STAGE_NAMES = {"reduce": "reduce", "rotate": "_turn", "cut": "_cut", "hang": "_hang"}
 
 
 class TestRotationVerifier:
