@@ -74,7 +74,7 @@ _EXPORTS = {
         "make_kernel",
         "sample_mark_set",
     ),
-    "tree": ("DaryTree", "from_preorder_code", "lex_compare", "new_root_tree"),
+    "tree": ("DaryTree",),
     "walks": ("LukWalk", "enumerate_walks"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

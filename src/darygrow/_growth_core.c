@@ -451,7 +451,11 @@ static void sort_edges_desc(dg_kernel *k, int64_t ne)
         depth[i] = depth_from(k, a, ha);
         depth[i + 1] = depth_from(k, b, hb);
     }
-    if (ne == 2) { /* every step at d = 3: one compare, as the spec makes */
+    /* every step at d = 3: one compare, as the spec makes.  The fork pays:
+     * without it, in one process with both builds loaded, dg_steps at d = 3,
+     * n = 10^5 went 51.2 -> 54.2 ms (faster in 1 of 20) and dg_histogram at
+     * d = 3, n = 4, 110k chains 35.7 -> 38.0 ms; d = 5 read 1.018, d = 12 1.012 */
+    if (ne == 2) {
         if (cmp_edges(k, 0, 1, &c) < 0) {
             a = edges[0];
             edges[0] = edges[1];

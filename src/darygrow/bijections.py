@@ -13,9 +13,11 @@ built from three stages:
 
 Both directions run on (code, leaves, offset) parts, one per forest
 position, and build only the tree they return: ``enlarge`` is ``_cut``,
-``_turn`` and ``_hang``, and ``reduce`` is ``_split``, ``marks.leaf_shift``
+``_turn`` and ``_hang``, and ``reduce`` is ``_split``, ``walks.leaf_shift``
 and ``_graft``.  The six public stages wrap these helpers, so each rule
-has one copy.  The excursion check lives in ``cut_inv`` (see ``reduce``).
+has one copy: ``_check_marks`` refuses bad marks (for the binary variants
+too), ``_turn`` is the letter check, and the excursion check lives in
+``cut_inv`` (see ``reduce``).
 
 Every map works on preorder codes (see ``marks``) and builds new values.
 The subtree at position p is the shortest slice ``code[p:p+L]`` with
@@ -36,18 +38,22 @@ from .errors import (
 )
 from .marks import (
     Code, EdgeMarkedTree, LeafMarkedTree, MarkedForest, forest_to_obj, is_excursion_forest,
-    leaf_marked_to_obj, leaf_sequence, leaf_shift, mark_problems,
+    leaf_marked_to_obj, leaf_sequence, mark_problems,
 )
 from .tree import _end, _walk, format_word
+from .walks import leaf_shift
 
 # the two binary letters used by the d=2 variants; kept distinct from the
 # numeric letters 1..d on purpose
 RIGHT = "r"
 LEFT = "l"
 
-def _check_letter(d: int, a: int) -> None:
-    if not 1 <= a <= d:
-        raise ArityError(f"letter {a} outside 1..{d}")
+
+def _check_marks(x: EdgeMarkedTree) -> None:
+    """Refuse an edge-marked tree whose marks ``mark_problems`` faults."""
+    problems = mark_problems(x)
+    if problems:
+        raise MarkCountError(problems[0])
 
 
 def cut(x: EdgeMarkedTree, a: int, details: Optional[list] = None):
@@ -78,9 +84,7 @@ def cut(x: EdgeMarkedTree, a: int, details: Optional[list] = None):
 def _cut(x: EdgeMarkedTree) -> Tuple[List[tuple], List[int]]:
     """``cut``'s forest as parts (see ``_split``), each at offset 0, and the
     marks each part carries."""
-    problems = mark_problems(x)
-    if problems:
-        raise MarkCountError(problems[0])
+    _check_marks(x)
     d, code = x.d, x.code
     spans = [(0, len(code))]
     # loops, not comprehensions (a call each), over the few marks: here, in _hang and _graft
@@ -124,10 +128,10 @@ def cut_inv(f: MarkedForest, a: int):
         raise NotExcursionError(
             f"leaf sequence {leaf_sequence(f).format()} is not an excursion"
         )
-    return _graft(f.d, [(t.code, t.leaves, 0) for t in f.trees], a)
+    return _graft(f.d, [(t.code, t.leaves, 0) for t in f.trees]), a
 
 
-def _graft(d: int, parts: Sequence[tuple], a: int):
+def _graft(d: int, parts: Sequence[tuple]) -> EdgeMarkedTree:
     """``cut_inv`` on the parts of a forest known to be excursion type.
 
     One pass sorts the buds out and grafts the rest: the first part that
@@ -164,7 +168,7 @@ def _graft(d: int, parts: Sequence[tuple], a: int):
         # counting forces zero leftovers: the grafts consume exactly the
         # marks the non-singleton trees carry beyond the bud marks
         raise CorruptForestError(f"{len(live)} marked leaves left over")
-    return EdgeMarkedTree.from_code(d, tuple(code), tuple(buds), tuple(edges)), a
+    return EdgeMarkedTree.from_code(d, tuple(code), tuple(buds), tuple(edges))
 
 
 def rotate(f: MarkedForest, a: int) -> MarkedForest:
@@ -173,9 +177,11 @@ def rotate(f: MarkedForest, a: int) -> MarkedForest:
 
 
 def _turn(parts: Sequence, a: int):
-    """``rotate`` on a forest's d trees or parts."""
-    _check_letter(len(parts), a)
-    s = a % len(parts)
+    """``rotate`` on a forest's d trees or parts; the one letter check."""
+    d = len(parts)
+    if not 1 <= a <= d:
+        raise ArityError(f"letter {a} outside 1..{d}")
+    s = a % d
     return parts[s:] + parts[:s]
 
 
@@ -248,7 +254,6 @@ def _split(d: int, code: Code, marks: Code) -> Tuple[List[tuple], List[int]]:
 def enlarge(x: EdgeMarkedTree, a: int) -> LeafMarkedTree:
     """Grow by one internal node: add_root . rotate . cut, run as ``_cut``,
     ``_turn`` and ``_hang`` on the parts, with no forest built between."""
-    _check_letter(x.d, a)
     return _hang(x.d, _turn(_cut(x)[0], a))
 
 
@@ -264,7 +269,7 @@ def reduce(t: LeafMarkedTree) -> Tuple[EdgeMarkedTree, int]:
     d = t.d
     parts, counts = _split(d, t.code, t.leaves)
     r = leaf_shift(counts)
-    return _graft(d, parts[r:] + parts[:r], d - r)
+    return _graft(d, parts[r:] + parts[:r]), d - r
 
 
 def enlarge_trace(x: EdgeMarkedTree, a: int):
@@ -273,7 +278,6 @@ def enlarge_trace(x: EdgeMarkedTree, a: int):
     Each frame records the state after one map, including leaf sequences,
     in plain JSON-ready dictionaries.
     """
-    _check_letter(x.d, a)
     steps: list = []
     f, a = cut(x, a, details=steps)
     g = rotate(f, a)
@@ -298,9 +302,7 @@ def _check_binary(x: EdgeMarkedTree, a: str) -> None:
         raise ArityError(f"binary variant needs d=2, got d={x.d}")
     if a not in (RIGHT, LEFT):
         raise ArityError(f"binary letter must be {RIGHT!r} or {LEFT!r}, got {a!r}")
-    marks = len(x.buds) + len(x.edges)
-    if marks != 1:
-        raise MarkCountError(f"{marks} marks, need 1")
+    _check_marks(x)
 
 
 def remy_enlarge(x: EdgeMarkedTree, a: str) -> LeafMarkedTree:

@@ -189,38 +189,26 @@ def _print_report(report) -> int:
     return 0 if report["pass"] else 1
 
 
-def cmd_verify_bijection(args) -> int:
+def cmd_verify_sizes(args) -> int:
+    """``verify bijection|rotation|variants``: each size's report up to the
+    given size, and exit 1 if any failed.  A guard takes its verifier's
+    arguments; the largest size costs the most, so it is refused first,
+    before any output."""
     from . import oracle
 
-    # the largest size costs the most: refuse it before any output
-    oracle.inputs_guard(args.d, args.max_n, args.force)
+    if args.verifier == "bijection":
+        guard, verify = oracle.inputs_guard, oracle.verify_enlarge_bijection
+        sizes, at = range(args.max_n + 1), lambda n: (args.d, n)
+    elif args.verifier == "rotation":
+        guard, verify = oracle.rotation_guard, oracle.verify_rotation_lemma
+        sizes, at = range(1, args.m + 1), lambda m: (m, args.max_inc)
+    else:
+        guard, verify = oracle.variants_guard, oracle.verify_binary_variants
+        sizes, at = range(args.max_n + 1), lambda n: (n,)
+    guard(*at(sizes[-1]), args.force)
     status = 0
-    for n in range(args.max_n + 1):
-        report = oracle.verify_enlarge_bijection(args.d, n, force=args.force)
-        status |= _print_report(report)
-    return status
-
-
-def cmd_verify_rotation(args) -> int:
-    from . import oracle
-
-    # the longest walks cost the most: refuse them before any output
-    oracle.rotation_guard(args.m, args.max_inc, args.force)
-    status = 0
-    for m in range(1, args.m + 1):
-        report = oracle.verify_rotation_lemma(m, args.max_inc, force=args.force)
-        status |= _print_report(report)
-    return status
-
-
-def cmd_verify_variants(args) -> int:
-    from . import oracle
-
-    oracle.variants_guard(args.max_n, args.force)
-    status = 0
-    for n in range(args.max_n + 1):
-        report = oracle.verify_binary_variants(n, force=args.force)
-        status |= _print_report(report)
+    for size in sizes:
+        status |= _print_report(verify(*at(size), args.force))
     return status
 
 
@@ -338,18 +326,18 @@ def build_parser() -> argparse.ArgumentParser:
     bij.add_argument("--d", type=_arity, required=True)
     bij.add_argument("--max-n", type=_nonneg, required=True)
     bij.add_argument("--force", action="store_true")
-    bij.set_defaults(func=cmd_verify_bijection)
+    bij.set_defaults(func=cmd_verify_sizes)
 
     rot = vsub.add_parser("rotation")
     rot.add_argument("--m", type=_positive, required=True)
     rot.add_argument("--max-inc", type=_nonneg, default=3)
     rot.add_argument("--force", action="store_true")
-    rot.set_defaults(func=cmd_verify_rotation)
+    rot.set_defaults(func=cmd_verify_sizes)
 
     var = vsub.add_parser("variants")
     var.add_argument("--max-n", type=_nonneg, required=True)
     var.add_argument("--force", action="store_true")
-    var.set_defaults(func=cmd_verify_variants)
+    var.set_defaults(func=cmd_verify_sizes)
 
     cnt = vsub.add_parser("counts")
     cnt.add_argument("--d", type=_arity, required=True)

@@ -11,7 +11,9 @@ Marked trees are immutable values: ``d``, the preorder code as a tuple,
 and each mark as a preorder position (buds stay bud indices).  Lex order on
 words is preorder order, so positions sort and compare as words would.
 A node id of a ``DaryTree`` is its preorder position, so the ids in
-``.marks`` / ``.marked_leaves`` are the positions themselves.
+``.marks`` / ``.leaves`` are the positions themselves.  The shift that
+turns a forest to excursion type is ``walks.leaf_shift`` of its mark
+counts; ``leaf_sequence`` and ``is_excursion_forest`` read it from there.
 
 The values here are plain ``__slots__`` classes on ``_value``'s pattern,
 not dataclasses, which would cost every import of this module about 11 ms
@@ -28,7 +30,7 @@ from typing import Iterable, List, Sequence, Tuple, Union
 from ._value import OrderedRecord, Record, Value
 from .errors import ArityError, MalformedObjectError, MarkCountError
 from .tree import DaryTree, Word, format_word, parse_word
-from .walks import LukWalk
+from .walks import LukWalk, leaf_shift
 
 
 class Bud(OrderedRecord):
@@ -142,11 +144,6 @@ class LeafMarkedTree(_CodeTree):
     ) -> "LeafMarkedTree":
         return cls(tree, (tree.node_at(w) for w in leaf_words))
 
-    @property
-    def marked_leaves(self) -> Tuple[int, ...]:
-        """Node ids of the marked leaves in ``.tree``, in word order."""
-        return self.leaves
-
     def mark_words(self) -> Tuple[Word, ...]:
         return self.words(self.leaves)
 
@@ -189,23 +186,6 @@ class MarkedForest(Value):
 
     def __repr__(self) -> str:
         return f"MarkedForest(d={self.d}, sizes={[t.n for t in self.trees]})"
-
-
-def leaf_shift(counts: Sequence[int]) -> int:
-    """The first lowest point, mod d, of the leaf sequence of a forest whose
-    d positions carry these mark counts, after checking their total.  By the
-    cycle lemma the forest turned to start there is excursion type, and the
-    shift is 0 exactly when the forest already is."""
-    d = len(counts)
-    total = sum(counts)
-    if total != d - 1:
-        raise MarkCountError(f"forest carries {total} marks, need {d - 1}")
-    level = low = r = 0
-    for i, c in enumerate(counts, 1):
-        level += c - 1
-        if level < low:
-            low, r = level, i
-    return r % d
 
 
 def leaf_sequence(f: MarkedForest) -> LukWalk:

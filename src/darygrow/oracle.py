@@ -17,12 +17,10 @@ from typing import Dict, Iterator, List, NoReturn, Optional, Tuple
 from . import bijections
 from ._value import Record
 from .errors import FORCE_HINT, DarygrowError, SizeGuardError, UnderpoweredTestError
-from .marks import (
-    EdgeMarkedTree, LeafMarkedTree, MarkedForest, edge_marked_to_obj, leaf_sequence, leaf_shift
-)
+from .marks import EdgeMarkedTree, LeafMarkedTree, MarkedForest, edge_marked_to_obj, leaf_sequence
 from .sampler import make_kernel
 from .tree import DaryTree, shape_key
-from .walks import enumerate_walks
+from .walks import enumerate_walks, leaf_shift
 
 # each exhaustive run multiplies trees, mark sets and letters; refuse
 # beyond this many combined objects unless the caller forces it
@@ -215,7 +213,8 @@ def verify_enlarge_bijection(d: int, n: int, force: bool = False) -> dict:
     The images are pairwise distinct because ``reduce`` is a left inverse,
     so none is kept: only a count per tree of size n+1.  Where a round trip
     fails and the input ``reduce`` returned enlarges to the same image, the
-    failure is reported as a collision of the two inputs.
+    failure is reported as a collision of the two inputs; where ``reduce``
+    refuses the image, as a round trip failure with the error's text.
 
     ``cut`` does not read the letter, so each marked tree is cut to parts
     once and each image hung from them turned by its letter, with no forest
@@ -250,7 +249,15 @@ def verify_enlarge_bijection(d: int, n: int, force: bool = False) -> dict:
             report["inputs"] += 1
             image = hang(d, turn(parts, a))
             per_tree.setdefault(image.code, [0])[0] += 1
-            back, back_a = reduce(image)
+            try:
+                back, back_a = reduce(image)
+            except DarygrowError as exc:  # an image reduce refuses
+                report["counterexample"] = {
+                    "kind": "round_trip",
+                    "input": _input_obj(x, a),
+                    "error": str(exc),
+                }
+                return report
             if back_a != a or back.code != code or back.edges != edges or back.buds != buds:
                 try:
                     collision = bijections.enlarge(back, back_a) == image
@@ -299,8 +306,9 @@ def verify_rotation_lemma(m: int, max_increment: int, force: bool = False) -> di
     """Certify the rotation principle over all capped walks of length m.
 
     Every rotation class has m pairwise distinct members with exactly one
-    excursion among them, and for an excursion the first argmin of the
-    r-th rotation sits at m - r.
+    excursion among them, for an excursion the first argmin of the r-th
+    rotation sits at m - r, and ``excursion_shift``, which is the
+    ``walks.leaf_shift`` the bijections run, turns each walk to it.
     """
     rotation_guard(m, max_increment, force)
     report = {

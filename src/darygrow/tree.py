@@ -39,20 +39,6 @@ Word = Tuple[int, ...]
 _BLOCK = 1 << 16
 
 
-def lex_compare(w1: Sequence[int], w2: Sequence[int]) -> int:
-    """Compare two node words lexicographically.
-
-    Returns -1, 0 or 1.  A strict prefix is strictly smaller than the word
-    it prefixes; otherwise the first differing letter decides.  Python's
-    tuple comparison implements exactly this order, so the function exists
-    mostly to give the convention a name.
-    """
-    a, b = tuple(w1), tuple(w2)
-    if a == b:
-        return 0
-    return -1 if a < b else 1
-
-
 def shape_key(code: Sequence[int]) -> bytes:
     """Histogram key of a shape given by its preorder code: one byte per node,
     1 for an internal node and 0 for a leaf, the same for every arity."""
@@ -398,12 +384,3 @@ def _check_code(d: int, code: Tuple[int, ...]) -> None:
         )
     if end > size:
         raise MalformedCodeError(f"code ended with {end - size} nodes pending")
-
-
-def new_root_tree(d: int) -> DaryTree:
-    """The single-node tree of arity ``d`` (the unique tree with n = 0)."""
-    return DaryTree(d)
-
-
-def from_preorder_code(d: int, code: Sequence[int]) -> DaryTree:
-    return DaryTree.from_preorder_code(d, code)

@@ -5,6 +5,10 @@ s_m = -1 and every increment at least -1.  An excursion stays nonnegative
 until the final step.  Rotating the increment sequence cyclically permutes
 a rotation class of m distinct walks, exactly one of which is an excursion;
 that representative is located at the first argmin of the values.
+:func:`leaf_shift` finds that argmin in one pass over the increments
+plus one; it is the one shift the bijections run, and ``excursion_shift``
+returns it, so the rotation verifier certifies it against ``is_excursion``
+and ``first_argmin``, the definitions kept here beside it.
 
 ``LukWalk`` is a ``_value.Record``, not a dataclass, so importing this
 module does not load ``dataclasses`` (see ``_value``).
@@ -16,6 +20,7 @@ from itertools import product
 from typing import Iterator, Sequence, Tuple
 
 from ._value import Record
+from .errors import MarkCountError
 
 
 class LukWalk(Record):
@@ -67,9 +72,10 @@ class LukWalk(Record):
 
         Equals first_argmin modulo the length: rotating the increments so
         that the walk restarts right after its first minimum lifts the tail
-        above zero and leaves the final step as the only visit to -1.
+        above zero and leaves the final step as the only visit to -1.  It
+        is :func:`leaf_shift` of the increments plus one.
         """
-        return self.first_argmin() % self.length
+        return leaf_shift([x + 1 for x in self.increments()])
 
     # --- text form: comma separated values, e.g. "0,1,0,0,0,-1" ---
 
@@ -82,6 +88,23 @@ class LukWalk(Record):
 
     def __repr__(self) -> str:
         return f"LukWalk({self.format()})"
+
+
+def leaf_shift(counts: Sequence[int]) -> int:
+    """The first lowest point, mod d, of the leaf sequence of a forest whose
+    d positions carry these mark counts, after checking their total.  By the
+    cycle lemma the forest turned to start there is excursion type, and the
+    shift is 0 exactly when the forest already is."""
+    d = len(counts)
+    total = sum(counts)
+    if total != d - 1:
+        raise MarkCountError(f"forest carries {total} marks, need {d - 1}")
+    level = low = r = 0
+    for i, c in enumerate(counts, 1):
+        level += c - 1
+        if level < low:
+            low, r = level, i
+    return r % d
 
 
 def enumerate_walks(m: int, max_increment: int) -> Iterator[LukWalk]:

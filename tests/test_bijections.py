@@ -52,7 +52,7 @@ from darygrow.oracle import (
     enumerate_marked_trees,
 )
 from darygrow.sampler import SplitMix64, make_kernel, sample_mark_set
-from darygrow.tree import DaryTree, new_root_tree
+from darygrow.tree import DaryTree
 from test_acceptance import BIJECTION_SUITE
 
 
@@ -69,7 +69,7 @@ def leaf_marked(d, text, leaves):
 
 
 def singleton(d, marked=False):
-    t = new_root_tree(d)
+    t = DaryTree(d)
     return LeafMarkedTree(t, (t.root,) if marked else ())
 
 
@@ -84,7 +84,7 @@ class TestCut:
             f, out_a = cut(x, a)
             assert out_a == a  # letter passes through untouched
             assert leaf_sequence(f).values == (0, 0, 0, -1)
-            assert [len(t.marked_leaves) for t in f.trees] == [1, 1, 0]
+            assert [len(t.leaves) for t in f.trees] == [1, 1, 0]
             assert all(t.tree.node_count == 1 for t in f.trees)
 
     def test_single_edge_mark_binary(self):
@@ -232,7 +232,7 @@ class TestAddRoot:
 
     def test_inv_decomposes_by_slot(self):
         out = add_root_inv(leaf_marked(3, "3 0 0 0", [(1,), (3,)]))
-        assert [len(t.marked_leaves) for t in out.trees] == [1, 0, 1]
+        assert [len(t.leaves) for t in out.trees] == [1, 0, 1]
         assert all(t.tree.node_count == 1 for t in out.trees)
 
     def test_inv_rejects_bare_root(self):
@@ -304,7 +304,7 @@ class TestEnlargeReduce:
         a = 1 + rng.uniform_below(d)
         y = enlarge(x, a)
         assert y.tree.internal_count == n + 1
-        assert len(y.marked_leaves) == d - 1
+        assert len(y.leaves) == d - 1
         back, back_a = reduce(y)
         assert back_a == a
         assert back.key() == x.key()
@@ -489,6 +489,19 @@ class TestBinaryVariants:
             remy_enlarge(x, RIGHT)
         with pytest.raises(ArityError):
             third_enlarge(x, LEFT)
+
+    @pytest.mark.parametrize(
+        "buds,edges,message",
+        [((), (0,), "root names no edge"), ((1,), (), r"bud index 1 outside \[0, 0\]")],
+        ids=["root-edge", "bud-1"],
+    )
+    @pytest.mark.parametrize("variant", [remy_enlarge, third_enlarge])
+    def test_bad_mark_is_refused(self, variant, buds, edges, message):
+        # refused by the mark check cut makes, not grown or a bare StopIteration
+        x = EdgeMarkedTree.from_code(2, (2, 0, 0), buds, edges)
+        for side in (RIGHT, LEFT):
+            with pytest.raises(MarkCountError, match=message):
+                variant(x, side)
 
     def test_letter_must_be_binary(self):
         x = edge_marked(2, "0", buds=[0])

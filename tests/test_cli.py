@@ -630,6 +630,31 @@ def test_verify_rotation(capsys):
     assert all(json.loads(line)["pass"] for line in out.splitlines())
 
 
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (
+            ["verify", "rotation", "--m", "7", "--max-inc", "3"],
+            "380ed50d67fd889d5ff91f794b92e05fd9be8a771af2df2ee0cf76996c9511b9",
+        ),
+        (
+            ["verify", "variants", "--max-n", "5"],
+            "b080cd6d74c198defd80da84186da24215666a02c1e241615895e4a0ddbcf5a0",
+        ),
+        (
+            ["verify", "bijection", "--d", "3", "--max-n", "3"],
+            "428a03934ea5b995a994807c0d38f1437a17a58740717a2142e8c5185c320f34",
+        ),
+    ],
+    ids=["rotation", "variants", "bijection"],
+)
+def test_verify_stdout_pinned(argv, digest, capsys):
+    # one report line per size, in order, byte for byte
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
 def test_rotation_size_guard():
     # 5^40 increment tuples: refused before any walk is enumerated
     out = subprocess.run(
@@ -878,13 +903,12 @@ def test_trace_excursion_sequence_shape(tmp_path, capsys):
     # its cut frame must show the walk 0,1,0,0,0,-1
     from darygrow.bijections import cut_inv
     from darygrow.marks import LeafMarkedTree, MarkedForest
-    from darygrow.tree import new_root_tree
 
     def leafy(code_text, leaves):
         t = DaryTree.from_code_text(5, code_text)
         return LeafMarkedTree.from_words(t, leaves)
 
-    root_marked = new_root_tree(5)
+    root_marked = DaryTree(5)
     f = MarkedForest(
         (
             leafy("5 5 0 0 0 0 0 0 0 0 0", [(1, 1), (3,)]),

@@ -19,7 +19,7 @@ from darygrow.marks import (
     leaf_sequence,
     validate,
 )
-from darygrow.tree import DaryTree, new_root_tree
+from darygrow.tree import DaryTree
 
 
 def tree(d, text):
@@ -102,12 +102,12 @@ def test_keys_capture_shape_and_marks(cherry):
 
 
 def marked_singleton(d):
-    t = new_root_tree(d)
+    t = DaryTree(d)
     return LeafMarkedTree(t, (t.root,))
 
 
 def plain_singleton(d):
-    return LeafMarkedTree(new_root_tree(d), ())
+    return LeafMarkedTree(DaryTree(d), ())
 
 
 def test_leaf_sequence_all_buds():

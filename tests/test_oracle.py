@@ -269,6 +269,23 @@ class TestBijectionVerifier:
         assert report["counterexample"]["kind"] == "round_trip"
         assert report["inputs"] == 5
 
+    def test_image_reduce_refuses_is_a_round_trip(self, monkeypatch):
+        # a hang that marks each image's root hands reduce a tree it
+        # refuses: reported with the input and the error's text, not raised
+        real = bijections._hang
+
+        def marking_the_root(d, parts):
+            t = real(d, parts)
+            return LeafMarkedTree.from_code(d, t.code, (0,) + t.leaves[1:])
+
+        monkeypatch.setattr(bijections, "_hang", marking_the_root)
+        report = oracle.verify_enlarge_bijection(3, 1)
+        assert report["pass"] is False
+        bad = report["counterexample"]
+        assert bad["kind"] == "round_trip"
+        assert (report["inputs"], bad["input"]["letter"]) == (1, 1)
+        assert bad["error"] == "marked node at position 0 is the root"
+
     def test_reduce_returning_no_input_is_a_round_trip(self, monkeypatch):
         # letter 0 names no input: nothing to re-enlarge, and no exception
         real = bijections.reduce
@@ -317,6 +334,17 @@ class TestRotationVerifier:
     def test_passes(self, m):
         report = oracle.verify_rotation_lemma(m, 3)
         assert report["pass"] is True
+
+    def test_wrong_shift_fails(self, monkeypatch):
+        # the shift the bijections run is the one certified: one rotation
+        # past it is caught
+        from darygrow import walks
+
+        real = walks.leaf_shift
+        monkeypatch.setattr(walks, "leaf_shift", lambda c: (real(c) + 1) % len(c))
+        report = oracle.verify_rotation_lemma(5, 3)
+        assert report["pass"] is False
+        assert report["counterexample"]["kind"] == "shift"
 
     def test_walk_totals(self):
         # stars-and-bars on increments+1: binom(8,4), and binom(12,6)-49

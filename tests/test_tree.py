@@ -8,8 +8,6 @@ from darygrow.tree import (
     _end,
     _walk,
     format_word,
-    lex_compare,
-    new_root_tree,
     parse_word,
 )
 
@@ -29,7 +27,7 @@ def grown(d, n, seed=0):
 
 class TestBasics:
     def test_root_only(self):
-        t = new_root_tree(3)
+        t = DaryTree(3)
         assert t.node_count == 1
         assert t.leaf_count == 1
         assert t.internal_count == 0
@@ -40,7 +38,7 @@ class TestBasics:
 
     def test_arity_floor(self):
         with pytest.raises(ArityError):
-            new_root_tree(1)
+            DaryTree(1)
 
     def test_expand_gives_d_children(self):
         t = DaryTree(4, (4, 0, 0, 0, 0))  # the root expanded
@@ -151,13 +149,16 @@ class TestWords:
         ],
     )
     def test_lex_compare(self, a, b, sign):
-        assert lex_compare(a, b) == sign
-        assert lex_compare(b, a) == -sign
+        # tuple order is the word order, and ids sort as their words do
+        t = DaryTree(9, [9, 0, 9] + [0] * 8 + [9] + [0] * 16)  # (), (2,), (2, 9) expanded
+        u, v = t.node_at(a), t.node_at(b)
+        assert (a > b) - (a < b) == (u > v) - (u < v) == sign
+        assert (b > a) - (b < a) == -sign
 
 
 class TestPreorderCode:
     def test_known_codes(self):
-        t = new_root_tree(2)
+        t = DaryTree(2)
         assert t.to_preorder_code() == [0]
         t = DaryTree.from_preorder_code(2, [2, 0, 0])
         assert t.code == (2, 0, 0)
@@ -264,16 +265,16 @@ class TestSurgery:
         a = DaryTree(2, [2, 0, 0])
         b = DaryTree.from_code_text(2, "2 0 0")
         assert a == b
-        assert a != new_root_tree(3)
-        assert new_root_tree(2) != new_root_tree(3)
+        assert a != DaryTree(3)
+        assert DaryTree(2) != DaryTree(3)
 
     def test_unhashable(self):
         with pytest.raises(TypeError):
-            hash(new_root_tree(2))
+            hash(DaryTree(2))
 
 
 def test_depth_and_height():
-    assert new_root_tree(2).height() == 0
+    assert DaryTree(2).height() == 0
     t = DaryTree(2, (2, 0, 2, 2, 0, 0, 0))  # root, (2,) and (2, 1) expanded
     assert t.height() == 3
     assert t.depth(t.node_at((2, 1, 2))) == 3

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from darygrow.walks import LukWalk, enumerate_walks
+from darygrow.errors import MarkCountError
+from darygrow.walks import LukWalk, enumerate_walks, leaf_shift
 
 
 def walk(*increments):
@@ -91,6 +92,21 @@ class TestRotationPrinciple:
             for other in range(6):
                 if other != r:
                     assert not w.rot(other).is_excursion()
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+    def test_leaf_shift_is_the_first_argmin(self, m):
+        # leaf_shift reads the increments plus one, as mark counts
+        for w in enumerate_walks(m, 3):
+            assert leaf_shift([x + 1 for x in w.increments()]) == w.first_argmin() % m
+
+    def test_leaf_shift_checks_the_total(self):
+        with pytest.raises(MarkCountError, match="forest carries 3 marks, need 2"):
+            leaf_shift([1, 1, 1])
+
+    def test_one_shift_for_the_bijections(self):
+        from darygrow import bijections, marks, oracle
+
+        assert bijections.leaf_shift is marks.leaf_shift is oracle.leaf_shift is leaf_shift
 
     def test_excursion_argmin_is_length(self):
         # an excursion first attains its minimum at the very end
