@@ -44,6 +44,18 @@
  * before.  d >= 3 is not pipelined: there the lex phase's climbs already
  * keep the memory system busy, and prefetching only moved its stalls.
  *
+ * apply and draw_step are one body each, taking the arity as a constant
+ * parameter and inlined into every caller, the way walk is compiled once
+ * per mode.  steps_d2 passes a literal 2, so its instance has no lex phase
+ * (one marked edge at most), unrolled loops over d, and masks where the
+ * generic body divides: the letter's draw and the new root's slot rotation.
+ * The d >= 3 loop and dg_step_with pass k->d.  In one process with both
+ * builds loaded, this took dg_steps at d = 2 to 0.64 of its time at
+ * n = 10^6 and 0.53 at n = 10^4, and the d = 2, n = 5 histogram to
+ * 0.75-0.79; the d = 3, 5 and 12 step loops did not slow.  The lex phase
+ * read 5-7% slower at d = 300 and 1000, from where its loops fell: with
+ * every loop aligned to 64 bytes in both builds, the two took the same time.
+ *
  * The arena is compact: a tree of n internal nodes has ids 0 .. d*n, so a
  * step's d new ids are d*n + 1 .. d*n + d and apply hands them out by
  * counting, with no allocator and no live-node count.  The internal nodes
@@ -538,10 +550,13 @@ static int64_t walk_jumps(dg_kernel *k, int fix)
  * of this file), and a deeper node's J nearest ancestors are in its cut
  * subtree.  While n <= J only the new root's is written, and the step to
  * n = J + 1 writes them all.  The lex phase adds its time to lex_seconds
- * when `timed`. */
-static void apply(dg_kernel *k, const int64_t *ranks, int64_t letter, int timed)
+ * when `timed`.  d is k->d, passed in so that steps_d2 compiles the step
+ * for a literal 2 (see the top of this file). */
+static inline __attribute__((always_inline)) void apply(dg_kernel *k, const int64_t d,
+                                                         const int64_t *ranks, int64_t letter,
+                                                         int timed)
 {
-    int64_t d = k->d, root = d * k->n, v = root, ne = 0, i, p, u, c, redirections;
+    int64_t root = d * k->n, v = root, ne = 0, i, p, u, c, redirections;
     int64_t *pos = k->pos;
 
     for (p = 0; p < d; p++)
@@ -597,10 +612,13 @@ static void apply(dg_kernel *k, const int64_t *ranks, int64_t letter, int timed)
 }
 
 /* Draw one step's d - 1 distinct ranks into rk, of a tree with n internal
- * nodes, and its letter.  The draws depend on the PRNG and n alone. */
-static inline void draw_step(dg_kernel *k, int64_t n, int64_t *rk, int64_t *letter)
+ * nodes, and its letter.  The draws depend on the PRNG and n alone.  d is
+ * k->d, as in apply. */
+static inline __attribute__((always_inline)) void draw_step(dg_kernel *k, const int64_t d,
+                                                             int64_t n, int64_t *rk,
+                                                             int64_t *letter)
 {
-    int64_t d = k->d, universe = d * n + d - 1, got = 0, i, r;
+    int64_t universe = d * n + d - 1, got = 0, i, r;
     while (got < d - 1) {
         r = (int64_t)uniform_below(k, (uint64_t)universe);
         for (i = 0; i < got && rk[i] != r; i++)
@@ -629,7 +647,7 @@ static void steps_d2(dg_kernel *k, int64_t count)
     for (i = 0; i < count; i++) {
         for (; drawn < count && drawn < i + AHEAD; drawn++) {
             r = drawn & (AHEAD - 1);
-            draw_step(k, k->n + drawn - i, &rank[r], &letter[r]);
+            draw_step(k, 2, k->n + drawn - i, &rank[r], &letter[r]);
             __builtin_prefetch(k->up + rank[r]);
         }
         if (i + LATE < drawn) {
@@ -638,7 +656,7 @@ static void steps_d2(dg_kernel *k, int64_t count)
                 __builtin_prefetch(k->child + p, 1);
         }
         /* one marked edge at most: no lex phase to time */
-        apply(k, &rank[i & (AHEAD - 1)], letter[i & (AHEAD - 1)], 0);
+        apply(k, 2, &rank[i & (AHEAD - 1)], letter[i & (AHEAD - 1)], 0);
     }
 }
 
@@ -654,8 +672,8 @@ static int steps(dg_kernel *k, int64_t count, int timed)
         return 0;
     }
     for (i = 0; i < count; i++) {
-        draw_step(k, k->n, k->rk, &letter);
-        apply(k, k->rk, letter, timed);
+        draw_step(k, k->d, k->n, k->rk, &letter);
+        apply(k, k->d, k->rk, letter, timed);
     }
     return 0;
 }
@@ -670,7 +688,7 @@ int dg_step_with(dg_kernel *k, const int64_t *ranks, int64_t letter)
 {
     if (reserve(k, k->d * (k->n + 1) + 1) < 0)
         return -1;
-    apply(k, ranks, letter, 1);
+    apply(k, k->d, ranks, letter, 1);
     return 0;
 }
 

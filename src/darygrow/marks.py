@@ -202,19 +202,24 @@ def is_excursion_forest(f: MarkedForest) -> bool:
 
 def mark_problems(x: EdgeMarkedTree) -> List[str]:
     """What is wrong with the marks of ``x``, its tree left unchecked."""
-    d = x.d
+    d, buds, edges = x.d, x.buds, x.edges
     problems = []
-    marks = len(x.buds) + len(x.edges)
+    marks = len(buds) + len(edges)
     if marks != d - 1:
         problems.append(f"{marks} marks, expected {d - 1}")
-    for kind, found in (("bud", x.buds), ("edge", x.edges)):
-        if len(set(found)) != len(found):
-            problems.append(f"duplicate {kind} mark")
-    for i in x.buds:
+    if len(set(buds)) != len(buds):
+        problems.append("duplicate bud mark")
+    if len(set(edges)) != len(edges):
+        problems.append("duplicate edge mark")
+    for i in buds:
         if not 0 <= i <= d - 2:
             problems.append(f"bud index {i} outside [0, {d - 2}]")
-    if 0 in x.edges:
-        problems.append("root names no edge")
+    size = len(x.code)
+    for p in edges:
+        if not 0 < p < size:
+            problems.append(
+                "root names no edge" if p == 0 else f"edge position {p} outside [1, {size})"
+            )
     return problems
 
 
@@ -228,9 +233,12 @@ def validate(x: Union[EdgeMarkedTree, LeafMarkedTree, MarkedForest]) -> List[str
     if isinstance(x, EdgeMarkedTree):
         problems.extend(mark_problems(x))
     elif isinstance(x, LeafMarkedTree):
-        problems.extend(
-            f"marked node at position {p} is internal" for p in x.leaves if x.code[p]
-        )
+        size = len(x.code)
+        for p in x.leaves:  # in range before the code is read
+            if not 0 <= p < size:
+                problems.append(f"marked leaf position {p} outside [0, {size})")
+            elif x.code[p]:
+                problems.append(f"marked node at position {p} is internal")
     elif isinstance(x, MarkedForest):
         if any(t.d != x.d for t in x.trees):
             problems.append("mixed arities in forest")

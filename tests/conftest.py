@@ -2,7 +2,8 @@
 
 Acceptance tests report through the `criterion` fixture so the run ends
 with one PASS/FAIL/SKIP line per criterion, whatever order pytest ran them
-in, each with its elapsed time against the criterion's time budget, a line
+in, each with its elapsed time against the criterion's time budget and any
+details the test reports (criterion 10's doubling ratios), a line
 naming the growth kernel the run selected, and a line per test module
 skipped at collection (a missing compiled kernel skips `test_kernels.py`),
 with its reason.
@@ -24,8 +25,10 @@ _SKIPPED_MODULES: dict = {}
 @pytest.fixture
 def criterion():
     @contextmanager
-    def run(number: int, title: str, budget: Optional[float] = None):
-        """Yields ``budget``, the seconds the criterion asserts it stays under."""
+    def run(number: int, title: str, budget: Optional[float] = None, details=()):
+        """Yields ``budget``, the seconds the criterion asserts it stays under.
+        What the test has appended to the list ``details`` by its end is
+        printed after the time."""
         started = time.perf_counter()
 
         def line(status, note=None):
@@ -34,6 +37,7 @@ def criterion():
                 note = f"{elapsed:.2f} s"
                 if budget is not None:
                     note += f" of {budget:g} s, {elapsed / budget:.0%}"
+                note += "".join(f"; {detail}" for detail in details)
             _LINES[number] = f"criterion {number:>2}  {status}  {title}  ({note})"
 
         try:

@@ -278,6 +278,14 @@ class TestEnlargeReduce:
         with pytest.raises(ArityError):
             enlarge(edge_marked(3, "0", buds=[0, 1]), 4)
 
+    @pytest.mark.parametrize("edge", [5, 3, -1])
+    def test_edge_past_the_code_is_refused(self, edge):
+        # from_code takes positions as given; the mark check refuses one
+        # outside the tree before any surgery reads the code there
+        x = EdgeMarkedTree.from_code(2, (2, 0, 0), (), (edge,))
+        with pytest.raises(DarygrowError, match=rf"edge position {edge} outside \[1, 3\)"):
+            enlarge(x, 1)
+
     def test_reduce_non_excursion_never_happens_from_enlarge(self):
         # reduce must reject a hand-built forest that rotates badly; build a
         # leaf-marked tree whose root decomposition is already excursion type
@@ -492,8 +500,15 @@ class TestBinaryVariants:
 
     @pytest.mark.parametrize(
         "buds,edges,message",
-        [((), (0,), "root names no edge"), ((1,), (), r"bud index 1 outside \[0, 0\]")],
-        ids=["root-edge", "bud-1"],
+        [
+            ((), (0,), "root names no edge"),
+            ((1,), (), r"bud index 1 outside \[0, 0\]"),
+            # without the range check, remy_enlarge grew a tree of three
+            # internal nodes from one with the edge at -1
+            ((), (-1,), r"edge position -1 outside \[1, 3\)"),
+            ((), (5,), r"edge position 5 outside \[1, 3\)"),
+        ],
+        ids=["root-edge", "bud-1", "edge-minus-1", "edge-past-end"],
     )
     @pytest.mark.parametrize("variant", [remy_enlarge, third_enlarge])
     def test_bad_mark_is_refused(self, variant, buds, edges, message):

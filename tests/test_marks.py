@@ -67,6 +67,20 @@ def test_validate_rejects_internal_marked_leaf(cherry):
     assert any("internal" in p for p in validate(bad))
 
 
+@pytest.mark.parametrize("position", [7, 3, -1])
+def test_validate_reports_a_leaf_past_the_code(position):
+    # validate never raises: a position outside the code is a problem, not
+    # an IndexError
+    x = LeafMarkedTree.from_code(2, (2, 0, 0), (position,))
+    assert validate(x) == [f"marked leaf position {position} outside [0, 3)"]
+
+
+@pytest.mark.parametrize("edge", [5, -1])
+def test_validate_reports_an_edge_past_the_code(edge):
+    x = EdgeMarkedTree.from_code(2, (2, 0, 0), (), (edge,))
+    assert validate(x) == [f"edge position {edge} outside [1, 3)"]
+
+
 def test_leaf_marked_orders_by_word(cherry):
     a = LeafMarkedTree.from_words(cherry, [(2, 2), (1,)])
     assert a.mark_words() == ((1,), (2, 2))
